@@ -22,6 +22,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .core import CycleResult, SourceType, SPECIES_NAMES, aggregate_cycle
 from .cycleio import SUPPORTED_UNITS, load_cycle, parse_trace, resample_to_1hz, write_cycle_csv
 from .demo import SignalScenario, compare_scenarios
@@ -37,8 +39,30 @@ def _fmt(x: float) -> str:
     return f"{x:.9f}"
 
 
+class _Failure(Exception):
+    """An input or table problem: one `error:` line on stderr and an exit code."""
+
+    def __init__(self, what: str, exc: Exception, code: int):
+        super().__init__(f"error: {what}: {exc}")
+        self.code = code
+
+
 def _load_tables(args) -> TableSet:
-    return load_tables_from_dir(resolve_tables_dir(getattr(args, "tables", None)))
+    try:
+        return load_tables_from_dir(resolve_tables_dir(getattr(args, "tables", None)))
+    except (TableError, OSError) as exc:
+        raise _Failure("tables", exc, EXIT_TABLES) from None
+
+
+def _evaluate(args) -> tuple[TableSet, SourceType, CycleResult]:
+    """Tables, source type and result for the cycle of `run` and `factors`."""
+    tables = _load_tables(args)
+    try:
+        cycle = load_cycle(args.cycle, args.unit)
+    except (CycleError, OSError) as exc:
+        raise _Failure("cycle", exc, EXIT_INPUT) from None
+    st = SourceType.from_code(args.veh)
+    return tables, st, aggregate_cycle(cycle, tables.params_for(st), tables.rates)
 
 
 def _header_lines(tables: TableSet) -> list[str]:
@@ -49,51 +73,41 @@ def _header_lines(tables: TableSet) -> list[str]:
     return lines
 
 
+def _unit(tables: TableSet, species: str) -> str:
+    return tables.rates.units.get(species, "g/h").replace("/h", "")
+
+
 def write_er_csv(result: CycleResult, tables: TableSet, path: Path) -> None:
+    """Per-second rows, then totals. A second's grams depend only on its
+    mode, so each mode's row is formatted once and reused."""
     lines = _header_lines(tables)
     lines.append("t,opmode," + ",".join(SPECIES_NAMES))
-    for rec in result.per_second:
-        values = ",".join(_fmt(x) for x in rec.emissions.as_tuple())
-        lines.append(f"{rec.t},{int(rec.opmode)},{values}")
-    totals = ",".join(_fmt(x) for x in result.totals.as_tuple())
-    lines.append(f"TOTAL,,{totals}")
+    modes, first = np.unique(result.modes, return_index=True)
+    rows = {m: f"{m}," + ",".join(map(_fmt, result.grams[i].tolist()))
+            for m, i in zip(modes.tolist(), first.tolist())}
+    lines += [f"{t},{rows[m]}" for t, m in enumerate(result.modes.tolist())]
+    lines.append("TOTAL,," + ",".join(map(_fmt, result.totals.as_tuple())))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _ef_lines(result: CycleResult, tables: TableSet) -> list[str]:
+    """The per-km factor table shared by the EF file and `factors`."""
+    ef = result.ef.as_tuple() if result.ef is not None else (None,) * len(SPECIES_NAMES)
+    lines = ["species,value,unit_per_km"]
+    for name, value in zip(SPECIES_NAMES, ef):
+        shown = "undefined" if value is None else _fmt(value)
+        lines.append(f"{name},{shown},{_unit(tables, name)}/km")
+    lines.append(f"distance_km,{_fmt(result.distance_km)},km")
+    return lines
 
 
 def write_ef_csv(result: CycleResult, tables: TableSet, path: Path) -> None:
-    lines = _header_lines(tables)
-    lines.append("species,value,unit_per_km")
-    for name, value in zip(SPECIES_NAMES, _ef_values(result)):
-        unit = tables.rates.units.get(name, "g/h").replace("/h", "")
-        if value is None:
-            lines.append(f"{name},undefined,{unit}/km")
-        else:
-            lines.append(f"{name},{_fmt(value)},{unit}/km")
-    lines.append(f"distance_km,{_fmt(result.distance_km)},km")
+    lines = _header_lines(tables) + _ef_lines(result, tables)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _ef_values(result: CycleResult):
-    if result.ef is None:
-        return [None] * len(SPECIES_NAMES)
-    return list(result.ef.as_tuple())
-
-
 def cmd_run(args) -> int:
-    try:
-        tables = _load_tables(args)
-    except (TableError, OSError) as exc:
-        print(f"error: tables: {exc}", file=sys.stderr)
-        return EXIT_TABLES
-    try:
-        cycle = load_cycle(args.cycle, args.unit)
-    except (CycleError, OSError) as exc:
-        print(f"error: cycle: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    st = SourceType.from_code(args.veh)
-    result = aggregate_cycle(cycle, tables.params_for(st), tables.rates)
-
+    tables, st, result = _evaluate(args)
     prefix = Path(args.out) if args.out else Path(args.cycle).with_suffix("")
     er_path = prefix.parent / (prefix.name + "_ER.csv")
     ef_path = prefix.parent / (prefix.name + "_EF.csv")
@@ -103,52 +117,31 @@ def cmd_run(args) -> int:
     if result.ef is None:
         ef_note = "EF: undefined (zero distance)"
     else:
-        ef_note = f"CO2 EF {_fmt(result.ef.co2)} g/km"
-    print(f"{args.cycle}: {len(result.per_second)} s, veh={st.value}, "
+        ef_note = f"CO2 EF {_fmt(result.ef.co2)} {_unit(tables, 'CO2')}/km"
+    print(f"{args.cycle}: {len(result.modes)} s, veh={st.value}, "
           f"distance {_fmt(result.distance_km)} km, "
-          f"energy {_fmt(result.totals.energy)} g, {ef_note} "
+          f"energy {_fmt(result.totals.energy)} {_unit(tables, 'energy')}, {ef_note} "
           f"-> {er_path}, {ef_path}")
     return EXIT_OK
 
 
 def cmd_factors(args) -> int:
-    try:
-        tables = _load_tables(args)
-    except (TableError, OSError) as exc:
-        print(f"error: tables: {exc}", file=sys.stderr)
-        return EXIT_TABLES
-    try:
-        cycle = load_cycle(args.cycle, args.unit)
-    except (CycleError, OSError) as exc:
-        print(f"error: cycle: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    st = SourceType.from_code(args.veh)
-    result = aggregate_cycle(cycle, tables.params_for(st), tables.rates)
-    print("species,value,unit_per_km")
-    for name, value in zip(SPECIES_NAMES, _ef_values(result)):
-        unit = tables.rates.units.get(name, "g/h").replace("/h", "")
-        print(f"{name},{'undefined' if value is None else _fmt(value)},{unit}/km")
-    print(f"distance_km,{_fmt(result.distance_km)},km")
+    tables, _, result = _evaluate(args)
+    print("\n".join(_ef_lines(result, tables)))
     if result.ef is None:
         print("EF: undefined (zero distance)")
     return EXIT_OK
 
 
 def cmd_validate_tables(args) -> int:
-    directory = resolve_tables_dir(args.tables)
-    try:
-        tables = load_tables_from_dir(directory)
-    except (TableError, OSError) as exc:
-        print(f"error: tables: {exc}", file=sys.stderr)
-        return EXIT_TABLES
+    tables = _load_tables(args)
     report = validate_table_set(tables)
     if report:
         for line in report:
             print(line, file=sys.stderr)
         return EXIT_TABLES
-    n_params = len(tables.params)
-    n_rates = len(tables.rates.entries)
-    print(f"tables OK: {directory} ({n_params} param rows, {n_rates} rate entries)")
+    print(f"tables OK: {resolve_tables_dir(args.tables)} ({len(tables.params)} param rows, "
+          f"{len(tables.rates.entries)} rate entries)")
     return EXIT_OK
 
 
@@ -157,32 +150,21 @@ def cmd_convert(args) -> int:
         raw = parse_trace(args.infile, args.unit)
         cycle = resample_to_1hz(raw)
     except (CycleError, OSError) as exc:
-        print(f"error: trace: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failure("trace", exc, EXIT_INPUT) from None
     write_cycle_csv(cycle, args.outfile)
     print(f"{args.infile}: {len(raw)} samples -> {len(cycle)} s at 1 Hz -> {args.outfile}")
     return EXIT_OK
 
 
 def cmd_demo(args) -> int:
+    tables = _load_tables(args)
     try:
-        tables = _load_tables(args)
-    except (TableError, OSError) as exc:
-        print(f"error: tables: {exc}", file=sys.stderr)
-        return EXIT_TABLES
-    try:
-        sc = SignalScenario(
-            approach_m=args.distance,
-            cruise_mps=args.cruise,
-            green_s=args.green,
-            red_s=args.red,
-            offset_s=args.offset,
-            source_type=SourceType.from_code(args.veh),
-        )
+        sc = SignalScenario(approach_m=args.distance, cruise_mps=args.cruise,
+                            green_s=args.green, red_s=args.red, offset_s=args.offset,
+                            source_type=SourceType.from_code(args.veh))
         comparison = compare_scenarios(sc, tables)
     except CycleError as exc:
-        print(f"error: scenario: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failure("scenario", exc, EXIT_INPUT) from None
     for line in comparison.csv_lines():
         print(line)
     return EXIT_OK
@@ -242,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,6 +115,11 @@ _MID_MODES = (OpMode.MID_COAST, OpMode.MID_VSP_0_3, OpMode.MID_VSP_3_6,
 _HIGH_EDGES = (6.0, 12.0, 18.0, 24.0, 30.0)
 _HIGH_MODES = (OpMode.HIGH_VSP_LT_6, OpMode.HIGH_VSP_6_12, OpMode.HIGH_VSP_12_18,
                OpMode.HIGH_VSP_18_24, OpMode.HIGH_VSP_24_30, OpMode.HIGH_VSP_30_UP)
+# The same tables as arrays for the vectorized classifier; classes are [lo, hi) too.
+_CLASS_LIMITS_MPH = np.array([LOW_SPEED_MAX_MPH, MID_SPEED_MAX_MPH])
+_CLASS_BINS = tuple((np.array(edges), np.array(modes, dtype=np.int64))
+                    for edges, modes in ((_LOW_EDGES, _LOW_MODES), (_MID_EDGES, _MID_MODES),
+                                         (_HIGH_EDGES, _HIGH_MODES)))
 
 
 @dataclass(frozen=True)
@@ -169,17 +176,10 @@ class EmissionVector:
     co2: float
 
     def __add__(self, other: "EmissionVector") -> "EmissionVector":
-        return EmissionVector(
-            self.energy + other.energy,
-            self.co + other.co,
-            self.hc + other.hc,
-            self.nox + other.nox,
-            self.co2 + other.co2,
-        )
+        return EmissionVector(*(x + y for x, y in zip(self.as_tuple(), other.as_tuple())))
 
     def scaled(self, k: float) -> "EmissionVector":
-        return EmissionVector(self.energy * k, self.co * k, self.hc * k,
-                              self.nox * k, self.co2 * k)
+        return EmissionVector(*(x * k for x in self.as_tuple()))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.energy, self.co, self.hc, self.nox, self.co2)
@@ -192,6 +192,17 @@ class EmissionVector:
 SPECIES_NAMES = ("energy", "CO", "HC", "NOx", "CO2")
 
 
+class ModeRows(NamedTuple):
+    """Per-second emission mass of each mode id `m` of one source type: row `m`
+    of `grams`, and as a shared vector `vectors[m]` (None, and `known[m]`
+    False, where the table has no entry)."""
+
+    source_type: SourceType
+    grams: np.ndarray
+    known: np.ndarray
+    vectors: tuple[EmissionVector | None, ...]
+
+
 @dataclass(frozen=True)
 class RateTable:
     """Base emission/energy rates per (source type, operating mode), per hour."""
@@ -199,55 +210,68 @@ class RateTable:
     entries: Mapping[tuple[SourceType, int], EmissionVector]
     units: Mapping[str, str]
 
-    def lookup(self, source_type: SourceType, mode: int) -> EmissionVector:
-        try:
-            return self.entries[(source_type, int(mode))]
-        except KeyError:
-            raise MissingEntry(source_type.value, int(mode)) from None
-
     def scaled(self, k: float) -> "RateTable":
         return RateTable(
             entries={key: vec.scaled(k) for key, vec in self.entries.items()},
             units=dict(self.units),
         )
 
+    @cached_property
+    def per_second(self) -> dict[SourceType, ModeRows]:
+        """Per-second rows of each source type, built once per table."""
+        out = {}
+        for st in SourceType:
+            rates = [self.entries.get((st, m)) for m in range(max(VALID_OPMODE_IDS) + 1)]
+            vectors = tuple(None if r is None else per_second_emissions(r) for r in rates)
+            grams = np.array([(math.nan,) * 5 if v is None else v.as_tuple() for v in vectors])
+            known = np.array([v is not None for v in vectors])
+            out[st] = ModeRows(st, _readonly(grams), _readonly(known), vectors)
+        return out
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class DriveCycle:
-    """A validated 1 Hz drive cycle."""
+    """A validated 1 Hz drive cycle: read-only speeds `v` (m/s, non-negative)
+    and accelerations `a` (m/s^2), both finite and of one length."""
 
-    samples: tuple[KinematicSample, ...]
-    speed_unit_of_origin: str = "m/s"
+    v: np.ndarray
+    a: np.ndarray
 
     def __post_init__(self):
-        if not self.samples:
+        v, a = (_readonly(np.array(x, dtype=float)) for x in (self.v, self.a))
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "a", a)
+        if v.size == 0:
             raise EmptyCycle("drive cycle has no samples")
-        for i, s in enumerate(self.samples):
-            if s.v < 0.0:
-                raise NegativeSpeed(s.v, line=None)
-            if s.t != self.samples[0].t + i:
-                raise InvalidSample(f"timestamps must increase by 1 s (sample {i})")
+        if v.ndim != 1 or a.shape != v.shape:
+            raise InvalidSample(f"speeds {v.shape} and accelerations {a.shape} differ")
+        if (v < 0.0).any():
+            raise NegativeSpeed(float(v[(v < 0.0).argmax()]))
+        bad = ~(np.isfinite(v) & np.isfinite(a))
+        if bad.any():
+            raise InvalidSample(f"non-finite speed or acceleration at second {bad.argmax()}")
 
     @classmethod
-    def from_speeds(cls, speeds: Sequence[float],
-                    speed_unit_of_origin: str = "m/s") -> "DriveCycle":
+    def from_speeds(cls, speeds: Sequence[float]) -> "DriveCycle":
         """Build a cycle from 1 Hz speeds in m/s, deriving accelerations.
 
         Grade is zero throughout; the first sample's acceleration is zero.
         """
-        accels = derive_acceleration(speeds)
-        samples = tuple(
-            KinematicSample(t=i, v=float(v), a=accels[i], grade=0.0)
-            for i, v in enumerate(speeds)
-        )
-        return cls(samples=samples, speed_unit_of_origin=speed_unit_of_origin)
+        v = np.asarray(speeds, dtype=float)
+        return cls(v=v, a=np.concatenate(([0.0], np.diff(v))))
+
+    @cached_property
+    def samples(self) -> tuple[KinematicSample, ...]:
+        """The cycle as one KinematicSample per second, built on first use."""
+        return tuple(KinematicSample(t=t, v=v, a=a)
+                     for t, (v, a) in enumerate(zip(self.v.tolist(), self.a.tolist())))
 
     @property
     def speeds(self) -> list[float]:
-        return [s.v for s in self.samples]
+        return self.v.tolist()
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.v.size
 
 
 @dataclass(frozen=True)
@@ -259,18 +283,23 @@ class SecondRecord:
     emissions: EmissionVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleResult:
-    """Aggregate output of a cycle run.
+    """Aggregate output of a cycle run: read-only `modes` (one id per second)
+    and `grams` ((n, 5) per-second masses, SPECIES_NAMES order), totals, and
+    `ef`, which is None at zero distance: undefined there, never NaN."""
 
-    `ef` is None when the cycle covered zero distance; per-distance factors
-    are undefined there and deliberately not represented as NaN.
-    """
-
-    per_second: tuple[SecondRecord, ...]
+    modes: np.ndarray
+    grams: np.ndarray
     totals: EmissionVector
     distance_m: float
     ef: EmissionVector | None
+
+    @cached_property
+    def per_second(self) -> tuple[SecondRecord, ...]:
+        """The arrays as one SecondRecord per second, built on first use."""
+        return tuple(SecondRecord(t=t, opmode=OpMode(m), emissions=EmissionVector(*g))
+                     for t, (m, g) in enumerate(zip(self.modes.tolist(), self.grams.tolist())))
 
     @property
     def ef_defined(self) -> bool:
@@ -279,6 +308,11 @@ class CycleResult:
     @property
     def distance_km(self) -> float:
         return self.distance_m / 1000.0
+
+
+def _readonly(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +325,15 @@ def derive_acceleration(speeds: Sequence[float]) -> list[float]:
     a(t) = v(t) - v(t-1) with dt = 1 s; the first sample gets a = 0 since it
     has no predecessor.
     """
-    if len(speeds) == 0:
-        raise EmptyCycle("cannot derive accelerations from an empty sequence")
-    for v in speeds:
-        if v < 0.0:
-            raise NegativeSpeed(float(v))
-    out = [0.0]
-    for i in range(1, len(speeds)):
-        out.append(float(speeds[i]) - float(speeds[i - 1]))
-    return out
+    return DriveCycle.from_speeds(speeds).a.tolist()
+
+
+def specific_power(params: VehicleParams, v, a, grade: float = 0.0):
+    """The VSP formula on floats or arrays alike; callers check the inputs."""
+    return (params.A * v
+            + params.B * v * v
+            + params.C * v * v * v
+            + params.M * (a + GRAVITY_MPS2 * math.sin(grade)) * v) / params.f
 
 
 def compute_vsp(sample: KinematicSample, params: VehicleParams) -> float:
@@ -310,17 +344,29 @@ def compute_vsp(sample: KinematicSample, params: VehicleParams) -> float:
     v, a = sample.v, sample.a
     if not (math.isfinite(v) and math.isfinite(a)) or v < 0.0:
         raise InvalidSample(f"bad kinematic sample v={v!r} a={a!r}")
-    return (params.A * v
-            + params.B * v * v
-            + params.C * v * v * v
-            + params.M * (a + GRAVITY_MPS2 * math.sin(sample.grade)) * v) / params.f
+    return specific_power(params, v, a, sample.grade)
 
 
-def _bin_mode(vsp: float, edges: tuple[float, ...], modes: tuple[OpMode, ...]) -> OpMode:
-    for i, edge in enumerate(edges):
-        if vsp < edge:
-            return modes[i]
-    return modes[-1]
+def opmode_of(v_mps: float, a_mps2: float, vsp: float, soft_history: bool = False) -> OpMode:
+    """Operating mode of one second. `soft_history` is whether the previous
+    BRAKE_SOFT_RUN_S - 1 seconds were all soft decelerations (is_soft_decel).
+    Decision order: braking, then idle, then the speed-class / VSP cell."""
+    a_mphps = a_mps2 / MPS_PER_MPH
+    if a_mphps <= BRAKE_DECEL_MPHPS or (soft_history and a_mphps < BRAKE_SOFT_DECEL_MPHPS):
+        return OpMode.BRAKING
+    v_mph = v_mps / MPS_PER_MPH
+    if v_mph < IDLE_MAX_MPH:
+        return OpMode.IDLE
+    if v_mph < LOW_SPEED_MAX_MPH:
+        return _LOW_MODES[bisect_right(_LOW_EDGES, vsp)]
+    if v_mph < MID_SPEED_MAX_MPH:
+        return _MID_MODES[bisect_right(_MID_EDGES, vsp)]
+    return _HIGH_MODES[bisect_right(_HIGH_EDGES, vsp)]
+
+
+def is_soft_decel(a_mps2):
+    """Whether a(t), float or array, counts towards the consecutive-decel rule."""
+    return a_mps2 / MPS_PER_MPH < BRAKE_SOFT_DECEL_MPHPS
 
 
 def classify_opmode(sample: KinematicSample, vsp: float,
@@ -329,110 +375,76 @@ def classify_opmode(sample: KinematicSample, vsp: float,
 
     `history` holds up to the two previous accelerations (m/s^2, oldest
     first); with fewer than two the consecutive-deceleration rule cannot
-    fire. Decision order: braking, then idle, then the speed-class / VSP
-    cell. Every (v >= 0, finite a, finite vsp) input maps to exactly one
+    fire. Every (v >= 0, finite a, finite vsp) input maps to exactly one
     mode.
     """
-    a_mphps = sample.a / MPS_PER_MPH
-    if a_mphps <= BRAKE_DECEL_MPHPS:
-        return OpMode.BRAKING
-    if len(history) >= BRAKE_SOFT_RUN_S - 1 and a_mphps < BRAKE_SOFT_DECEL_MPHPS:
-        recent = list(history)[-(BRAKE_SOFT_RUN_S - 1):]
-        if all(h / MPS_PER_MPH < BRAKE_SOFT_DECEL_MPHPS for h in recent):
-            return OpMode.BRAKING
-
-    v_mph = sample.v / MPS_PER_MPH
-    if v_mph < IDLE_MAX_MPH:
-        return OpMode.IDLE
-    if v_mph < LOW_SPEED_MAX_MPH:
-        return _bin_mode(vsp, _LOW_EDGES, _LOW_MODES)
-    if v_mph < MID_SPEED_MAX_MPH:
-        return _bin_mode(vsp, _MID_EDGES, _MID_MODES)
-    return _bin_mode(vsp, _HIGH_EDGES, _HIGH_MODES)
+    recent = list(history)[-(BRAKE_SOFT_RUN_S - 1):]
+    soft = len(recent) == BRAKE_SOFT_RUN_S - 1 and all(map(is_soft_decel, recent))
+    return opmode_of(sample.v, sample.a, vsp, soft)
 
 
 def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray,
                           a_mps2: np.ndarray | float = 0.0) -> np.ndarray:
-    """Vectorized operating-mode classification (no consecutive-decel rule).
-
-    Intended for grid scans and bulk analysis. Accelerations default to
-    zero; only the instantaneous braking trigger is applied, so results for
-    gentle sustained decelerations can differ from the scalar path, which
-    sees the acceleration history.
-    """
-    v = np.asarray(v_mps, dtype=float)
+    """Vectorized `classify_opmode` with no history (accelerations default to
+    zero); `aggregate_cycle` adds the consecutive-deceleration rule on top."""
+    v_mph = np.asarray(v_mps, dtype=float) / MPS_PER_MPH
     p = np.asarray(vsp, dtype=float)
-    a = np.broadcast_to(np.asarray(a_mps2, dtype=float), v.shape)
-
-    v_mph = v / MPS_PER_MPH
-    a_mphps = a / MPS_PER_MPH
-
-    out = np.empty(v.shape, dtype=np.int64)
-
-    def fill(mask: np.ndarray, edges: tuple[float, ...], modes: tuple[OpMode, ...]):
-        ids = np.array([int(m) for m in modes], dtype=np.int64)
-        out[mask] = ids[np.searchsorted(np.asarray(edges), p[mask], side="right")]
-
-    braking = a_mphps <= BRAKE_DECEL_MPHPS
-    idle = ~braking & (v_mph < IDLE_MAX_MPH)
-    low = ~braking & ~idle & (v_mph < LOW_SPEED_MAX_MPH)
-    mid = ~braking & ~idle & ~low & (v_mph < MID_SPEED_MAX_MPH)
-    high = ~braking & ~idle & ~low & ~mid
-
-    out[braking] = int(OpMode.BRAKING)
-    out[idle] = int(OpMode.IDLE)
-    fill(low, _LOW_EDGES, _LOW_MODES)
-    fill(mid, _MID_EDGES, _MID_MODES)
-    fill(high, _HIGH_EDGES, _HIGH_MODES)
-    return out
+    a_mphps = np.asarray(a_mps2, dtype=float) / MPS_PER_MPH
+    speed_class = np.searchsorted(_CLASS_LIMITS_MPH, v_mph, side="right")
+    cells = np.choose(speed_class, [ids.take(np.searchsorted(edges, p, side="right"))
+                                    for edges, ids in _CLASS_BINS])
+    out = np.where(v_mph < IDLE_MAX_MPH, int(OpMode.IDLE), cells)
+    return np.where(a_mphps <= BRAKE_DECEL_MPHPS, int(OpMode.BRAKING), out)
 
 
 def lookup_rate(mode: OpMode, params: VehicleParams, rates: RateTable) -> EmissionVector:
     """Per-hour base rates for one (mode, source type). No interpolation."""
-    return rates.lookup(params.source_type, int(mode))
+    try:
+        return rates.entries[(params.source_type, int(mode))]
+    except KeyError:
+        raise MissingEntry(params.source_type.value, int(mode)) from None
 
 
 def per_second_emissions(rate_per_hour: EmissionVector) -> EmissionVector:
     """Convert a per-hour base rate into a per-second emission mass."""
-    return EmissionVector(
-        rate_per_hour.energy / SECONDS_PER_HOUR,
-        rate_per_hour.co / SECONDS_PER_HOUR,
-        rate_per_hour.hc / SECONDS_PER_HOUR,
-        rate_per_hour.nox / SECONDS_PER_HOUR,
-        rate_per_hour.co2 / SECONDS_PER_HOUR,
-    )
+    return EmissionVector(*(x / SECONDS_PER_HOUR for x in rate_per_hour.as_tuple()))
+
+
+def assemble_result(modes: np.ndarray, rows: ModeRows, distance_m: float) -> CycleResult:
+    """Gather each second's row by mode, then totals and per-km factors.
+
+    Totals, like `distance_m`, are in-order sums (`np.cumsum`); `np.sum` may
+    add pairwise and round differently."""
+    missing = ~rows.known.take(modes)
+    if missing.any():
+        raise MissingEntry(rows.source_type.value, int(modes[missing.argmax()]))
+    grams = _readonly(rows.grams.take(modes, axis=0))
+    totals = EmissionVector(*np.cumsum(grams, axis=0)[-1].tolist())
+    ef = None
+    if distance_m > 0.0:
+        km = distance_m / 1000.0
+        ef = EmissionVector(*(x / km for x in totals.as_tuple()))
+    return CycleResult(modes=_readonly(modes), grams=grams, totals=totals,
+                       distance_m=distance_m, ef=ef)
 
 
 def aggregate_cycle(cycle: DriveCycle, params: VehicleParams,
                     rates: RateTable) -> CycleResult:
     """Run the full pipeline over a cycle and aggregate.
 
-    Totals are the exact left-to-right sum of the per-second vectors (there
-    is no separate accumulation path). Distance uses the rectangle rule,
-    sum(v * 1 s), consistent with per-second attribution. EF is totals per
-    kilometre, or None when the distance is zero.
+    The consecutive-deceleration rule is a shifted AND of the seconds'
+    soft-deceleration flags. Distance uses the rectangle rule, sum(v * 1 s),
+    consistent with per-second attribution.
     """
-    per_second: list[SecondRecord] = []
-    totals = EmissionVector.zero()
-    distance_m = 0.0
-    history: list[float] = []
-    for s in cycle.samples:
-        vsp = compute_vsp(s, params)
-        mode = classify_opmode(s, vsp, history)
-        step = per_second_emissions(lookup_rate(mode, params, rates))
-        per_second.append(SecondRecord(t=s.t, opmode=mode, emissions=step))
-        totals = totals + step
-        distance_m += s.v
-        history.append(s.a)
-        if len(history) > BRAKE_SOFT_RUN_S - 1:
-            history.pop(0)
-    ef = None
-    if distance_m > 0.0:
-        km = distance_m / 1000.0
-        ef = EmissionVector(totals.energy / km, totals.co / km, totals.hc / km,
-                            totals.nox / km, totals.co2 / km)
-    return CycleResult(per_second=tuple(per_second), totals=totals,
-                       distance_m=distance_m, ef=ef)
+    v, a = cycle.v, cycle.a
+    modes = classify_opmode_array(v, specific_power(params, v, a), a)
+    soft = is_soft_decel(a)
+    run = soft[BRAKE_SOFT_RUN_S - 1:].copy()
+    for k in range(1, BRAKE_SOFT_RUN_S):
+        run &= soft[BRAKE_SOFT_RUN_S - 1 - k:soft.size - k]
+    modes[BRAKE_SOFT_RUN_S - 1:][run] = OpMode.BRAKING
+    return assemble_result(modes, rates.per_second[params.source_type],
+                           float(np.cumsum(v)[-1]))
 
 
 def mps_to_mph(v: float) -> float:
@@ -453,8 +465,8 @@ __all__ = [
     "BRAKE_DECEL_MPHPS", "BRAKE_SOFT_DECEL_MPHPS", "BRAKE_SOFT_RUN_S",
     "SourceType", "OpMode", "VALID_OPMODE_IDS", "SPECIES_NAMES",
     "VehicleParams", "KinematicSample", "EmissionVector", "RateTable",
-    "DriveCycle", "SecondRecord", "CycleResult",
-    "derive_acceleration", "compute_vsp", "classify_opmode",
-    "classify_opmode_array", "lookup_rate", "per_second_emissions",
-    "aggregate_cycle", "mps_to_mph", "mph_to_mps", "kmh_to_mps",
+    "DriveCycle", "SecondRecord", "CycleResult", "ModeRows",
+    "derive_acceleration", "specific_power", "compute_vsp", "opmode_of", "is_soft_decel",
+    "classify_opmode", "classify_opmode_array", "lookup_rate", "per_second_emissions",
+    "assemble_result", "aggregate_cycle", "mps_to_mph", "mph_to_mps", "kmh_to_mps",
 ]

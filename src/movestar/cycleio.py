@@ -7,6 +7,7 @@ be declared in m/s, mph or km/h and are converted to m/s before modeling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -47,7 +48,7 @@ class RawTrace:
 def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
     """Read a trace file, rejecting malformed rows with their line numbers.
 
-    Negative speeds and backwards timestamps are hard errors. Single-column
+    Negative speeds and non-finite or backwards timestamps are hard errors. Single-column
     files get implicit timestamps 0, 1, 2, ...
     """
     if unit not in SUPPORTED_UNITS:
@@ -75,7 +76,9 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
             try:
                 t = float(cells[0])
             except ValueError:
-                raise ParseError(f"bad timestamp {cells[0]!r}", line=lineno) from None
+                t = math.nan
+            if not math.isfinite(t):
+                raise ParseError(f"bad timestamp {cells[0]!r}", line=lineno)
             v_cell = cells[1]
         else:
             raise ParseError(f"expected 1 or 2 columns, got {len(cells)}", line=lineno)
@@ -114,8 +117,7 @@ def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) 
     counts = np.bincount(idx, minlength=n_windows)
     filled = counts > 0
 
-    empty_runs = _empty_runs(filled)
-    for start, length in empty_runs:
+    for start, length in _empty_runs(filled):
         if length > MAX_GAP_S:
             raise GapTooLarge(start_window=start, length=length, limit=MAX_GAP_S)
 
@@ -128,23 +130,16 @@ def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) 
 
 
 def _empty_runs(filled: np.ndarray) -> list[tuple[int, int]]:
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i, ok in enumerate(filled):
-        if not ok and start is None:
-            start = i
-        elif ok and start is not None:
-            runs.append((start, i - start))
-            start = None
-    if start is not None:
-        runs.append((start, len(filled) - start))
-    return runs
+    """(first window, length) of every run of empty windows, in order."""
+    edges = np.diff(np.concatenate(([True], filled, [True])).astype(np.int8))
+    starts, ends = np.flatnonzero(edges == -1), np.flatnonzero(edges == 1)
+    return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
 def resample_to_1hz(raw: RawTrace) -> DriveCycle:
     """Convert a raw trace to a validated 1 Hz drive cycle in m/s."""
     speeds = resample_speeds_to_1hz(raw.times, raw.speeds_mps())
-    return DriveCycle.from_speeds(speeds, speed_unit_of_origin=raw.unit)
+    return DriveCycle.from_speeds(speeds)
 
 
 def load_cycle(path: str | Path, unit: str = "m/s") -> DriveCycle:
@@ -155,8 +150,7 @@ def load_cycle(path: str | Path, unit: str = "m/s") -> DriveCycle:
 def write_cycle_csv(cycle: DriveCycle, path: str | Path) -> None:
     """Write a 1 Hz cycle as `t,v` CSV in m/s."""
     lines = ["# unit: v=m/s", "t,v"]
-    for s in cycle.samples:
-        lines.append(f"{s.t},{s.v!r}")
+    lines += [f"{t},{v!r}" for t, v in enumerate(cycle.v.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

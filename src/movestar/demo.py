@@ -250,8 +250,8 @@ class ScenarioComparison:
             lines.append(f"{name},{base:.9f},{smooth:.9f},{deltas[name]:.6f}")
         lines.append(f"distance_m,{self.baseline.distance_m:.6f},"
                      f"{self.smoothed.distance_m:.6f},")
-        lines.append(f"duration_s,{len(self.baseline.per_second)},"
-                     f"{len(self.smoothed.per_second)},")
+        lines.append(f"duration_s,{len(self.baseline.modes)},"
+                     f"{len(self.smoothed.modes)},")
         lines.append(f"glide_used,{int(self.glide_used)},"
                      f"{'' if self.glide_speed_mps is None else format(self.glide_speed_mps, '.6f')},")
         return lines

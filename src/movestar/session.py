@@ -1,9 +1,9 @@
 """Per-timestep emission sessions for embedding in host simulators.
 
 A session consumes one speed sample per call at a fixed 1 s cadence and
-returns that second's operating mode and emission mass. The arithmetic is
-the same code path as the batch aggregation, step for step, so a session
-replaying a cycle reproduces `aggregate_cycle` bit for bit.
+returns that second's operating mode and emission mass. It shares the batch
+kernel's thresholds, VSP formula, per-mode rows and result assembler, so a
+session replaying a cycle reproduces `aggregate_cycle` bit for bit.
 
 Each session is single-caller; independent sessions can run concurrently
 against one shared TableSet, which is immutable after load.
@@ -11,76 +11,88 @@ against one shared TableSet, which is immutable after load.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .core import (
     BRAKE_SOFT_RUN_S,
     CycleResult,
     EmissionVector,
-    KinematicSample,
+    ModeRows,
     OpMode,
     RateTable,
-    SecondRecord,
     SourceType,
     VehicleParams,
-    classify_opmode,
-    compute_vsp,
-    lookup_rate,
-    per_second_emissions,
+    assemble_result,
+    is_soft_decel,
+    opmode_of,
+    specific_power,
 )
-from .errors import EmptySession, NegativeSpeed, UnknownSourceType
+from .errors import EmptySession, InvalidSample, MissingEntry, NegativeSpeed, UnknownSourceType
 from .tables import TableSet
 
 
-@dataclass
+@dataclass(slots=True)
 class EmissionSession:
-    """Incremental pipeline state for one simulated vehicle."""
+    """Incremental pipeline state for one simulated vehicle; one byte per step."""
 
     params: VehicleParams
     rates: RateTable
     prev_speed: float | None = None
-    accel_history: list[float] = field(default_factory=list)
-    running_totals: EmissionVector = field(default_factory=EmissionVector.zero)
     distance_m: float = 0.0
     step_count: int = 0
-    _records: list[SecondRecord] = field(default_factory=list)
+    _totals: list[float] = field(default_factory=lambda: [0.0] * 5)
+    _soft_run: int = 0      # consecutive trailing seconds of soft deceleration
+    _modes: array = field(default_factory=lambda: array("b"))
+    _rows: ModeRows = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rows = self.rates.per_second[self.params.source_type]
+
+    @property
+    def running_totals(self) -> EmissionVector:
+        return EmissionVector(*self._totals)
 
     def step(self, speed_mps: float) -> tuple[OpMode, EmissionVector]:
         """Advance one second; returns (mode, per-second emissions).
 
         The caller contract is a fixed 1 s cadence; the session does not
-        resample. On a NegativeSpeed error the session is left unchanged.
+        resample. On an error the session is left unchanged.
         """
         if speed_mps < 0.0:
             raise NegativeSpeed(speed_mps)
-        accel = 0.0 if self.prev_speed is None else speed_mps - self.prev_speed
-        sample = KinematicSample(t=self.step_count, v=float(speed_mps), a=accel)
-        vsp = compute_vsp(sample, self.params)
-        mode = classify_opmode(sample, vsp, self.accel_history)
-        step = per_second_emissions(lookup_rate(mode, self.params, self.rates))
+        if not math.isfinite(speed_mps):
+            raise InvalidSample(f"non-finite speed {speed_mps!r}")
+        v = float(speed_mps)
+        a = 0.0 if self.prev_speed is None else v - self.prev_speed
+        soft_history = self._soft_run >= BRAKE_SOFT_RUN_S - 1
+        mode = opmode_of(v, a, specific_power(self.params, v, a), soft_history)
+        vec = self._rows.vectors[mode]
+        if vec is None:
+            raise MissingEntry(self.params.source_type.value, int(mode))
 
-        self._records.append(SecondRecord(t=sample.t, opmode=mode, emissions=step))
-        self.running_totals = self.running_totals + step
-        self.distance_m += sample.v
-        self.accel_history.append(accel)
-        if len(self.accel_history) > BRAKE_SOFT_RUN_S - 1:
-            self.accel_history.pop(0)
-        self.prev_speed = float(speed_mps)
+        t = self._totals
+        t[0] += vec.energy
+        t[1] += vec.co
+        t[2] += vec.hc
+        t[3] += vec.nox
+        t[4] += vec.co2
+        self._modes.append(mode)
+        self._soft_run = self._soft_run + 1 if is_soft_decel(a) else 0
+        self.distance_m += v
+        self.prev_speed = v
         self.step_count += 1
-        return mode, step
+        return mode, vec
 
     def finalize(self) -> CycleResult:
         """Close the session and return the same result shape as the batch path."""
         if self.step_count == 0:
             raise EmptySession("finalize called before any step")
-        totals = self.running_totals
-        ef = None
-        if self.distance_m > 0.0:
-            km = self.distance_m / 1000.0
-            ef = EmissionVector(totals.energy / km, totals.co / km, totals.hc / km,
-                                totals.nox / km, totals.co2 / km)
-        return CycleResult(per_second=tuple(self._records), totals=totals,
-                           distance_m=self.distance_m, ef=ef)
+        return assemble_result(np.array(self._modes, dtype=np.int64), self._rows,
+                               self.distance_m)
 
 
 def session_create(source_type: SourceType | int | str, tables: TableSet) -> EmissionSession:

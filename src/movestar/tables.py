@@ -92,27 +92,33 @@ def _check_header(path: Path, rows, expected: list[str]):
     return rows[1:]
 
 
-def _load_params(path: Path) -> tuple[dict[SourceType, VehicleParams], list[str], dict[str, str]]:
+def _data_rows(path: Path, header: list[str]):
+    """(rows as (line number, source type, remaining cells), comments, units)."""
     rows, comments, units = _read_rows(path)
-    data_rows = _check_header(path, rows, PARAMS_HEADER)
-    params: dict[SourceType, VehicleParams] = {}
-    duplicates: list[str] = []
-    for lineno, cells in data_rows:
-        if len(cells) != len(PARAMS_HEADER):
+    out = []
+    for lineno, cells in _check_header(path, rows, header):
+        if len(cells) != len(header):
             raise TableParseError(str(path), lineno,
-                                  f"expected {len(PARAMS_HEADER)} columns, got {len(cells)}")
-        token = cells[0]
+                                  f"expected {len(header)} columns, got {len(cells)}")
         try:
-            st = SourceType.from_token(token)
+            st = SourceType.from_token(cells[0])
         except Exception:
             raise TableParseError(str(path), lineno,
-                                  f"unknown source_type {token!r}") from None
+                                  f"unknown source_type {cells[0]!r}") from None
+        out.append((lineno, st, cells[1:]))
+    return out, comments, units
+
+
+def _load_params(path: Path) -> tuple[dict[SourceType, VehicleParams], list[str], dict[str, str]]:
+    rows, comments, units = _data_rows(path, PARAMS_HEADER)
+    params: dict[SourceType, VehicleParams] = {}
+    duplicates: list[str] = []
+    for lineno, st, cells in rows:
         values = [_parse_float(path, lineno, name, cell)
-                  for name, cell in zip(PARAMS_HEADER[1:], cells[1:])]
-        p = VehicleParams(st, *values)
+                  for name, cell in zip(PARAMS_HEADER[1:], cells)]
         if st in params:
             duplicates.append(f"params: duplicate row for source type {st.value}")
-        params[st] = p
+        params[st] = VehicleParams(st, *values)
     if duplicates:
         raise SchemaError("; ".join(duplicates))
     return params, comments, units
@@ -120,25 +126,15 @@ def _load_params(path: Path) -> tuple[dict[SourceType, VehicleParams], list[str]
 
 def _load_rates(path: Path) -> tuple[dict[tuple[SourceType, int], EmissionVector],
                                      list[str], dict[str, str]]:
-    rows, comments, units = _read_rows(path)
-    data_rows = _check_header(path, rows, RATES_HEADER)
+    rows, comments, units = _data_rows(path, RATES_HEADER)
     entries: dict[tuple[SourceType, int], EmissionVector] = {}
-    for lineno, cells in data_rows:
-        if len(cells) != len(RATES_HEADER):
-            raise TableParseError(str(path), lineno,
-                                  f"expected {len(RATES_HEADER)} columns, got {len(cells)}")
-        try:
-            st = SourceType.from_token(cells[0])
-        except Exception:
-            raise TableParseError(str(path), lineno,
-                                  f"unknown source_type {cells[0]!r}") from None
-        mode = int(_parse_float(path, lineno, "opmode", cells[1]))
+    for lineno, st, cells in rows:
+        mode = int(_parse_float(path, lineno, "opmode", cells[0]))
         values = [_parse_float(path, lineno, name, cell)
-                  for name, cell in zip(RATES_HEADER[2:], cells[2:])]
-        key = (st, mode)
-        if key in entries:
+                  for name, cell in zip(RATES_HEADER[2:], cells[1:])]
+        if (st, mode) in entries:
             raise SchemaError(f"{path}: duplicate rate row for ({st.value}, {mode})")
-        entries[key] = EmissionVector(*values)
+        entries[(st, mode)] = EmissionVector(*values)
     return entries, comments, units
 
 
@@ -191,11 +187,11 @@ def load_table_set(params_path: str | Path, rates_path: str | Path) -> TableSet:
                       rates=RateTable(entries=entries, units=units),
                       provenance=provenance)
 
-    report = validate_table_set(tables)
-    missing = [(st, mode) for st in SourceType for mode in VALID_OPMODE_IDS
+    missing = [(st.value, mode) for st in SourceType for mode in VALID_OPMODE_IDS
                if (st, mode) not in entries]
     if missing:
-        raise IncompleteTable([(st.value, mode) for st, mode in missing])
+        raise IncompleteTable(missing)
+    report = validate_table_set(tables)
     if report:
         raise SchemaError("table validation failed: " + "; ".join(report))
     return tables

@@ -178,3 +178,23 @@ class TestOtherCommands:
     def test_demo_bad_scenario(self, capsys):
         assert run_cli("demo", "--distance", 100, "--cruise", 0.2, "--green", 10,
                        "--red", 10) == 1
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["run", "factors"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_speed_is_input_error(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1.0\n1,{bad}\n2,1.0\n")
+        assert run_cli(command, "--cycle", path, "--veh", "1") == 1
+        assert capsys.readouterr().err.startswith("error: cycle:")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_names_its_line(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1.0\n{bad},1.0\n2,1.0\n")
+        assert run_cli("run", "--cycle", path, "--veh", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cycle:") and "line 2" in err
+        assert run_cli("convert", "--in", path, "--out", tmp_path / "out.csv") == 1
+        assert "line 2" in capsys.readouterr().err
