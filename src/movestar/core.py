@@ -103,23 +103,19 @@ class OpMode(enum.IntEnum):
 
 VALID_OPMODE_IDS: tuple[int, ...] = tuple(int(m) for m in OpMode)
 
-# VSP bin edges (kW/t) and the mode ids they select, per speed class.
-# A VSP below the first edge selects the first id; bins are [lo, hi).
-_LOW_EDGES = (0.0, 3.0, 6.0, 9.0, 12.0)
-_LOW_MODES = (OpMode.LOW_COAST, OpMode.LOW_VSP_0_3, OpMode.LOW_VSP_3_6,
-              OpMode.LOW_VSP_6_9, OpMode.LOW_VSP_9_12, OpMode.LOW_VSP_12_UP)
-_MID_EDGES = (0.0, 3.0, 6.0, 9.0, 12.0, 18.0, 24.0, 30.0)
-_MID_MODES = (OpMode.MID_COAST, OpMode.MID_VSP_0_3, OpMode.MID_VSP_3_6,
-              OpMode.MID_VSP_6_9, OpMode.MID_VSP_9_12, OpMode.MID_VSP_12_18,
-              OpMode.MID_VSP_18_24, OpMode.MID_VSP_24_30, OpMode.MID_VSP_30_UP)
-_HIGH_EDGES = (6.0, 12.0, 18.0, 24.0, 30.0)
-_HIGH_MODES = (OpMode.HIGH_VSP_LT_6, OpMode.HIGH_VSP_6_12, OpMode.HIGH_VSP_12_18,
-               OpMode.HIGH_VSP_18_24, OpMode.HIGH_VSP_24_30, OpMode.HIGH_VSP_30_UP)
-# The same tables as arrays for the vectorized classifier; classes are [lo, hi) too.
-_CLASS_LIMITS_MPH = np.array([LOW_SPEED_MAX_MPH, MID_SPEED_MAX_MPH])
-_CLASS_BINS = tuple((np.array(edges), np.array(modes, dtype=np.int64))
-                    for edges, modes in ((_LOW_EDGES, _LOW_MODES), (_MID_EDGES, _MID_MODES),
-                                         (_HIGH_EDGES, _HIGH_MODES)))
+# The operating mode of each cell of the speed-class x VSP-bin grid. Rows are
+# the speed classes idle, low, mid and high (mph); columns are the VSP bins
+# (kW/t). Both axes are lower-inclusive and upper-exclusive: each edge belongs
+# to the class or bin above it.
+_SPEED_CLASS_EDGES_MPH = (IDLE_MAX_MPH, LOW_SPEED_MAX_MPH, MID_SPEED_MAX_MPH)
+_VSP_BIN_EDGES = (0.0, 3.0, 6.0, 9.0, 12.0, 18.0, 24.0, 30.0)
+_MODE_GRID = tuple(tuple(map(OpMode, row)) for row in (
+    (1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (11, 12, 13, 14, 15, 16, 16, 16, 16),
+    (21, 22, 23, 24, 25, 27, 28, 29, 30),
+    (33, 33, 33, 35, 35, 37, 38, 39, 40),
+))
+_MODE_GRID_IDS = np.array(_MODE_GRID, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -287,7 +283,8 @@ class SecondRecord:
 class CycleResult:
     """Aggregate output of a cycle run: read-only `modes` (one id per second)
     and `grams` ((n, 5) per-second masses, SPECIES_NAMES order), totals, and
-    `ef`, which is None at zero distance: undefined there, never NaN."""
+    `ef`, which is None when the distance in km is zero: undefined there, never
+    NaN. A subnormal distance in metres can be zero in km."""
 
     modes: np.ndarray
     grams: np.ndarray
@@ -350,18 +347,12 @@ def compute_vsp(sample: KinematicSample, params: VehicleParams) -> float:
 def opmode_of(v_mps: float, a_mps2: float, vsp: float, soft_history: bool = False) -> OpMode:
     """Operating mode of one second. `soft_history` is whether the previous
     BRAKE_SOFT_RUN_S - 1 seconds were all soft decelerations (is_soft_decel).
-    Decision order: braking, then idle, then the speed-class / VSP cell."""
+    Braking wins; otherwise the mode is the speed-class / VSP-bin cell."""
     a_mphps = a_mps2 / MPS_PER_MPH
     if a_mphps <= BRAKE_DECEL_MPHPS or (soft_history and a_mphps < BRAKE_SOFT_DECEL_MPHPS):
         return OpMode.BRAKING
-    v_mph = v_mps / MPS_PER_MPH
-    if v_mph < IDLE_MAX_MPH:
-        return OpMode.IDLE
-    if v_mph < LOW_SPEED_MAX_MPH:
-        return _LOW_MODES[bisect_right(_LOW_EDGES, vsp)]
-    if v_mph < MID_SPEED_MAX_MPH:
-        return _MID_MODES[bisect_right(_MID_EDGES, vsp)]
-    return _HIGH_MODES[bisect_right(_HIGH_EDGES, vsp)]
+    return _MODE_GRID[bisect_right(_SPEED_CLASS_EDGES_MPH, v_mps / MPS_PER_MPH)][
+        bisect_right(_VSP_BIN_EDGES, vsp)]
 
 
 def is_soft_decel(a_mps2):
@@ -383,18 +374,16 @@ def classify_opmode(sample: KinematicSample, vsp: float,
     return opmode_of(sample.v, sample.a, vsp, soft)
 
 
-def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray,
-                          a_mps2: np.ndarray | float = 0.0) -> np.ndarray:
-    """Vectorized `classify_opmode` with no history (accelerations default to
-    zero); `aggregate_cycle` adds the consecutive-deceleration rule on top."""
-    v_mph = np.asarray(v_mps, dtype=float) / MPS_PER_MPH
-    p = np.asarray(vsp, dtype=float)
+def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray | float = 0.0,
+                          soft_history: np.ndarray | bool = False) -> np.ndarray:
+    """Vectorized `opmode_of`: accelerations default to zero and the
+    soft-deceleration history to none."""
     a_mphps = np.asarray(a_mps2, dtype=float) / MPS_PER_MPH
-    speed_class = np.searchsorted(_CLASS_LIMITS_MPH, v_mph, side="right")
-    cells = np.choose(speed_class, [ids.take(np.searchsorted(edges, p, side="right"))
-                                    for edges, ids in _CLASS_BINS])
-    out = np.where(v_mph < IDLE_MAX_MPH, int(OpMode.IDLE), cells)
-    return np.where(a_mphps <= BRAKE_DECEL_MPHPS, int(OpMode.BRAKING), out)
+    braking = (a_mphps <= BRAKE_DECEL_MPHPS) | (soft_history & (a_mphps < BRAKE_SOFT_DECEL_MPHPS))
+    speed_class = np.searchsorted(_SPEED_CLASS_EDGES_MPH, np.asarray(v_mps) / MPS_PER_MPH,
+                                  "right")
+    cells = _MODE_GRID_IDS[speed_class, np.searchsorted(_VSP_BIN_EDGES, vsp, "right")]
+    return np.where(braking, int(OpMode.BRAKING), cells)
 
 
 def lookup_rate(mode: OpMode, params: VehicleParams, rates: RateTable) -> EmissionVector:
@@ -420,10 +409,8 @@ def assemble_result(modes: np.ndarray, rows: ModeRows, distance_m: float) -> Cyc
         raise MissingEntry(rows.source_type.value, int(modes[missing.argmax()]))
     grams = _readonly(rows.grams.take(modes, axis=0))
     totals = EmissionVector(*np.cumsum(grams, axis=0)[-1].tolist())
-    ef = None
-    if distance_m > 0.0:
-        km = distance_m / 1000.0
-        ef = EmissionVector(*(x / km for x in totals.as_tuple()))
+    km = distance_m / 1000.0
+    ef = None if km == 0.0 else EmissionVector(*(x / km for x in totals.as_tuple()))
     return CycleResult(modes=_readonly(modes), grams=grams, totals=totals,
                        distance_m=distance_m, ef=ef)
 
@@ -432,17 +419,14 @@ def aggregate_cycle(cycle: DriveCycle, params: VehicleParams,
                     rates: RateTable) -> CycleResult:
     """Run the full pipeline over a cycle and aggregate.
 
-    The consecutive-deceleration rule is a shifted AND of the seconds'
-    soft-deceleration flags. Distance uses the rectangle rule, sum(v * 1 s),
-    consistent with per-second attribution.
+    A second's soft-deceleration history is the AND of the previous
+    BRAKE_SOFT_RUN_S - 1 seconds' flags. Distance uses the rectangle rule,
+    sum(v * 1 s), consistent with per-second attribution.
     """
     v, a = cycle.v, cycle.a
-    modes = classify_opmode_array(v, specific_power(params, v, a), a)
-    soft = is_soft_decel(a)
-    run = soft[BRAKE_SOFT_RUN_S - 1:].copy()
-    for k in range(1, BRAKE_SOFT_RUN_S):
-        run &= soft[BRAKE_SOFT_RUN_S - 1 - k:soft.size - k]
-    modes[BRAKE_SOFT_RUN_S - 1:][run] = OpMode.BRAKING
+    soft = np.concatenate((np.zeros(BRAKE_SOFT_RUN_S - 1, dtype=bool), is_soft_decel(a)))
+    history = np.logical_and.reduce([soft[k:k + v.size] for k in range(BRAKE_SOFT_RUN_S - 1)])
+    modes = classify_opmode_array(v, specific_power(params, v, a), a, history)
     return assemble_result(modes, rates.per_second[params.source_type],
                            float(np.cumsum(v)[-1]))
 

@@ -58,7 +58,12 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
     speeds: list[float] = []
     implicit_t = 0
     ncols: int | None = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -109,17 +114,19 @@ def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) 
         raise EmptyTrace("cannot resample an empty trace")
     t = np.asarray(times, dtype=float)
     v = np.asarray(speeds_mps, dtype=float)
-    t0 = float(np.floor(t[0]))
-    idx = np.floor(t - t0).astype(int)
+    w = np.floor(t - np.floor(t[0]))
+    # Gaps are checked on the window indices, before allocating a slot per window.
+    empty = np.diff(w) - 1.0
+    too_long = np.flatnonzero(empty > MAX_GAP_S)
+    if too_long.size:
+        i = too_long[0]
+        raise GapTooLarge(start_window=int(w[i]) + 1, length=int(empty[i]), limit=MAX_GAP_S)
+    idx = w.astype(int)
     n_windows = int(idx[-1]) + 1
 
     sums = np.bincount(idx, weights=v, minlength=n_windows)
     counts = np.bincount(idx, minlength=n_windows)
     filled = counts > 0
-
-    for start, length in _empty_runs(filled):
-        if length > MAX_GAP_S:
-            raise GapTooLarge(start_window=start, length=length, limit=MAX_GAP_S)
 
     means = np.zeros(n_windows, dtype=float)
     means[filled] = sums[filled] / counts[filled]
@@ -127,13 +134,6 @@ def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) 
         windows = np.arange(n_windows, dtype=float)
         means[~filled] = np.interp(windows[~filled], windows[filled], means[filled])
     return [float(x) for x in means]
-
-
-def _empty_runs(filled: np.ndarray) -> list[tuple[int, int]]:
-    """(first window, length) of every run of empty windows, in order."""
-    edges = np.diff(np.concatenate(([True], filled, [True])).astype(np.int8))
-    starts, ends = np.flatnonzero(edges == -1), np.flatnonzero(edges == 1)
-    return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
 def resample_to_1hz(raw: RawTrace) -> DriveCycle:

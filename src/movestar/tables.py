@@ -8,6 +8,7 @@ at load time so that rate lookups can never miss at run time.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -49,7 +50,12 @@ def _read_rows(path: Path) -> tuple[list[tuple[int, list[str]]], list[str], dict
     rows: list[tuple[int, list[str]]] = []
     comments: list[str] = []
     units: dict[str, str] = {}
-    text = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TableParseError(str(path), data.count(b"\n", 0, exc.start) + 1,
+                              "not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -74,10 +80,21 @@ def _read_rows(path: Path) -> tuple[list[tuple[int, list[str]]], list[str], dict
 
 def _parse_float(path: Path, lineno: int, name: str, cell: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise TableParseError(str(path), lineno,
                               f"column {name!r}: not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise TableParseError(str(path), lineno, f"column {name!r}: not finite: {cell!r}")
+    return value
+
+
+def _parse_int(path: Path, lineno: int, name: str, cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise TableParseError(str(path), lineno,
+                              f"column {name!r}: not an integer: {cell!r}") from None
 
 
 def _check_header(path: Path, rows, expected: list[str]):
@@ -129,7 +146,7 @@ def _load_rates(path: Path) -> tuple[dict[tuple[SourceType, int], EmissionVector
     rows, comments, units = _data_rows(path, RATES_HEADER)
     entries: dict[tuple[SourceType, int], EmissionVector] = {}
     for lineno, st, cells in rows:
-        mode = int(_parse_float(path, lineno, "opmode", cells[0]))
+        mode = _parse_int(path, lineno, "opmode", cells[0])
         values = [_parse_float(path, lineno, name, cell)
                   for name, cell in zip(RATES_HEADER[2:], cells[1:])]
         if (st, mode) in entries:

@@ -131,7 +131,7 @@ def run_reference(speeds_mps, veh_token, params_path, rates_path):
         totals = [t + x for t, x in zip(totals, row)]
         distance += v
     ef = None
-    if distance > 0.0:
+    if distance / 1000.0 != 0.0:
         ef = [t / (distance / 1000.0) for t in totals]
     return {"modes": modes, "per_second": per_second, "totals": totals,
             "distance_m": distance, "ef": ef}

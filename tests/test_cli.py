@@ -1,6 +1,8 @@
 """CLI behavior: determinism, exit codes, output file formats."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movestar.cli import main
 from movestar.tables import ENV_TABLES_DIR
@@ -71,6 +73,10 @@ class TestRun:
         assert "EF: undefined (zero distance)" in capsys.readouterr().out
         ef_lines = (tmp_path / "idle_EF.csv").read_text().splitlines()
         assert any(ln.startswith("energy,undefined,") for ln in ef_lines)
+        subnormal = tmp_path / "subnormal.csv"   # 5e-324 m is 0.0 km
+        subnormal.write_text("0,5e-324\n")
+        assert run_cli("factors", "--cycle", subnormal, "--veh", "1") == 0
+        assert "EF: undefined (zero distance)" in capsys.readouterr().out
 
 
 class TestExitCodes:
@@ -198,3 +204,57 @@ class TestNonFiniteInput:
         assert err.startswith("error: cycle:") and "line 2" in err
         assert run_cli("convert", "--in", path, "--out", tmp_path / "out.csv") == 1
         assert "line 2" in capsys.readouterr().err
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("body", ["0,1\n1e18,1\n", "-1e18,1\n1e18,1\n"])
+    def test_absurd_timestamp_span_is_input_error(self, tmp_path, capsys, body):
+        path = tmp_path / "span.csv"
+        path.write_text(body)
+        assert run_cli("factors", "--cycle", path, "--veh", "1") == 1
+        assert capsys.readouterr().err.startswith("error: cycle: gap of")
+        assert run_cli("convert", "--in", path, "--out", tmp_path / "out.csv") == 1
+        assert capsys.readouterr().err.startswith("error: trace: gap of")
+
+    TOKENS = [b"nan", b"inf", b"-inf", b"5e-324", b"1e18", b"-1e18", b"1e308", b"t", b"#",
+              b",", b"\n", b"\xff", b"0", b"1.5", b"-1", b" "]
+
+    @staticmethod
+    def exit_code(*argv):
+        try:
+            return run_cli(*argv)
+        except SystemExit as exc:
+            return exc.code
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # 1e308 overflows, exit 0
+    @settings(max_examples=200, deadline=None)
+    @given(body=st.one_of(st.binary(max_size=64),
+                          st.lists(st.sampled_from(TOKENS), max_size=20).map(b"".join)))
+    def test_any_trace_body_exits_0_1_or_2(self, tmp_path_factory, body):
+        directory = tmp_path_factory.getbasetemp()
+        path = directory / "fuzz.csv"
+        path.write_bytes(body[:64])
+        assert self.exit_code("factors", "--cycle", path, "--veh", "1") in (0, 1, 2)
+        out = directory / "fuzz_1hz.csv"
+        assert self.exit_code("convert", "--in", path, "--out", out) in (0, 1, 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(in_params=st.booleans(), at=st.floats(0.0, 1.0), cut=st.integers(0, 12),
+           insert=st.lists(st.sampled_from(TOKENS + [b"12.7", b"LDV", b"unit:", b"="]),
+                           max_size=4).map(b"".join))
+    def test_any_table_edit_exits_0_or_2(self, tmp_path_factory, tables_dir,
+                                        in_params, at, cut, insert):
+        directory = tmp_path_factory.getbasetemp() / "fuzz_tables"
+        directory.mkdir(exist_ok=True)
+        for name in ("params.csv", "rates.csv"):
+            body = (tables_dir / name).read_bytes()
+            if in_params == (name == "params.csv"):
+                i = int(at * len(body))
+                body = body[:i] + insert + body[i + cut:]
+            (directory / name).write_bytes(body)
+        trace = directory / "trace.csv"
+        trace.write_text("0,1\n1,5\n2,9\n3,7\n")
+        assert self.exit_code("validate-tables", "--tables", directory) in (0, 2)
+        assert self.exit_code("factors", "--cycle", trace, "--veh", "1",
+                              "--tables", directory) in (0, 2)

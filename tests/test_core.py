@@ -21,6 +21,7 @@ from movestar.core import (
     compute_vsp,
     derive_acceleration,
     lookup_rate,
+    opmode_of,
     per_second_emissions,
 )
 from movestar.errors import EmptyCycle, InvalidSample, MissingEntry, NegativeSpeed
@@ -150,6 +151,21 @@ class TestClassifyOpmode:
         for i in range(len(v)):
             scalar = classify_opmode(sample(float(v[i]), float(a[i])), float(vsp[i]))
             assert got[i] == int(scalar)
+
+    def test_array_classifier_with_history_matches_scalar(self):
+        rng = np.random.default_rng(11)
+        edges_mph = [1.0, 25.0, 50.0]
+        edges_vsp = [0.0, 3.0, 6.0, 9.0, 12.0, 18.0, 24.0, 30.0]
+        v = np.concatenate((rng.uniform(0.0, 40.0, 4000), np.array(edges_mph) * MPH))
+        vsp = np.concatenate((rng.uniform(-40.0, 45.0, 4000), edges_vsp))
+        v, vsp = v[rng.permutation(v.size)], rng.choice(vsp, v.size)
+        a = rng.choice([-1.0, -0.6, -0.2, 0.0, 0.5], v.size) * rng.uniform(0.5, 1.5, v.size)
+        soft_history = rng.random(v.size) < 0.5
+        got = classify_opmode_array(v, vsp, a, soft_history)
+        for i in range(v.size):
+            scalar = opmode_of(float(v[i]), float(a[i]), float(vsp[i]), bool(soft_history[i]))
+            assert got[i] == int(scalar)
+        assert {0, 1, 11, 16, 21, 30, 33, 40} <= set(got.tolist())
 
 
 class TestRates:

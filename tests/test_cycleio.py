@@ -1,5 +1,7 @@
 """Trace parsing and 1 Hz resampling tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,12 @@ class TestParseTrace:
     def test_bad_cell(self, tmp_path):
         with pytest.raises(ParseError):
             parse_trace(write(tmp_path, "0,abc\n"), "m/s")
+
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"0,1.0\n1,2.0\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8 text at line 2"):
+            parse_trace(path, "m/s")
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyTrace):
@@ -113,6 +121,17 @@ class TestResample:
         times = [0.0, MAX_GAP_S + 2.5]
         with pytest.raises(GapTooLarge):
             resample_speeds_to_1hz(times, [1.0, 1.0])
+
+    def test_long_gap_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GapTooLarge) as exc:
+                resample_speeds_to_1hz([0.0, 0.5, 2.4, 2e6 + 0.5], [1.0] * 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.start_window, exc.value.length) == (3, 2e6 - 3)
+        assert peak < 1_000_000
 
     def test_gap_at_limit_allowed(self):
         # samples at 0 and 6.5 leave exactly five empty windows

@@ -61,6 +61,7 @@ def naive_er_body(result):
 class TestKernelMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(speeds=walks(), veh=st.sampled_from(list(SourceType)))
+    @example(speeds=[5e-324], veh=SourceType.LDV)
     @example(speeds=[10.0], veh=SourceType.LDV)
     @example(speeds=[10.0, 9.4], veh=SourceType.LDV)
     @example(speeds=[10.0, 9.4, 8.8], veh=SourceType.LDV)

@@ -126,6 +126,32 @@ class TestCorruptedTables:
         with pytest.raises(SchemaError, match="missing column"):
             load_table_set(p, r)
 
+    def test_non_finite_value_names_line_and_column(self, tmp_path, params_path, rates_path):
+        def inf_a(params, rates):
+            return params.replace("LDV,0.156461,", "LDV,inf,"), rates
+        p, r = _copy_assets(tmp_path, params_path, rates_path, inf_a)
+        line = p.read_text().splitlines().index("LDV,inf,0.00200193,0.000492646,1.4788,1.4788") + 1
+        with pytest.raises(TableParseError, match="column 'A': not finite") as exc:
+            load_table_set(p, r)
+        assert exc.value.line == line
+
+    def test_fractional_opmode_rejected(self, tmp_path, params_path, rates_path):
+        def fractional(params, rates):
+            return params, rates.replace("LDV,12,", "LDV,12.7,")
+        p, r = _copy_assets(tmp_path, params_path, rates_path, fractional)
+        with pytest.raises(TableParseError, match="column 'opmode': not an integer"):
+            load_table_set(p, r)
+
+    def test_non_utf8_byte_names_line(self, tmp_path, params_path, rates_path):
+        p, r = _copy_assets(tmp_path, params_path, rates_path)
+        lines = r.read_bytes().split(b"\n")
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(b"LDT,11,"))
+        lines[at] = lines[at].replace(b"LDT", b"LD\xff")
+        r.write_bytes(b"\n".join(lines))
+        with pytest.raises(TableParseError, match="not UTF-8") as exc:
+            load_table_set(p, r)
+        assert exc.value.line == at + 1
+
     def test_malformed_value_reports_line(self, tmp_path, params_path, rates_path):
         def garble(params, rates):
             return params, rates.replace("LDV,12,1210.000", "LDV,12,xyzzy")
