@@ -136,13 +136,14 @@ class VehicleParams:
 
     def violations(self) -> list[str]:
         out = []
-        for name in ("A", "B", "C"):
-            if not getattr(self, name) >= 0.0:
+        for name in ("A", "B", "C", "M", "f"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                out.append(f"params[{self.source_type.value}]: {name} = {value} is not finite")
+            elif name in ("M", "f") and not value > 0.0:
+                out.append(f"params[{self.source_type.value}]: {name} must be > 0")
+            elif not value >= 0.0:
                 out.append(f"params[{self.source_type.value}]: {name} must be >= 0")
-        if not self.M > 0.0:
-            out.append(f"params[{self.source_type.value}]: M must be > 0")
-        if not self.f > 0.0:
-            out.append(f"params[{self.source_type.value}]: f must be > 0")
         return out
 
 

@@ -14,8 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DriveCycle, kmh_to_mps, mph_to_mps
-from .errors import EmptyTrace, GapTooLarge, NegativeSpeed, NonMonotonicTime, ParseError
+from .core import DriveCycle, _readonly, kmh_to_mps, mph_to_mps
+from .errors import (
+    CycleError, EmptyTrace, GapTooLarge, NegativeSpeed, NonMonotonicTime, ParseError,
+)
 
 SUPPORTED_UNITS = ("m/s", "mph", "km/h")
 
@@ -24,25 +26,61 @@ SUPPORTED_UNITS = ("m/s", "mph", "km/h")
 MAX_GAP_S = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawTrace:
-    """A parsed speed trace in its declared unit, timestamps in seconds."""
+    """A parsed speed trace in its declared unit: read-only float64 arrays `t`
+    (timestamps, s) and `v` (speeds)."""
 
-    times: tuple[float, ...]
-    speeds: tuple[float, ...]
+    t: np.ndarray
+    v: np.ndarray
     unit: str
 
+    def __post_init__(self):
+        for name in ("t", "v"):
+            object.__setattr__(self, name, _readonly(np.array(getattr(self, name), dtype=float)))
+
+    @property
+    def times(self) -> tuple[float, ...]:
+        return tuple(self.t.tolist())
+
+    @property
+    def speeds(self) -> tuple[float, ...]:
+        return tuple(self.v.tolist())
+
     def __len__(self) -> int:
-        return len(self.times)
+        return self.t.size
 
     def speeds_mps(self) -> list[float]:
-        if self.unit == "m/s":
-            return list(self.speeds)
-        if self.unit == "mph":
-            return [mph_to_mps(v) for v in self.speeds]
-        if self.unit == "km/h":
-            return [kmh_to_mps(v) for v in self.speeds]
-        raise ParseError(f"unsupported unit {self.unit!r}")
+        return _to_mps(self.v, self.unit).tolist()
+
+
+def _to_mps(v: np.ndarray, unit: str) -> np.ndarray:
+    if unit == "m/s":
+        return v
+    if unit == "mph":
+        return mph_to_mps(v)
+    if unit == "km/h":
+        return kmh_to_mps(v)
+    raise ParseError(f"unsupported unit {unit!r}")
+
+
+def _is_skipped(line: str) -> bool:
+    """Blank and comment lines carry no data; `#` starts a comment only at
+    the start of a line."""
+    line = line.strip()
+    return not line or line.startswith("#")
+
+
+def _is_header(line: str) -> bool:
+    return line.split(",", 1)[0].strip().lower() in ("t", "time")
+
+
+def _number(cell: str) -> float:
+    """One cell in the grammar of `np.loadtxt`: `float()` without its
+    digit-group underscores and non-ASCII digits."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return float(cell)
 
 
 def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
@@ -54,52 +92,73 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
     if unit not in SUPPORTED_UNITS:
         raise ParseError(f"unsupported unit flag {unit!r}; expected one of {SUPPORTED_UNITS}")
     path = Path(path)
-    times: list[float] = []
-    speeds: list[float] = []
-    implicit_t = 0
-    ncols: int | None = None
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    start = next((i for i, line in enumerate(lines)
+                  if not (_is_skipped(line) or _is_header(line))), len(lines))
+    if start == len(lines):
+        raise EmptyTrace(f"{path}: no data rows")
+    rows = lines[start:]
+    linenos = None
+    # Blank and comment lines between data rows are rare; they are looked
+    # for row by row only when the whole-list scans say they are there.
+    if "" in rows or any(map(str.isspace, rows)) or "#" in "".join(rows):
+        linenos = [i for i, line in enumerate(lines[start:], start + 1) if not _is_skipped(line)]
+        rows = [lines[i - 1] for i in linenos]
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        raise _first_bad_line(lines, start) from None
+    if table.shape[1] > 2:
+        raise _first_bad_line(lines, start)
+    if table.shape[1] == 1:
+        t, v = np.arange(len(table), dtype=float), table[:, 0]
+    else:
+        t, v = table[:, 0], table[:, 1]
+    bad = ~np.isfinite(t) | (v < 0.0)
+    bad[1:] |= np.diff(t) < 0.0
+    if bad.any():
+        i = int(bad.argmax())
+        raise _first_bad_line(lines, start, stop=i + start + 1 if linenos is None else linenos[i])
+    return RawTrace(t=t, v=v, unit=unit)
+
+
+def _first_bad_line(lines: list[str], start: int, stop: int | None = None) -> CycleError:
+    """The error of the first bad line among `lines[start:stop]`, found with
+    per-line checks; runs only on a file the array checks have rejected."""
+    ncols: int | None = None
+    t_prev: float | None = None
+    for lineno, raw in enumerate(lines[start:stop], start=start + 1):
+        if _is_skipped(raw):
             continue
-        cells = [c.strip() for c in line.split(",")]
-        if not times and cells[0].lower() in ("t", "time"):
-            continue  # optional header row
+        cells = [c.strip() for c in raw.strip().split(",")]
         if ncols is None:
             ncols = len(cells)
         elif len(cells) != ncols:
-            raise ParseError(f"expected {ncols} column(s), got {len(cells)}", line=lineno)
-        if len(cells) == 1:
-            t, v_cell = float(implicit_t), cells[0]
-            implicit_t += 1
-        elif len(cells) == 2:
+            return ParseError(f"expected {ncols} column(s), got {len(cells)}", line=lineno)
+        if len(cells) > 2:
+            return ParseError(f"expected 1 or 2 columns, got {len(cells)}", line=lineno)
+        if len(cells) == 2:
             try:
-                t = float(cells[0])
+                t = _number(cells[0])
             except ValueError:
                 t = math.nan
             if not math.isfinite(t):
-                raise ParseError(f"bad timestamp {cells[0]!r}", line=lineno)
-            v_cell = cells[1]
-        else:
-            raise ParseError(f"expected 1 or 2 columns, got {len(cells)}", line=lineno)
+                return ParseError(f"bad timestamp {cells[0]!r}", line=lineno)
         try:
-            v = float(v_cell)
+            v = _number(cells[-1])
         except ValueError:
-            raise ParseError(f"bad speed {v_cell!r}", line=lineno) from None
+            return ParseError(f"bad speed {cells[-1]!r}", line=lineno)
         if v < 0.0:
-            raise NegativeSpeed(v, line=lineno)
-        if times and t < times[-1]:
-            raise NonMonotonicTime(lineno)
-        times.append(t)
-        speeds.append(v)
-    if not times:
-        raise EmptyTrace(f"{path}: no data rows")
-    return RawTrace(times=tuple(times), speeds=tuple(speeds), unit=unit)
+            return NegativeSpeed(v, line=lineno)
+        if len(cells) == 2:
+            if t_prev is not None and t < t_prev:
+                return NonMonotonicTime(lineno)
+            t_prev = t
+    return ParseError("the array reader rejected rows that every line check accepts")
 
 
 def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) -> list[float]:
@@ -110,6 +169,11 @@ def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) 
     interior windows are filled by linear interpolation between neighboring
     window means; runs longer than MAX_GAP_S raise instead.
     """
+    return _window_means(times, speeds_mps).tolist()
+
+
+def _window_means(times: Sequence[float], speeds_mps: Sequence[float]) -> np.ndarray:
+    """`resample_speeds_to_1hz` as an array."""
     if len(times) == 0:
         raise EmptyTrace("cannot resample an empty trace")
     t = np.asarray(times, dtype=float)
@@ -133,13 +197,12 @@ def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) 
     if not filled.all():
         windows = np.arange(n_windows, dtype=float)
         means[~filled] = np.interp(windows[~filled], windows[filled], means[filled])
-    return [float(x) for x in means]
+    return means
 
 
 def resample_to_1hz(raw: RawTrace) -> DriveCycle:
     """Convert a raw trace to a validated 1 Hz drive cycle in m/s."""
-    speeds = resample_speeds_to_1hz(raw.times, raw.speeds_mps())
-    return DriveCycle.from_speeds(speeds)
+    return DriveCycle.from_speeds(_window_means(raw.t, _to_mps(raw.v, raw.unit)))
 
 
 def load_cycle(path: str | Path, unit: str = "m/s") -> DriveCycle:

@@ -34,6 +34,10 @@ GLIDE_FLOOR_MPS = 2.0        # 4.5 mph, above the idle band
 # plain stop-and-wait (long hold at a powered bin vs. cheap idle), so the
 # planner declines them and falls back to the conventional profile.
 GLIDE_MIN_FRACTION = 0.55
+# Longest cycle a scenario may generate: one day. The demo builds both
+# cycles second by second, so its time and memory grow with their length;
+# an approach long enough to need more is not a single intersection.
+MAX_CYCLE_S = 86_400
 
 
 @dataclass(frozen=True)
@@ -48,11 +52,27 @@ class SignalScenario:
     source_type: SourceType = SourceType.LDV
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.approach_m, self.cruise_mps, self.green_s,
+                                       self.red_s, self.offset_s))):
+            raise InfeasibleScenario("distances, speeds and durations must be finite")
         if self.approach_m <= 0 or self.green_s <= 0 or self.red_s <= 0:
             raise InfeasibleScenario("durations and distances must be positive")
         if self.cruise_mps <= GLIDE_FLOOR_MPS:
             raise InfeasibleScenario(
                 f"cruise speed must exceed {GLIDE_FLOOR_MPS} m/s")
+        if self.longest_cycle_s > MAX_CYCLE_S:
+            raise InfeasibleScenario(
+                f"cycles of up to {self.longest_cycle_s:.6g} s exceed the {MAX_CYCLE_S} s limit")
+
+    @property
+    def longest_cycle_s(self) -> float:
+        """An upper bound on the length of either generated cycle, in float
+        arithmetic on the arguments alone. The baseline waits at most one
+        signal period and its ramps last under cruise/2 s each; the glide
+        covers the same distance and never drops below GLIDE_MIN_FRACTION
+        of cruise speed. The constant absorbs rounding to whole seconds."""
+        return ((self.approach_m + DEPARTURE_TARGET_M) / (GLIDE_MIN_FRACTION * self.cruise_mps)
+                + self.cruise_mps + self.period_s + 10.0)
 
     @property
     def period_s(self) -> float:
@@ -273,5 +293,5 @@ __all__ = [
     "SignalScenario", "GlideOutcome", "ScenarioComparison",
     "gen_baseline_trajectory", "gen_smoothed_trajectory", "compare_scenarios",
     "DEPARTURE_TARGET_M", "STOP_DECEL_MAX", "RESTART_ACCEL_MAX",
-    "GLIDE_DECEL_MAX", "GLIDE_ACCEL_MAX", "GLIDE_FLOOR_MPS",
+    "GLIDE_DECEL_MAX", "GLIDE_ACCEL_MAX", "GLIDE_FLOOR_MPS", "MAX_CYCLE_S",
 ]

@@ -174,7 +174,9 @@ def validate_table_set(tables: TableSet) -> list[str]:
         if mode not in VALID_OPMODE_IDS:
             report.append(f"rates: ({st.value}, {mode}) is not a valid operating mode")
         for name, value in zip(SPECIES_NAMES, vec.as_tuple()):
-            if not value >= 0.0:
+            if not math.isfinite(value):
+                report.append(f"rates: ({st.value}, {mode}) {name} = {value} is not finite")
+            elif value < 0.0:
                 report.append(f"rates: ({st.value}, {mode}) {name} = {value} is negative")
 
     for species in SPECIES_NAMES:

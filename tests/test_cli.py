@@ -1,5 +1,8 @@
 """CLI behavior: determinism, exit codes, output file formats."""
 
+import math
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,6 +240,29 @@ class TestInputBoundary:
         assert self.exit_code("factors", "--cycle", path, "--veh", "1") in (0, 1, 2)
         out = directory / "fuzz_1hz.csv"
         assert self.exit_code("convert", "--in", path, "--out", out) in (0, 1, 2)
+
+    DEMO = {"--distance": "200", "--cruise": "15", "--green": "30", "--red": "30",
+            "--offset": "0"}
+
+    @pytest.mark.parametrize("flag,value", [("--distance", "nan"), ("--green", "nan"),
+                                            ("--offset", "inf"), ("--cruise", "1e308"),
+                                            ("--distance", "1e9")])
+    def test_absurd_demo_argument_is_input_error(self, capsys, flag, value):
+        argv = [x for item in {**self.DEMO, flag: value}.items() for x in item]
+        started = time.perf_counter()
+        assert run_cli("demo", *argv) == 1
+        assert time.perf_counter() - started < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario:") and err.count("\n") == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(), st.floats(0.0, 500.0), st.floats(0.0, 500.0),
+                                     st.sampled_from([math.nan, math.inf, -math.inf, 5e-324,
+                                                      1e-300, 1e300, 1e9])),
+                           min_size=5, max_size=5))
+    def test_any_demo_arguments_exit_0_or_1(self, values):
+        argv = [f"{flag}={v!r}" for flag, v in zip(self.DEMO, values)]
+        assert self.exit_code("demo", *argv) in (0, 1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=100, deadline=None)

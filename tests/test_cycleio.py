@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from movestar.core import mph_to_mps, mps_to_mph
@@ -15,12 +15,15 @@ from movestar.cycleio import (
     resample_to_1hz,
 )
 from movestar.errors import (
+    CycleError,
     EmptyTrace,
     GapTooLarge,
     NegativeSpeed,
     NonMonotonicTime,
     ParseError,
 )
+
+from reference_trace import reference_parse_trace
 
 
 def write(tmp_path, text, name="trace.csv"):
@@ -83,6 +86,73 @@ class TestParseTrace:
     def test_unit_round_trip_identity(self):
         for v in (0.0, 0.1, 3.7, 31.2929):
             assert mph_to_mps(mps_to_mph(v)) == pytest.approx(v, rel=1e-12, abs=1e-15)
+
+
+# Cells that Python's float() reads but the array reader does not.
+NARROWED_CELLS = ["1_000", "\u0663", "\uff11", "2.\u0665"]
+SPEEDS = ["0", "1", "2.5", "10", "0.25", " 3 ", "\t4", "5 ", "\xa06", "+2", "5e-324", "1e308"]
+CELLS = SPEEDS * 2 + ["-1", "-0.5", "-0", "nan", "inf", "-inf", "1e999", "abc", ""] + NARROWED_CELLS
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace text from headers, comments, blank lines, 1-3 column rows with
+    mostly rising timestamps, and the three line endings."""
+    ncols = draw(st.sampled_from([1, 2, 2, 2]))
+    lines, t = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "header"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  # unit: v=m/s", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "header":
+            lines.append(draw(st.sampled_from(["t,v", "time,speed", "T", " Time , v "])))
+        else:
+            t += draw(st.sampled_from([0, 1, 1, 2, -1]))
+            n = draw(st.sampled_from([ncols] * 20 + [1, 2, 3]))
+            cells = [str(t) if draw(st.integers(0, 4)) else draw(st.sampled_from(CELLS))]
+            cells += [draw(st.sampled_from(CELLS)) for _ in range(n - 1)]
+            lines.append(",".join(cells[-n:]) + draw(st.sampled_from([""] * 24 + [","])))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def outcome(parse, path):
+    try:
+        times, speeds = parse(path)
+    except CycleError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return np.array(times, dtype=float).tobytes(), np.array(speeds, dtype=float).tobytes()
+
+
+def columns(path):
+    raw = parse_trace(path)
+    return raw.t, raw.v
+
+
+def narrowed_lines(text):
+    """Line numbers of data rows holding a cell only float() reads."""
+    return {n for n, line in enumerate(text.splitlines(), start=1)
+            if not line.strip().startswith("#")
+            and any(not c.strip().isascii() or "_" in c for c in line.split(","))}
+
+
+class TestParseTraceMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(text=trace_texts())
+    @example(text="0,1\nt,v\n1,2\n")
+    @example(text="0,1\n1,2 # note\n")
+    @example(text="0,1\n")
+    @example(text="# c\n\n0,1\n# c\n1,2\n\n0,3\n")
+    def test_same_columns_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "prop.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = outcome(columns, path)
+        want = outcome(reference_parse_trace, path)
+        if got != want:  # allowed only on the first row with a narrowed cell
+            assert got[0] is ParseError and got[1].startswith(("bad speed", "bad timestamp"))
+            assert got[2] == min(narrowed_lines(text), default=None)
 
 
 class TestResample:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from movestar.core import OpMode, SourceType
 from movestar.demo import (
     GLIDE_DECEL_MAX,
+    MAX_CYCLE_S,
     RESTART_ACCEL_MAX,
     STOP_DECEL_MAX,
     SignalScenario,
@@ -70,6 +73,22 @@ class TestScenario:
         with pytest.raises(InfeasibleScenario):
             SignalScenario(approach_m=100, cruise_mps=0.3, green_s=10, red_s=10,
                            offset_s=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(approach=st.floats(1e-3, 1e5), cruise=st.floats(2.001, 300.0),
+           green=st.floats(1e-3, 3e4), red=st.floats(1e-3, 3e4), offset=st.floats(-1e4, 1e4))
+    def test_longest_cycle_bounds_both_cycles(self, approach, cruise, green, red, offset):
+        kwargs = dict(approach_m=approach, cruise_mps=cruise, green_s=green, red_s=red,
+                      offset_s=offset)
+        bound = (approach + 250.0) / (0.55 * cruise) + cruise + green + red + 10.0
+        if bound > MAX_CYCLE_S:
+            with pytest.raises(InfeasibleScenario, match="limit"):
+                SignalScenario(**kwargs)
+            return
+        sc = SignalScenario(**kwargs)
+        assume(sc.cruise_seconds_to_bar >= (sc.stop_ramp_steps - 1) // 2)
+        longest = max(len(gen_baseline_trajectory(sc)), len(gen_smoothed_trajectory(sc).cycle))
+        assert longest <= sc.longest_cycle_s <= MAX_CYCLE_S
 
     def test_signal_phase(self):
         sc = SignalScenario(approach_m=100, cruise_mps=10, green_s=10, red_s=20,

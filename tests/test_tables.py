@@ -177,6 +177,17 @@ class TestCorruptedTables:
         with pytest.raises(OSError):
             load_table_set(tmp_path / "nope.csv", rates_path)
 
+    def test_validation_reports_non_finite_values(self, tables):
+        from dataclasses import replace
+        from movestar.tables import TableSet
+        params = dict(tables.params)
+        params[SourceType.LDT] = replace(params[SourceType.LDT], M=float("inf"))
+        bad = TableSet(params=params, rates=tables.rates.scaled(float("inf")), provenance="")
+        report = validate_table_set(bad)
+        assert "params[LDT]: M = inf is not finite" in report
+        assert "rates: (LDV, 13) CO = inf is not finite" in report
+        assert all("not finite" in line for line in report)
+
     def test_validation_report_names_injected_negative(self, tables):
         from movestar.core import EmissionVector, RateTable
         from movestar.tables import TableSet
