@@ -116,6 +116,9 @@ _MODE_GRID = tuple(tuple(map(OpMode, row)) for row in (
     (33, 33, 33, 35, 35, 37, 38, 39, 40),
 ))
 _MODE_GRID_IDS = np.array(_MODE_GRID, dtype=np.int64)
+# The edges as arrays for np.searchsorted, which would convert a tuple per call.
+_SPEED_CLASS_EDGES_ARRAY = np.array(_SPEED_CLASS_EDGES_MPH)
+_VSP_BIN_EDGES_ARRAY = np.array(_VSP_BIN_EDGES)
 
 
 @dataclass(frozen=True)
@@ -235,18 +238,21 @@ class DriveCycle:
     a: np.ndarray
 
     def __post_init__(self):
-        v, a = (_readonly(np.array(x, dtype=float)) for x in (self.v, self.a))
+        v = _readonly(np.array(self.v, dtype=float))
+        a = _readonly(np.array(self.a, dtype=float))
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "a", a)
         if v.size == 0:
             raise EmptyCycle("drive cycle has no samples")
         if v.ndim != 1 or a.shape != v.shape:
             raise InvalidSample(f"speeds {v.shape} and accelerations {a.shape} differ")
-        if (v < 0.0).any():
+        # The search for the first negative speed runs only when the minimum
+        # is negative or NaN.
+        if not np.minimum.reduce(v) >= 0.0 and (v < 0.0).any():
             raise NegativeSpeed(float(v[(v < 0.0).argmax()]))
-        bad = ~(np.isfinite(v) & np.isfinite(a))
-        if bad.any():
-            raise InvalidSample(f"non-finite speed or acceleration at second {bad.argmax()}")
+        finite = np.isfinite(v) & np.isfinite(a)
+        if np.count_nonzero(finite) < v.size:
+            raise InvalidSample(f"non-finite speed or acceleration at second {finite.argmin()}")
 
     @classmethod
     def from_speeds(cls, speeds: Sequence[float]) -> "DriveCycle":
@@ -381,9 +387,9 @@ def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray
     soft-deceleration history to none."""
     a_mphps = np.asarray(a_mps2, dtype=float) / MPS_PER_MPH
     braking = (a_mphps <= BRAKE_DECEL_MPHPS) | (soft_history & (a_mphps < BRAKE_SOFT_DECEL_MPHPS))
-    speed_class = np.searchsorted(_SPEED_CLASS_EDGES_MPH, np.asarray(v_mps) / MPS_PER_MPH,
+    speed_class = np.searchsorted(_SPEED_CLASS_EDGES_ARRAY, np.asarray(v_mps) / MPS_PER_MPH,
                                   "right")
-    cells = _MODE_GRID_IDS[speed_class, np.searchsorted(_VSP_BIN_EDGES, vsp, "right")]
+    cells = _MODE_GRID_IDS[speed_class, np.searchsorted(_VSP_BIN_EDGES_ARRAY, vsp, "right")]
     return np.where(braking, int(OpMode.BRAKING), cells)
 
 
@@ -403,13 +409,16 @@ def per_second_emissions(rate_per_hour: EmissionVector) -> EmissionVector:
 def assemble_result(modes: np.ndarray, rows: ModeRows, distance_m: float) -> CycleResult:
     """Gather each second's row by mode, then totals and per-km factors.
 
-    Totals, like `distance_m`, are in-order sums (`np.cumsum`); `np.sum` may
-    add pairwise and round differently."""
-    missing = ~rows.known.take(modes)
-    if missing.any():
-        raise MissingEntry(rows.source_type.value, int(modes[missing.argmax()]))
+    Totals, like `distance_m`, are in-order sums (`np.add.accumulate`, which
+    `np.cumsum` calls); `np.sum` may add pairwise and round differently. The
+    row of a mode missing from the table is NaN, so only a NaN total calls
+    for the search of a missing mode."""
     grams = _readonly(rows.grams.take(modes, axis=0))
-    totals = EmissionVector(*np.cumsum(grams, axis=0)[-1].tolist())
+    totals = EmissionVector(*np.add.accumulate(grams, axis=0)[-1].tolist())
+    if any(map(math.isnan, totals.as_tuple())):
+        missing = ~rows.known.take(modes)
+        if missing.any():
+            raise MissingEntry(rows.source_type.value, int(modes[missing.argmax()]))
     km = distance_m / 1000.0
     ef = None if km == 0.0 else EmissionVector(*(x / km for x in totals.as_tuple()))
     return CycleResult(modes=_readonly(modes), grams=grams, totals=totals,
@@ -425,11 +434,17 @@ def aggregate_cycle(cycle: DriveCycle, params: VehicleParams,
     sum(v * 1 s), consistent with per-second attribution.
     """
     v, a = cycle.v, cycle.a
-    soft = np.concatenate((np.zeros(BRAKE_SOFT_RUN_S - 1, dtype=bool), is_soft_decel(a)))
-    history = np.logical_and.reduce([soft[k:k + v.size] for k in range(BRAKE_SOFT_RUN_S - 1)])
+    run = BRAKE_SOFT_RUN_S - 1
+    soft = is_soft_decel(a)
+    history = np.zeros(v.size, dtype=bool)
+    if v.size > run:
+        tail = history[run:]      # second t >= run: soft[t - k] for k = 1 .. run
+        tail[...] = True
+        for k in range(1, run + 1):
+            tail &= soft[run - k:v.size - k]
     modes = classify_opmode_array(v, specific_power(params, v, a), a, history)
     return assemble_result(modes, rates.per_second[params.source_type],
-                           float(np.cumsum(v)[-1]))
+                           float(np.add.accumulate(v)[-1]))
 
 
 def mps_to_mph(v: float) -> float:

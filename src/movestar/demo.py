@@ -17,6 +17,7 @@ so a feasible smoothed cycle contains no braking or idle seconds.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,9 @@ GLIDE_FLOOR_MPS = 2.0        # 4.5 mph, above the idle band
 # plain stop-and-wait (long hold at a powered bin vs. cheap idle), so the
 # planner declines them and falls back to the conventional profile.
 GLIDE_MIN_FRACTION = 0.55
+# The glide planner probes _SWEEP_STEPS + 1 evenly spaced speeds, from cruise
+# speed down to the glide floor, and keeps the first that meets the green.
+_SWEEP_STEPS = 240
 # Longest cycle a scenario may generate: one day. The demo builds both
 # cycles second by second, so its time and memory grow with their length;
 # an approach long enough to need more is not a single intersection.
@@ -188,58 +192,78 @@ def gen_smoothed_trajectory(sc: SignalScenario) -> GlideOutcome:
     onset = sc.next_green_onset(float(n))
     v_floor = max(GLIDE_FLOOR_MPS, GLIDE_MIN_FRACTION * v_c)
 
-    sweep_steps = 240
-    for i in range(sweep_steps + 1):
-        v_probe = v_c - (v_c - v_floor) * i / sweep_steps
-        if v_probe >= v_c - 1e-9:
+    # The tests below are those of the per-probe reference planner
+    # (tests/reference_demo.py), with its bounds hoisted out of the loop and
+    # its glide-speed solver inlined. `drop * alpha` stands for its
+    # `drop * (k2 + 1) / 2.0`; halving is exact, so both round alike.
+    ceil = math.ceil
+    span = v_c - v_floor
+    v_top, v_low = v_c - 1e-9, v_floor - 1e-9
+    decel_cap, accel_cap = GLIDE_DECEL_MAX + 1e-9, GLIDE_ACCEL_MAX + 1e-9
+    early, late = onset - 1e-9, onset + sc.green_s
+
+    # Skip the probes that surely reach the bar before green onset:
+    # - A glide crosses the bar within bar_m / v_g s, as its deceleration
+    #   ramp averages at least v_g. So a glide that is not early has
+    #   v_g <= v_cap.
+    # - A kept glide speed is at least v_low.
+    # - It lies at most v_c / (2 * denom) below its probe speed, as b2 is
+    #   rounded to the nearest cruise second. Here denom >= 1 + hold, and
+    #   hold >= n - k2, as the ramp covers at most k2 * v_c of bar_m = n * v_c.
+    # A probe whose every possible v_g exceeds v_cap is rejected, and the
+    # margins are far above rounding error. This bound falls as the probe
+    # index grows, so the skipped probes come first.
+    v_cap = bar_m / (onset - 1e-6) * (1.0 + 1e-6)
+
+    def may_meet_green(i: int) -> bool:
+        v_probe = v_c - span * i / _SWEEP_STEPS
+        k2 = max(1, ceil((v_c - v_probe) / GLIDE_DECEL_MAX))
+        v_g_min = v_probe - v_c / (2 * max(2, 1 + n - k2)) - 1e-6 * v_c
+        return max(v_low, v_g_min) <= v_cap
+
+    first = bisect.bisect_left(range(_SWEEP_STEPS + 1), True, key=may_meet_green)
+    for i in range(first, _SWEEP_STEPS + 1):
+        v_probe = v_c - span * i / _SWEEP_STEPS
+        if v_probe >= v_top:
             continue
-        k2 = max(1, math.ceil((v_c - v_probe) / GLIDE_DECEL_MAX))
-        m2 = max(1, math.ceil((v_c - v_probe) / GLIDE_ACCEL_MAX))
-        dist_decel = k2 * v_c - (v_c - v_probe) * (k2 + 1) / 2.0
+        drop = v_c - v_probe
+        k2 = max(1, ceil(drop / GLIDE_DECEL_MAX))
+        m2 = max(1, ceil(drop / GLIDE_ACCEL_MAX))
+        alpha = (k2 + 1) / 2.0
+        dist_decel = k2 * v_c - drop * alpha
         if dist_decel > bar_m:
             continue
-        hold = max(1, math.ceil((bar_m - dist_decel) / v_probe))
-        dist_accel = m2 * v_probe + (v_c - v_probe) * (m2 + 1) / 2.0
+        hold = max(1, ceil((bar_m - dist_decel) / v_probe))
+        beta = (m2 + 1) / 2.0
+        dist_accel = m2 * v_probe + drop * beta
         b2 = round((total_m - dist_decel - hold * v_probe - dist_accel) / v_c)
         if b2 < 0:
             continue
 
-        solved = _solve_glide_speed(total_m, v_c, k2, hold, m2, b2)
-        if solved is None:
+        # The glide speed that makes the profile cover exactly total_m;
+        # denom >= 2, as alpha >= 1, hold >= 1 and m2 >= beta.
+        denom = alpha + hold + m2 - beta
+        v_g = (total_m - v_c * (k2 - alpha + beta + b2)) / denom
+        if not (v_low <= v_g < v_top):
             continue
-        v_g = solved
-        if not (v_floor - 1e-9 <= v_g < v_c - 1e-9):
+        glide_drop = v_c - v_g
+        if glide_drop / k2 > decel_cap or glide_drop / m2 > accel_cap:
             continue
-        if (v_c - v_g) / k2 > GLIDE_DECEL_MAX + 1e-9:
-            continue
-        if (v_c - v_g) / m2 > GLIDE_ACCEL_MAX + 1e-9:
-            continue
-        dist_decel = k2 * v_c - (v_c - v_g) * (k2 + 1) / 2.0
+        dist_decel = k2 * v_c - glide_drop * alpha
         if dist_decel > bar_m or bar_m > dist_decel + hold * v_g + 1e-9:
             continue
         t_cross = k2 + (bar_m - dist_decel) / v_g
-        if t_cross < onset - 1e-9 or t_cross >= onset + sc.green_s:
+        if t_cross < early or t_cross >= late:
             continue
 
-        speeds = [v_c - i2 * (v_c - v_g) / k2 for i2 in range(1, k2 + 1)]
+        speeds = [v_c - i2 * glide_drop / k2 for i2 in range(1, k2 + 1)]
         speeds += [v_g] * hold
-        speeds += [v_g + j * (v_c - v_g) / m2 for j in range(1, m2 + 1)]
+        speeds += [v_g + j * glide_drop / m2 for j in range(1, m2 + 1)]
         speeds += [v_c] * b2
         return GlideOutcome(cycle=DriveCycle.from_speeds(speeds), feasible=True,
                             glide_speed_mps=v_g)
 
     return GlideOutcome(cycle=gen_baseline_trajectory(sc), feasible=False)
-
-
-def _solve_glide_speed(total_m: float, v_c: float, k2: int, hold: int,
-                       m2: int, b2: int) -> float | None:
-    """Glide speed making the smoothed profile cover exactly total_m."""
-    alpha = (k2 + 1) / 2.0
-    beta = (m2 + 1) / 2.0
-    denom = alpha + hold + m2 - beta
-    if denom <= 0:
-        return None
-    return (total_m - v_c * (k2 - alpha + beta + b2)) / denom
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,51 @@ class TestOtherCommands:
         assert run_cli("demo", "--distance", 100, "--cruise", 0.2, "--green", 10,
                        "--red", 10) == 1
 
+    # Whole stdout of three scenarios, pinned: a glide, a green arrival, and
+    # a red too long for any glide, which falls back to the stop profile.
+    DEMO_GOLDEN = {
+        "glide": ((240, 12, 25, 30, 28), """\
+species,baseline_total,smoothed_total,delta_pct
+energy,27.636111111,20.952777778,-24.183335
+CO,0.170555556,0.122666667,-28.078176
+HC,0.008672222,0.007177778,-17.232543
+NOx,0.017750000,0.012805556,-27.856025
+CO2,87.458314722,66.316502500,-24.173587
+distance_m,492.000000,492.000000,
+duration_s,51,49,
+glide_used,1,8.081633,
+"""),
+        "green_arrival": ((150, 12, 30, 30, 0), """\
+species,baseline_total,smoothed_total,delta_pct
+energy,12.191666667,12.191666667,0.000000
+CO,0.064166667,0.064166667,0.000000
+HC,0.004583333,0.004583333,0.000000
+NOx,0.007333333,0.007333333,0.000000
+CO2,38.597221667,38.597221667,0.000000
+distance_m,396.000000,396.000000,
+duration_s,33,33,
+glide_used,1,12.000000,
+"""),
+        "infeasible_long_red": ((240, 12, 5, 200, 40), """\
+species,baseline_total,smoothed_total,delta_pct
+energy,44.886111111,44.886111111,0.000000
+CO,0.323888889,0.323888889,0.000000
+HC,0.022088889,0.022088889,0.000000
+NOx,0.031166667,0.031166667,0.000000
+CO2,141.949263056,141.949263056,0.000000
+distance_m,492.000000,492.000000,
+duration_s,189,189,
+glide_used,0,,
+"""),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEMO_GOLDEN))
+    def test_demo_golden_stdout(self, capsys, name):
+        (distance, cruise, green, red, offset), expected = self.DEMO_GOLDEN[name]
+        assert run_cli("demo", "--distance", distance, "--cruise", cruise, "--green", green,
+                       "--red", red, "--offset", offset) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("command", ["run", "factors"])

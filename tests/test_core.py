@@ -54,6 +54,43 @@ class TestDeriveAcceleration:
             derive_acceleration([1.0, -0.5])
 
 
+class TestDriveCycleContract:
+    """What the constructor accepts, what it rejects and in which order."""
+
+    @pytest.mark.parametrize("v, a, error, message", [
+        ([1.0, 2.0], [0.0, math.inf], InvalidSample,
+         "non-finite speed or acceleration at second 1"),
+        ([1.0, 2.0], [0.0], InvalidSample, "speeds (2,) and accelerations (1,) differ"),
+        ([[1.0, 2.0]], [[0.0, 1.0]], InvalidSample,
+         "speeds (1, 2) and accelerations (1, 2) differ"),
+        ([], [], EmptyCycle, "drive cycle has no samples"),
+        # a negative speed is reported before an earlier non-finite value
+        ([math.nan, 1.0, -2.0], [0.0, 0.0, 0.0], NegativeSpeed, "negative speed -2.0"),
+        ([1.0, 2.0], [math.nan, 0.0], InvalidSample,
+         "non-finite speed or acceleration at second 0"),
+        ([0.0, 1.0, math.inf], [0.0, 1.0, 0.0], InvalidSample,
+         "non-finite speed or acceleration at second 2"),
+        ([2.0, -math.inf], [0.0, 0.0], NegativeSpeed, "negative speed -inf"),
+    ])
+    def test_rejects(self, v, a, error, message):
+        with pytest.raises(error) as info:
+            DriveCycle(v=v, a=a)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_accepts_negative_zero_speed(self):
+        assert DriveCycle(v=[-0.0, 1.0], a=[0.0, 1.0]).v.tolist() == [0.0, 1.0]
+
+    def test_keeps_its_own_copy(self):
+        y = np.array([1.0, 2.0, 3.0])
+        direct = DriveCycle(v=y, a=np.zeros(3))
+        derived = DriveCycle.from_speeds(y)
+        y[:] = 9.0
+        assert direct.v.tolist() == [1.0, 2.0, 3.0]
+        assert derived.v.tolist() == [1.0, 2.0, 3.0]
+        assert not direct.v.flags.writeable and not derived.a.flags.writeable
+
+
 class TestComputeVsp:
     def test_zero_speed_is_zero(self, tables):
         for st_ in SourceType:
@@ -226,6 +263,18 @@ class TestAggregateCycle:
         assert result.ef is None
         assert not result.ef_defined
         assert all(rec.opmode is OpMode.IDLE for rec in result.per_second)
+
+    def test_missing_entry_names_first_missing_mode(self, tables):
+        from movestar.core import RateTable
+        broken = dict(tables.rates.entries)
+        for mode in (33, 40):
+            broken.pop((SourceType.LDV, mode))
+        table = RateTable(entries=broken, units=dict(tables.rates.units))
+        p = tables.params_for(SourceType.LDV)
+        # idle, then a 65 mph cruise (mode 33) after a hard launch (mode 40)
+        cycle = DriveCycle.from_speeds([0.0] * 3 + [65.0 * MPH] * 5)
+        with pytest.raises(MissingEntry, match=r"^no rate entry for \(LDV, opmode 40\)$"):
+            aggregate_cycle(cycle, p, table)
 
     def test_single_sample(self, tables):
         p = tables.params_for(SourceType.LDV)

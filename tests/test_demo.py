@@ -1,8 +1,10 @@
 """Intersection demo: construction invariants and the directional claim."""
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from movestar.core import OpMode, SourceType
@@ -17,6 +19,8 @@ from movestar.demo import (
     gen_smoothed_trajectory,
 )
 from movestar.errors import InfeasibleScenario
+
+from reference_demo import reference_smoothed_trajectory
 
 
 def red_arrival_scenario(**overrides):
@@ -172,6 +176,62 @@ class TestSmoothed:
                 assert len(cycle) > 0
                 assert all(s.v >= 0.0 for s in cycle.samples)
                 assert [s.t for s in cycle.samples] == list(range(len(cycle)))
+
+
+def _scenario_or_none(**kwargs):
+    try:
+        return SignalScenario(**kwargs)
+    except InfeasibleScenario:
+        return None
+
+
+# Acceptance criterion 8's ranges: a whole number of cruise seconds to the bar.
+CRITERION_8_SCENARIOS = st.builds(
+    lambda v_c, n, **kw: _scenario_or_none(approach_m=n * v_c, cruise_mps=v_c, **kw),
+    v_c=st.floats(8.0, 18.0), n=st.integers(8, 21), green_s=st.floats(15.0, 40.0),
+    red_s=st.floats(15.0, 45.0), offset_s=st.floats(0.0, 60.0))
+# The ranges of test_longest_cycle_bounds_both_cycles.
+WIDE_SCENARIOS = st.builds(
+    _scenario_or_none, approach_m=st.floats(1e-3, 1e5), cruise_mps=st.floats(2.001, 300.0),
+    green_s=st.floats(1e-3, 3e4), red_s=st.floats(1e-3, 3e4), offset_s=st.floats(-1e4, 1e4))
+
+
+def _plan(planner, sc):
+    """What a planner returns, as bytes where floats must match bit for bit,
+    or the class and message of what it raises."""
+    try:
+        out = planner(sc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    glide = out.glide_speed_mps
+    return (out.feasible, type(glide), None if glide is None else struct.pack("<d", glide),
+            out.cycle.v.tobytes())
+
+
+class TestSmoothedMatchesReference:
+    """The planner, which skips the surely early probes, against the per-probe
+    reference planner, which tries them all."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(sc=st.one_of(CRITERION_8_SCENARIOS, WIDE_SCENARIOS).filter(lambda sc: sc is not None))
+    @example(sc=green_arrival_scenario())
+    @example(sc=red_arrival_scenario())
+    @example(sc=red_arrival_scenario(green_s=5.0, red_s=200.0, offset_s=40.0))
+    # a 1 s green: the first probe that is not early at the bar comes too late
+    @example(sc=SignalScenario(approach_m=400.0, cruise_mps=13.0, green_s=1.0, red_s=31.0,
+                               offset_s=32.0))
+    # one cruise second to the bar at 300 m/s: every probe decelerates for
+    # longer than the approach, and the stop profile is too short as well
+    @example(sc=SignalScenario(approach_m=300.0, cruise_mps=300.0, green_s=10.0, red_s=30.0,
+                               offset_s=20.0))
+    # the glide meets green onset exactly, at 5.307 m/s, below the 5.326 m/s
+    # of its probe: a planner that skipped the early probes by probe speed
+    # alone would start past this one
+    @example(sc=SignalScenario(approach_m=770.0, cruise_mps=5.7, green_s=39.0, red_s=55.0,
+                               offset_s=43.0))
+    def test_same_outcome_bit_for_bit(self, sc):
+        assert _plan(gen_smoothed_trajectory, sc) == _plan(reference_smoothed_trajectory, sc)
 
 
 class TestComparison:
