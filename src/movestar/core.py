@@ -116,7 +116,8 @@ _MODE_GRID = tuple(tuple(map(OpMode, row)) for row in (
     (33, 33, 33, 35, 35, 37, 38, 39, 40),
 ))
 _MODE_GRID_IDS = np.array(_MODE_GRID, dtype=np.int64)
-# The edges as arrays for np.searchsorted, which would convert a tuple per call.
+# The edges as arrays for ndarray.searchsorted, called as a method: np.searchsorted
+# adds a Python wrapper per call, and a tuple would be converted per call.
 _SPEED_CLASS_EDGES_ARRAY = np.array(_SPEED_CLASS_EDGES_MPH)
 _VSP_BIN_EDGES_ARRAY = np.array(_VSP_BIN_EDGES)
 
@@ -238,30 +239,44 @@ class DriveCycle:
     a: np.ndarray
 
     def __post_init__(self):
-        v = _readonly(np.array(self.v, dtype=float))
-        a = _readonly(np.array(self.a, dtype=float))
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "a", a)
-        if v.size == 0:
-            raise EmptyCycle("drive cycle has no samples")
-        if v.ndim != 1 or a.shape != v.shape:
-            raise InvalidSample(f"speeds {v.shape} and accelerations {a.shape} differ")
-        # The search for the first negative speed runs only when the minimum
-        # is negative or NaN.
-        if not np.minimum.reduce(v) >= 0.0 and (v < 0.0).any():
-            raise NegativeSpeed(float(v[(v < 0.0).argmax()]))
-        finite = np.isfinite(v) & np.isfinite(a)
-        if np.count_nonzero(finite) < v.size:
-            raise InvalidSample(f"non-finite speed or acceleration at second {finite.argmin()}")
+        self._accept(np.array(self.v, dtype=float), np.array(self.a, dtype=float), check_a=True)
 
     @classmethod
     def from_speeds(cls, speeds: Sequence[float]) -> "DriveCycle":
         """Build a cycle from 1 Hz speeds in m/s, deriving accelerations.
 
         Grade is zero throughout; the first sample's acceleration is zero.
+        The speeds are copied once, and the constructor's copy is skipped.
         """
-        v = np.asarray(speeds, dtype=float)
-        return cls(v=v, a=np.concatenate(([0.0], np.diff(v))))
+        v = np.array(speeds, dtype=float)
+        if v.ndim != 1:
+            raise InvalidSample(f"speeds of shape {v.shape} are not one-dimensional")
+        a = np.zeros(v.size)
+        np.subtract(v[1:], v[:-1], out=a[1:])
+        cycle = object.__new__(cls)
+        cycle._accept(v, a, check_a=False)
+        return cycle
+
+    def _accept(self, v: np.ndarray, a: np.ndarray, check_a: bool) -> None:
+        """Take ownership of `v` and `a` if they make a valid cycle.
+
+        Two reductions accept the speeds: a NaN fails both. `a` needs its own
+        test only when the caller gave it: a forward difference of finite,
+        non-negative speeds is finite. A rejected cycle is searched for the
+        second to name, the first negative speed winning."""
+        if v.size == 0:
+            raise EmptyCycle("drive cycle has no samples")
+        if v.ndim != 1 or a.shape != v.shape:
+            raise InvalidSample(f"speeds {v.shape} and accelerations {a.shape} differ")
+        if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) < math.inf
+                and (not check_a or np.isfinite(a).all())):
+            negative = v < 0.0
+            if negative.any():
+                raise NegativeSpeed(float(v[negative.argmax()]))
+            finite = np.isfinite(v) & np.isfinite(a)
+            raise InvalidSample(f"non-finite speed or acceleration at second {finite.argmin()}")
+        object.__setattr__(self, "v", _readonly(v))
+        object.__setattr__(self, "a", _readonly(a))
 
     @cached_property
     def samples(self) -> tuple[KinematicSample, ...]:
@@ -385,11 +400,12 @@ def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray
                           soft_history: np.ndarray | bool = False) -> np.ndarray:
     """Vectorized `opmode_of`: accelerations default to zero and the
     soft-deceleration history to none."""
-    a_mphps = np.asarray(a_mps2, dtype=float) / MPS_PER_MPH
-    braking = (a_mphps <= BRAKE_DECEL_MPHPS) | (soft_history & (a_mphps < BRAKE_SOFT_DECEL_MPHPS))
-    speed_class = np.searchsorted(_SPEED_CLASS_EDGES_ARRAY, np.asarray(v_mps) / MPS_PER_MPH,
-                                  "right")
-    cells = _MODE_GRID_IDS[speed_class, np.searchsorted(_VSP_BIN_EDGES_ARRAY, vsp, "right")]
+    a_mphps = np.divide(a_mps2, MPS_PER_MPH)
+    braking = a_mphps < BRAKE_SOFT_DECEL_MPHPS
+    braking &= soft_history
+    braking |= a_mphps <= BRAKE_DECEL_MPHPS
+    speed_class = _SPEED_CLASS_EDGES_ARRAY.searchsorted(np.divide(v_mps, MPS_PER_MPH), "right")
+    cells = _MODE_GRID_IDS[speed_class, _VSP_BIN_EDGES_ARRAY.searchsorted(vsp, "right")]
     return np.where(braking, int(OpMode.BRAKING), cells)
 
 
@@ -406,6 +422,15 @@ def per_second_emissions(rate_per_hour: EmissionVector) -> EmissionVector:
     return EmissionVector(*(x / SECONDS_PER_HOUR for x in rate_per_hour.as_tuple()))
 
 
+def per_km(totals: EmissionVector, distance_m: float) -> EmissionVector | None:
+    """Emission factors, `totals` per km, or None when the distance in km is zero."""
+    km = distance_m / 1000.0
+    if km == 0.0:
+        return None
+    return EmissionVector(totals.energy / km, totals.co / km, totals.hc / km,
+                          totals.nox / km, totals.co2 / km)
+
+
 def assemble_result(modes: np.ndarray, rows: ModeRows, distance_m: float) -> CycleResult:
     """Gather each second's row by mode, then totals and per-km factors.
 
@@ -419,10 +444,8 @@ def assemble_result(modes: np.ndarray, rows: ModeRows, distance_m: float) -> Cyc
         missing = ~rows.known.take(modes)
         if missing.any():
             raise MissingEntry(rows.source_type.value, int(modes[missing.argmax()]))
-    km = distance_m / 1000.0
-    ef = None if km == 0.0 else EmissionVector(*(x / km for x in totals.as_tuple()))
     return CycleResult(modes=_readonly(modes), grams=grams, totals=totals,
-                       distance_m=distance_m, ef=ef)
+                       distance_m=distance_m, ef=per_km(totals, distance_m))
 
 
 def aggregate_cycle(cycle: DriveCycle, params: VehicleParams,
@@ -434,14 +457,14 @@ def aggregate_cycle(cycle: DriveCycle, params: VehicleParams,
     sum(v * 1 s), consistent with per-second attribution.
     """
     v, a = cycle.v, cycle.a
-    run = BRAKE_SOFT_RUN_S - 1
+    n, run = v.size, BRAKE_SOFT_RUN_S - 1
     soft = is_soft_decel(a)
-    history = np.zeros(v.size, dtype=bool)
-    if v.size > run:
+    history = np.zeros(n, dtype=bool)
+    if n > run:
         tail = history[run:]      # second t >= run: soft[t - k] for k = 1 .. run
-        tail[...] = True
-        for k in range(1, run + 1):
-            tail &= soft[run - k:v.size - k]
+        tail[...] = soft[run - 1:n - 1]
+        for k in range(2, run + 1):
+            tail &= soft[run - k:n - k]
     modes = classify_opmode_array(v, specific_power(params, v, a), a, history)
     return assemble_result(modes, rates.per_second[params.source_type],
                            float(np.add.accumulate(v)[-1]))
@@ -468,5 +491,5 @@ __all__ = [
     "DriveCycle", "SecondRecord", "CycleResult", "ModeRows",
     "derive_acceleration", "specific_power", "compute_vsp", "opmode_of", "is_soft_decel",
     "classify_opmode", "classify_opmode_array", "lookup_rate", "per_second_emissions",
-    "assemble_result", "aggregate_cycle", "mps_to_mph", "mph_to_mps", "kmh_to_mps",
+    "per_km", "assemble_result", "aggregate_cycle", "mps_to_mph", "mph_to_mps", "kmh_to_mps",
 ]

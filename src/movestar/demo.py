@@ -149,13 +149,15 @@ def gen_baseline_trajectory(sc: SignalScenario) -> DriveCycle:
 
     A green arrival produces a pure constant-speed cycle.
     """
+    # Each derived property is read once, into a local; `arrives_on_red`
+    # would derive n again.
     v_c = sc.cruise_mps
     n = sc.cruise_seconds_to_bar
     m = sc.launch_ramp_steps
     b = sc.departure_cruise_seconds
     half_m = (m + 1) // 2
 
-    if not sc.arrives_on_red:
+    if sc.is_green(float(n)):
         return DriveCycle.from_speeds([v_c] * (n + half_m + b))
 
     k = sc.stop_ramp_steps
@@ -181,14 +183,16 @@ def gen_smoothed_trajectory(sc: SignalScenario) -> GlideOutcome:
     Falls back to the baseline profile (flagged) when no glide speed within
     the comfort bounds can meet the green window at the bar.
     """
-    if not sc.arrives_on_red:
-        return GlideOutcome(cycle=gen_baseline_trajectory(sc), feasible=True,
-                            glide_speed_mps=sc.cruise_mps)
-
+    # Each derived property is read once, into a local: bar_m and total_m
+    # are `effective_approach_m` and `total_distance_m` from n.
     v_c = sc.cruise_mps
     n = sc.cruise_seconds_to_bar
-    bar_m = sc.effective_approach_m
-    total_m = sc.total_distance_m
+    if sc.is_green(float(n)):
+        return GlideOutcome(cycle=gen_baseline_trajectory(sc), feasible=True,
+                            glide_speed_mps=v_c)
+
+    bar_m = n * v_c
+    total_m = bar_m + sc.effective_departure_m
     onset = sc.next_green_onset(float(n))
     v_floor = max(GLIDE_FLOOR_MPS, GLIDE_MIN_FRACTION * v_c)
 
@@ -227,8 +231,8 @@ def gen_smoothed_trajectory(sc: SignalScenario) -> GlideOutcome:
         if v_probe >= v_top:
             continue
         drop = v_c - v_probe
-        k2 = max(1, ceil(drop / GLIDE_DECEL_MAX))
-        m2 = max(1, ceil(drop / GLIDE_ACCEL_MAX))
+        k2 = ceil(drop / GLIDE_DECEL_MAX)    # drop > 1e-9, so both are at least 1
+        m2 = ceil(drop / GLIDE_ACCEL_MAX)
         alpha = (k2 + 1) / 2.0
         dist_decel = k2 * v_c - drop * alpha
         if dist_decel > bar_m:
@@ -302,12 +306,17 @@ class ScenarioComparison:
 
 
 def compare_scenarios(sc: SignalScenario, tables: TableSet) -> ScenarioComparison:
-    """Run both trajectories through the emission engine and compare."""
+    """Run both trajectories through the emission engine and compare.
+
+    On a green arrival or an infeasible red the smoothed cycle is the
+    baseline profile, so it is built and aggregated once for both sides."""
     params = tables.params_for(sc.source_type)
-    baseline_cycle = gen_baseline_trajectory(sc)
     outcome = gen_smoothed_trajectory(sc)
-    baseline = aggregate_cycle(baseline_cycle, params, tables.rates)
     smoothed = aggregate_cycle(outcome.cycle, params, tables.rates)
+    if outcome.feasible and sc.arrives_on_red:
+        baseline = aggregate_cycle(gen_baseline_trajectory(sc), params, tables.rates)
+    else:
+        baseline = smoothed
     return ScenarioComparison(scenario=sc, baseline=baseline, smoothed=smoothed,
                               glide_used=outcome.feasible,
                               glide_speed_mps=outcome.glide_speed_mps)

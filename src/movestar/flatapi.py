@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import threading
 
-from .errors import CycleError, MovestarError, TableError
+from .core import per_km
+from .errors import CycleError, TableError
 from .session import EmissionSession, session_create
 from .tables import TableSet, load_tables_from_dir, resolve_tables_dir
 
@@ -80,17 +81,18 @@ def finalize(handle: int) -> tuple[int, float, int, float, float, float, float, 
 
     Returns (status, distance_m, ef_defined,
              ER energy..CO2, EF energy..CO2 per km; EF zeros when undefined).
+    The answer comes from the session's running totals, the same in-order
+    sums that `EmissionSession.finalize` would rebuild from every second.
     """
     session = _sessions.get(handle)
     if session is None:
         return (ERR_HANDLE, 0.0, 0) + (0.0,) * 10
-    try:
-        result = session.finalize()
-    except MovestarError:
+    if session.step_count == 0:
         return (ERR_INPUT, 0.0, 0) + (0.0,) * 10
-    ef = result.ef.as_tuple() if result.ef is not None else (0.0,) * 5
-    return (OK, result.distance_m, int(result.ef is not None)) \
-        + result.totals.as_tuple() + ef
+    totals = session.running_totals
+    ef = per_km(totals, session.distance_m)
+    return (OK, session.distance_m, int(ef is not None)) + totals.as_tuple() \
+        + (ef.as_tuple() if ef is not None else (0.0,) * 5)
 
 
 def destroy(handle: int) -> int:

@@ -78,6 +78,22 @@ class TestDriveCycleContract:
         assert type(info.value) is error
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("speeds, error, message", [
+        # a negative speed is reported before an earlier non-finite value
+        ([math.nan, 1.0, -2.0], NegativeSpeed, "negative speed -2.0"),
+        ([0.0, 1.0, math.inf], InvalidSample, "non-finite speed or acceleration at second 2"),
+        ([1.0, math.nan, 2.0], InvalidSample, "non-finite speed or acceleration at second 1"),
+        ([2.0, -math.inf], NegativeSpeed, "negative speed -inf"),
+        ([], EmptyCycle, "drive cycle has no samples"),
+        ([[1.0, 2.0]], InvalidSample, "speeds of shape (1, 2) are not one-dimensional"),
+        (5.0, InvalidSample, "speeds of shape () are not one-dimensional"),
+    ])
+    def test_from_speeds_rejects(self, speeds, error, message):
+        with pytest.raises(error) as info:
+            DriveCycle.from_speeds(speeds)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     def test_accepts_negative_zero_speed(self):
         assert DriveCycle(v=[-0.0, 1.0], a=[0.0, 1.0]).v.tolist() == [0.0, 1.0]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from movestar.core import OpMode, SourceType
+from movestar import demo
+from movestar.core import OpMode, SourceType, aggregate_cycle
 from movestar.demo import (
     GLIDE_DECEL_MAX,
     MAX_CYCLE_S,
@@ -263,6 +264,28 @@ class TestComparison:
         report = compare_scenarios(sc, tables)
         assert report.smoothed.totals.energy <= report.baseline.totals.energy
 
+    @pytest.mark.parametrize("scenario, glide_used", [
+        (green_arrival_scenario, True),
+        (red_arrival_scenario, True),
+        (lambda: red_arrival_scenario(green_s=5.0, red_s=200.0, offset_s=40.0), False),
+    ], ids=["green", "feasible_red", "infeasible_red"])
+    def test_builds_the_stop_profile_once(self, scenario, glide_used, tables, monkeypatch):
+        sc = scenario()
+        params = tables.params_for(sc.source_type)
+        baseline = aggregate_cycle(gen_baseline_trajectory(sc), params, tables.rates)
+        calls = []
+
+        def counted(sc_):
+            calls.append(sc_)
+            return gen_baseline_trajectory(sc_)
+
+        monkeypatch.setattr(demo, "gen_baseline_trajectory", counted)
+        report = compare_scenarios(sc, tables)
+        assert calls == [sc]
+        assert report.glide_used is glide_used
+        assert report.baseline.modes.tolist() == baseline.modes.tolist()
+        assert report.baseline.totals == baseline.totals
+
     def test_csv_lines_shape(self, tables):
         lines = compare_scenarios(red_arrival_scenario(), tables).csv_lines()
         assert lines[0] == "species,baseline_total,smoothed_total,delta_pct"
@@ -270,6 +293,5 @@ class TestComparison:
 
 
 def _modes(cycle, tables):
-    from movestar.core import aggregate_cycle
     result = aggregate_cycle(cycle, tables.params_for(SourceType.LDV), tables.rates)
     return {rec.opmode for rec in result.per_second}

@@ -1,5 +1,8 @@
 """Streaming session tests: batch equivalence, errors, flat surface."""
 
+import shutil
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from movestar import flatapi
 from movestar.core import DriveCycle, OpMode, SourceType, aggregate_cycle, per_second_emissions
 from movestar.errors import EmptySession, NegativeSpeed, UnknownSourceType
 from movestar.session import session_create, session_finalize, session_step
+from movestar.tables import load_tables_from_dir
 
 from conftest import FIXTURE_CYCLES
 
@@ -138,6 +142,55 @@ class TestFlatApi:
         assert flat_final[1] == result.distance_m
         assert flat_final[3:8] == result.totals.as_tuple()
         assert flat_final[8:13] == result.ef.as_tuple()
+        flatapi.destroy(handle)
+
+    @staticmethod
+    def replay(speeds, veh, tables_dir=None):
+        status, handle = flatapi.create(veh, tables_dir)
+        assert status == flatapi.OK
+        for v in speeds:
+            assert flatapi.step(handle, v)[0] == flatapi.OK
+        out = flatapi.finalize(handle)
+        flatapi.destroy(handle)
+        return out
+
+    @staticmethod
+    def batch_tuple(speeds, veh, tables):
+        st = SourceType.from_code(veh)
+        batch = aggregate_cycle(DriveCycle.from_speeds(speeds), tables.params_for(st),
+                                tables.rates)
+        ef = batch.ef.as_tuple() if batch.ef is not None else (0.0,) * 5
+        return (flatapi.OK, batch.distance_m, int(batch.ef is not None)) \
+            + batch.totals.as_tuple() + ef
+
+    @staticmethod
+    def bits(out):
+        return struct.pack("<idi10d", *out)
+
+    @pytest.mark.parametrize("veh", [1, 2])
+    def test_finalize_equals_batch_on_hour_replay(self, veh, tables):
+        rng = np.random.default_rng(60 + veh)
+        speeds = np.clip(np.abs(np.cumsum(rng.normal(0.0, 1.2, 3600))), 0.0, 42.0).tolist()
+        out = self.replay(speeds, veh)
+        assert self.bits(out) == self.bits(self.batch_tuple(speeds, veh, tables))
+
+    def test_finalize_zero_total_keeps_its_sign(self, tables_dir, tmp_path):
+        # An idle row of 0.0: a standstill trip totals +0.0 in every species.
+        shutil.copy(tables_dir / "params.csv", tmp_path / "params.csv")
+        rates = (tables_dir / "rates.csv").read_text().splitlines(keepends=True)
+        rates = ["LDV,1,0.0,0.0,0.0,0.0,0.0\n" if line.startswith("LDV,1,") else line
+                 for line in rates]
+        (tmp_path / "rates.csv").write_text("".join(rates))
+        speeds = [0.0] * 20 + [0.3, 0.0]
+        out = self.replay(speeds, 1, str(tmp_path))
+        want = self.batch_tuple(speeds, 1, load_tables_from_dir(tmp_path))
+        assert self.bits(out) == self.bits(want)
+        assert out[3:8] == (0.0,) * 5
+        assert all(str(x) == "0.0" for x in out[3:8])
+
+    def test_finalize_before_step_is_input_error(self):
+        _, handle = flatapi.create(1)
+        assert flatapi.finalize(handle) == (flatapi.ERR_INPUT, 0.0, 0) + (0.0,) * 10
         flatapi.destroy(handle)
 
     def test_bad_vehicle_code(self):
