@@ -8,8 +8,8 @@ Subcommands:
     convert          resample a sub-second trace to 1 Hz CSV
     demo             single-intersection glide-vs-stop comparison
 
-Exit codes: 0 success, 1 input (trace/cycle) error, 2 table error. argparse
-usage errors also exit 2.
+Exit codes: 0 success, 1 input (trace/cycle/scenario) error or an output
+file that cannot be written, 2 table error. argparse usage errors also exit 2.
 
 Output files are byte-deterministic: fixed column order, fixed 9-decimal
 formatting, provenance and unit headers taken verbatim from the table
@@ -28,7 +28,7 @@ from .core import CycleResult, SourceType, SPECIES_NAMES, aggregate_cycle
 from .cycleio import SUPPORTED_UNITS, load_cycle, parse_trace, resample_to_1hz, write_cycle_csv
 from .demo import SignalScenario, compare_scenarios
 from .errors import CycleError, TableError
-from .tables import TableSet, load_tables_from_dir, resolve_tables_dir, validate_table_set
+from .tables import TableSet, load_tables_from_dir, resolve_tables_dir
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -39,28 +39,14 @@ def _fmt(x: float) -> str:
     return f"{x:.9f}"
 
 
-class _Failure(Exception):
-    """An input or table problem: one `error:` line on stderr and an exit code."""
-
-    def __init__(self, what: str, exc: Exception, code: int):
-        super().__init__(f"error: {what}: {exc}")
-        self.code = code
-
-
 def _load_tables(args) -> TableSet:
-    try:
-        return load_tables_from_dir(resolve_tables_dir(getattr(args, "tables", None)))
-    except (TableError, OSError) as exc:
-        raise _Failure("tables", exc, EXIT_TABLES) from None
+    return load_tables_from_dir(resolve_tables_dir(args.tables))
 
 
 def _evaluate(args) -> tuple[TableSet, SourceType, CycleResult]:
     """Tables, source type and result for the cycle of `run` and `factors`."""
     tables = _load_tables(args)
-    try:
-        cycle = load_cycle(args.cycle, args.unit)
-    except (CycleError, OSError) as exc:
-        raise _Failure("cycle", exc, EXIT_INPUT) from None
+    cycle = load_cycle(args.cycle, args.unit)
     st = SourceType.from_code(args.veh)
     return tables, st, aggregate_cycle(cycle, tables.params_for(st), tables.rates)
 
@@ -135,22 +121,14 @@ def cmd_factors(args) -> int:
 
 def cmd_validate_tables(args) -> int:
     tables = _load_tables(args)
-    report = validate_table_set(tables)
-    if report:
-        for line in report:
-            print(line, file=sys.stderr)
-        return EXIT_TABLES
     print(f"tables OK: {resolve_tables_dir(args.tables)} ({len(tables.params)} param rows, "
           f"{len(tables.rates.entries)} rate entries)")
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    try:
-        raw = parse_trace(args.infile, args.unit)
-        cycle = resample_to_1hz(raw)
-    except (CycleError, OSError) as exc:
-        raise _Failure("trace", exc, EXIT_INPUT) from None
+    raw = parse_trace(args.infile, args.unit)
+    cycle = resample_to_1hz(raw)
     write_cycle_csv(cycle, args.outfile)
     print(f"{args.infile}: {len(raw)} samples -> {len(cycle)} s at 1 Hz -> {args.outfile}")
     return EXIT_OK
@@ -158,13 +136,10 @@ def cmd_convert(args) -> int:
 
 def cmd_demo(args) -> int:
     tables = _load_tables(args)
-    try:
-        sc = SignalScenario(approach_m=args.distance, cruise_mps=args.cruise,
-                            green_s=args.green, red_s=args.red, offset_s=args.offset,
-                            source_type=SourceType.from_code(args.veh))
-        comparison = compare_scenarios(sc, tables)
-    except CycleError as exc:
-        raise _Failure("scenario", exc, EXIT_INPUT) from None
+    sc = SignalScenario(approach_m=args.distance, cruise_mps=args.cruise,
+                        green_s=args.green, red_s=args.red, offset_s=args.offset,
+                        source_type=SourceType.from_code(args.veh))
+    comparison = compare_scenarios(sc, tables)
     for line in comparison.csv_lines():
         print(line)
     return EXIT_OK
@@ -194,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_cycle_args(p_run)
     p_run.add_argument("--out", metavar="PREFIX", default=None,
                        help="output prefix (default: cycle path without extension)")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, label="cycle")
 
     p_fac = sub.add_parser("factors", help="print per-km factors only")
     add_cycle_args(p_fac)
-    p_fac.set_defaults(func=cmd_factors)
+    p_fac.set_defaults(func=cmd_factors, label="cycle")
 
     p_val = sub.add_parser("validate-tables", help="validate a table directory")
     add_tables(p_val)
@@ -208,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--in", dest="infile", required=True, help="input trace CSV")
     p_conv.add_argument("--out", dest="outfile", required=True, help="output 1 Hz CSV")
     p_conv.add_argument("--unit", choices=SUPPORTED_UNITS, default="m/s")
-    p_conv.set_defaults(func=cmd_convert)
+    p_conv.set_defaults(func=cmd_convert, label="trace")
 
     p_demo = sub.add_parser("demo", help="glide-vs-stop intersection comparison")
     p_demo.add_argument("--distance", type=float, required=True, help="approach distance, m")
@@ -218,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--offset", type=float, default=0.0, help="signal offset, s")
     p_demo.add_argument("--veh", type=int, choices=(1, 2), default=1)
     add_tables(p_demo)
-    p_demo.set_defaults(func=cmd_demo)
+    p_demo.set_defaults(func=cmd_demo, label="scenario")
     return parser
 
 
@@ -226,9 +201,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Failure as exc:
-        print(exc, file=sys.stderr)
-        return exc.code
+    except TableError as exc:
+        print(f"error: tables: {exc}", file=sys.stderr)
+        return EXIT_TABLES
+    except CycleError as exc:        # unreadable trace files included
+        print(f"error: {args.label}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:           # reads raise the package errors above
+        print(f"error: output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import numpy as np
 from .core import DriveCycle, _readonly, kmh_to_mps, mph_to_mps
 from .errors import (
     CycleError, EmptyTrace, GapTooLarge, NegativeSpeed, NonMonotonicTime, ParseError,
+    TraceFileError,
 )
 
 SUPPORTED_UNITS = ("m/s", "mph", "km/h")
@@ -87,12 +88,15 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
     """Read a trace file, rejecting malformed rows with their line numbers.
 
     Negative speeds and non-finite or backwards timestamps are hard errors. Single-column
-    files get implicit timestamps 0, 1, 2, ...
+    files get implicit timestamps 0, 1, 2, ... An unreadable file raises TraceFileError.
     """
     if unit not in SUPPORTED_UNITS:
         raise ParseError(f"unsupported unit flag {unit!r}; expected one of {SUPPORTED_UNITS}")
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise TraceFileError(exc.errno, exc.strerror, exc.filename) from None
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

@@ -26,6 +26,10 @@ class EmptyTrace(CycleError):
     """A raw trace file contained no data rows."""
 
 
+class TraceFileError(CycleError, OSError):
+    """A trace file could not be read. Also an OSError, with its errno and filename."""
+
+
 class InvalidSample(CycleError):
     """A kinematic sample violated its preconditions (negative or non-finite)."""
 
@@ -84,6 +88,10 @@ class InfeasibleScenario(CycleError):
 
 class TableError(MovestarError):
     """Base class for coefficient/rate table problems."""
+
+
+class TableFileError(TableError, OSError):
+    """A table file could not be read. Also an OSError, with its errno and filename."""
 
 
 class TableParseError(TableError):

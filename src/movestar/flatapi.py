@@ -46,7 +46,7 @@ def create(veh_type: int, tables_dir: str | None = None) -> tuple[int, int]:
     try:
         tables = _tables(tables_dir)
         session = session_create(veh_type, tables)
-    except (TableError, OSError):
+    except TableError:
         return ERR_TABLES, 0
     with _lock:
         handle = _next_handle

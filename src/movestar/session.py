@@ -42,9 +42,10 @@ class EmissionSession:
     params: VehicleParams
     rates: RateTable
     prev_speed: float | None = None
-    distance_m: float = 0.0
+    # Sums start at -0.0 (-0.0 + x == x for every x), as the batch path's do.
+    distance_m: float = -0.0
     step_count: int = 0
-    _totals: list[float] = field(default_factory=lambda: [0.0] * 5)
+    _totals: list[float] = field(default_factory=lambda: [-0.0] * 5)
     _soft_run: int = 0      # consecutive trailing seconds of soft deceleration
     _modes: array = field(default_factory=lambda: array("b"))
     _rows: ModeRows = field(init=False, repr=False, compare=False)

@@ -23,7 +23,7 @@ from .core import (
     VALID_OPMODE_IDS,
     VehicleParams,
 )
-from .errors import IncompleteTable, SchemaError, TableParseError, UnitError
+from .errors import IncompleteTable, SchemaError, TableFileError, TableParseError, UnitError
 
 RECOGNIZED_UNITS = frozenset({"g/h", "kJ/h", "mph", "m/s", "metric_ton"})
 
@@ -50,7 +50,10 @@ def _read_rows(path: Path) -> tuple[list[tuple[int, list[str]]], list[str], dict
     rows: list[tuple[int, list[str]]] = []
     comments: list[str] = []
     units: dict[str, str] = {}
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise TableFileError(exc.errno, exc.strerror, exc.filename) from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -191,9 +194,9 @@ def validate_table_set(tables: TableSet) -> list[str]:
 def load_table_set(params_path: str | Path, rates_path: str | Path) -> TableSet:
     """Load and eagerly validate a coefficient/rate table pair.
 
-    Raises TableParseError / SchemaError / UnitError for malformed files and
-    IncompleteTable when any (source type, opmode) entry is absent; other
-    invariant breaches raise SchemaError listing every violation.
+    Raises TableFileError for unreadable files, TableParseError / SchemaError /
+    UnitError for malformed ones, IncompleteTable for a missing (source type,
+    opmode) entry and SchemaError listing every other invariant breach.
     """
     params_path, rates_path = Path(params_path), Path(rates_path)
     params, params_comments, params_units = _load_params(params_path)

@@ -286,6 +286,16 @@ class TestInputBoundary:
         out = directory / "fuzz_1hz.csv"
         assert self.exit_code("convert", "--in", path, "--out", out) in (0, 1, 2)
 
+    @pytest.mark.parametrize("command,out", [("run", "absent/x"), ("run", "a_file/x"),
+                                             ("convert", "")])
+    def test_unwritable_output_is_one_error_line(self, tmp_path, cycle_file, capsys,
+                                                 command, out):
+        (tmp_path / "a_file").write_text("")
+        source = {"run": ("--cycle", cycle_file, "--veh", "1"), "convert": ("--in", cycle_file)}
+        assert run_cli(command, *source[command], "--out", tmp_path / out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output:") and err.count("\n") == 1
+
     DEMO = {"--distance": "200", "--cruise": "15", "--green": "30", "--red": "30",
             "--offset": "0"}
 

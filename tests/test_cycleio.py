@@ -21,6 +21,7 @@ from movestar.errors import (
     NegativeSpeed,
     NonMonotonicTime,
     ParseError,
+    TraceFileError,
 )
 
 from reference_trace import reference_parse_trace
@@ -65,6 +66,13 @@ class TestParseTrace:
         path.write_bytes(b"0,1.0\n1,2.0\xff\n")
         with pytest.raises(ParseError, match="not UTF-8 text at line 2"):
             parse_trace(path, "m/s")
+
+    def test_missing_file_is_a_cycle_error_and_an_os_error(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(TraceFileError) as info:
+            parse_trace(missing, "m/s")
+        assert isinstance(info.value, CycleError) and isinstance(info.value, OSError)
+        assert str(info.value) == f"[Errno 2] No such file or directory: '{missing}'"
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyTrace):

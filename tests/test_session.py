@@ -174,19 +174,42 @@ class TestFlatApi:
         out = self.replay(speeds, veh)
         assert self.bits(out) == self.bits(self.batch_tuple(speeds, veh, tables))
 
-    def test_finalize_zero_total_keeps_its_sign(self, tables_dir, tmp_path):
-        # An idle row of 0.0: a standstill trip totals +0.0 in every species.
+    @staticmethod
+    def with_ldv_idle_row(tables_dir, tmp_path, value):
+        """A copy of the tables whose LDV idle row is `value` in every species."""
         shutil.copy(tables_dir / "params.csv", tmp_path / "params.csv")
         rates = (tables_dir / "rates.csv").read_text().splitlines(keepends=True)
-        rates = ["LDV,1,0.0,0.0,0.0,0.0,0.0\n" if line.startswith("LDV,1,") else line
-                 for line in rates]
+        row = ",".join(["LDV", "1"] + [value] * 5) + "\n"
+        rates = [row if line.startswith("LDV,1,") else line for line in rates]
         (tmp_path / "rates.csv").write_text("".join(rates))
+
+    def test_finalize_zero_total_keeps_its_sign(self, tables_dir, tmp_path):
+        # An idle row of 0.0: a standstill trip totals +0.0 in every species.
+        self.with_ldv_idle_row(tables_dir, tmp_path, "0.0")
         speeds = [0.0] * 20 + [0.3, 0.0]
         out = self.replay(speeds, 1, str(tmp_path))
         want = self.batch_tuple(speeds, 1, load_tables_from_dir(tmp_path))
         assert self.bits(out) == self.bits(want)
         assert out[3:8] == (0.0,) * 5
         assert all(str(x) == "0.0" for x in out[3:8])
+
+    def test_finalize_negative_zero_total_keeps_its_sign(self, tables_dir, tmp_path):
+        # An idle row of -0.0: the batch sums a standstill trip to -0.0.
+        self.with_ldv_idle_row(tables_dir, tmp_path, "-0.0")
+        speeds = [0.0] * 6
+        out = self.replay(speeds, 1, str(tmp_path))
+        want = self.batch_tuple(speeds, 1, load_tables_from_dir(tmp_path))
+        assert self.bits(out) == self.bits(want)
+        assert all(str(x) == "-0.0" for x in out[3:8])
+
+    def test_negative_zero_speeds_keep_the_distance_sign(self, tables):
+        speeds = [-0.0] * 3
+        out = self.replay(speeds, 1)
+        assert self.bits(out) == self.bits(self.batch_tuple(speeds, 1, tables))
+        s = session_create(SourceType.LDV, tables)
+        for v in speeds:
+            session_step(s, v)
+        assert str(session_finalize(s).distance_m) == "-0.0"
 
     def test_finalize_before_step_is_input_error(self):
         _, handle = flatapi.create(1)
@@ -200,6 +223,11 @@ class TestFlatApi:
     def test_bad_tables_dir(self):
         status, handle = flatapi.create(1, "/nonexistent/tables")
         assert status == flatapi.ERR_TABLES and handle == 0
+
+    def test_tables_dir_that_is_a_file(self, tmp_path):
+        path = tmp_path / "tables"
+        path.write_text("not a directory\n")
+        assert flatapi.create(1, str(path)) == (flatapi.ERR_TABLES, 0)
 
     def test_negative_speed_status(self):
         _, handle = flatapi.create(1)

@@ -6,6 +6,7 @@ from movestar.core import SourceType, VALID_OPMODE_IDS
 from movestar.errors import (
     IncompleteTable,
     SchemaError,
+    TableError,
     TableParseError,
     UnitError,
 )
@@ -174,8 +175,10 @@ class TestCorruptedTables:
             load_table_set(p, r)
 
     def test_missing_file(self, tmp_path, rates_path):
-        with pytest.raises(OSError):
+        with pytest.raises(OSError) as info:
             load_table_set(tmp_path / "nope.csv", rates_path)
+        assert isinstance(info.value, TableError)
+        assert info.value.filename == str(tmp_path / "nope.csv")
 
     def test_validation_reports_non_finite_values(self, tables):
         from dataclasses import replace
