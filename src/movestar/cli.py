@@ -94,9 +94,10 @@ def write_ef_csv(result: CycleResult, tables: TableSet, path: Path) -> None:
 
 def cmd_run(args) -> int:
     tables, st, result = _evaluate(args)
-    prefix = Path(args.out) if args.out else Path(args.cycle).with_suffix("")
-    er_path = prefix.parent / (prefix.name + "_ER.csv")
-    ef_path = prefix.parent / (prefix.name + "_EF.csv")
+    # The prefix is a literal string: `--out od/` writes od/_ER.csv.
+    prefix = args.out or str(Path(args.cycle).with_suffix(""))
+    er_path = Path(prefix + "_ER.csv")
+    ef_path = Path(prefix + "_EF.csv")
     write_er_csv(result, tables, er_path)
     write_ef_csv(result, tables, ef_path)
 

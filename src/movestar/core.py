@@ -195,13 +195,17 @@ SPECIES_NAMES = ("energy", "CO", "HC", "NOx", "CO2")
 
 class ModeRows(NamedTuple):
     """Per-second emission mass of each mode id `m` of one source type: row `m`
-    of `grams`, and as a shared vector `vectors[m]` (None, and `known[m]`
-    False, where the table has no entry)."""
+    of `grams`, and as a shared vector `vectors[m]`, its 5-tuple `sums[m]`
+    and the flat step result `results[m]`, `(0, m, *sums[m])` with status 0
+    (OK). Where the table has no entry, `known[m]` is False and the others
+    are None."""
 
     source_type: SourceType
     grams: np.ndarray
     known: np.ndarray
     vectors: tuple[EmissionVector | None, ...]
+    sums: tuple[tuple[float, float, float, float, float] | None, ...]
+    results: tuple[tuple[int, int, float, float, float, float, float] | None, ...]
 
 
 @dataclass(frozen=True)
@@ -224,9 +228,11 @@ class RateTable:
         for st in SourceType:
             rates = [self.entries.get((st, m)) for m in range(max(VALID_OPMODE_IDS) + 1)]
             vectors = tuple(None if r is None else per_second_emissions(r) for r in rates)
-            grams = np.array([(math.nan,) * 5 if v is None else v.as_tuple() for v in vectors])
-            known = np.array([v is not None for v in vectors])
-            out[st] = ModeRows(st, _readonly(grams), _readonly(known), vectors)
+            sums = tuple(None if v is None else v.as_tuple() for v in vectors)
+            results = tuple(None if g is None else (0, m) + g for m, g in enumerate(sums))
+            grams = np.array([(math.nan,) * 5 if g is None else g for g in sums])
+            known = np.array([g is not None for g in sums])
+            out[st] = ModeRows(st, _readonly(grams), _readonly(known), vectors, sums, results)
         return out
 
 

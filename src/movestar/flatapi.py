@@ -29,6 +29,8 @@ _lock = threading.Lock()
 _sessions: dict[int, EmissionSession] = {}
 _next_handle = 1
 _shared_tables: TableSet | None = None
+_destroyed_steps = 0                # steps of the sessions `destroy` released
+_errors = [0, 0, 0, 0]              # non-OK results, by status code
 
 
 def _tables(tables_dir: str | None) -> TableSet:
@@ -40,6 +42,13 @@ def _tables(tables_dir: str | None) -> TableSet:
     return _shared_tables
 
 
+def _error(status: int) -> int:
+    """Count one non-OK result for `stats` and return its status."""
+    with _lock:
+        _errors[status] += 1
+    return status
+
+
 def create(veh_type: int, tables_dir: str | None = None) -> tuple[int, int]:
     """Open a session. Returns (status, handle); handle is 0 on error."""
     global _next_handle
@@ -47,7 +56,7 @@ def create(veh_type: int, tables_dir: str | None = None) -> tuple[int, int]:
         tables = _tables(tables_dir)
         session = session_create(veh_type, tables)
     except TableError:
-        return ERR_TABLES, 0
+        return _error(ERR_TABLES), 0
     with _lock:
         handle = _next_handle
         _next_handle += 1
@@ -56,22 +65,24 @@ def create(veh_type: int, tables_dir: str | None = None) -> tuple[int, int]:
 
 
 def step(handle: int, speed_mps: float) -> tuple[int, int, float, float, float, float, float]:
-    """Advance one second. Returns (status, opmode, energy, CO, HC, NOx, CO2)."""
+    """Advance one second. Returns (status, opmode, energy, CO, HC, NOx, CO2).
+
+    The OK result is the table's own tuple for the mode (`ModeRows.results`,
+    whose status 0 is OK), shared by every session and step."""
     session = _sessions.get(handle)
     if session is None:
-        return ERR_HANDLE, -1, 0.0, 0.0, 0.0, 0.0, 0.0
+        return _error(ERR_HANDLE), -1, 0.0, 0.0, 0.0, 0.0, 0.0
     try:
-        mode, vec = session.step(speed_mps)
+        return session._rows.results[session._advance(speed_mps)]
     except CycleError:
-        return ERR_INPUT, -1, 0.0, 0.0, 0.0, 0.0, 0.0
-    return (OK, int(mode)) + vec.as_tuple()
+        return _error(ERR_INPUT), -1, 0.0, 0.0, 0.0, 0.0, 0.0
 
 
 def totals(handle: int) -> tuple[int, float, float, float, float, float, float]:
     """Running totals so far. Returns (status, distance_m, energy..CO2)."""
     session = _sessions.get(handle)
     if session is None:
-        return ERR_HANDLE, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+        return _error(ERR_HANDLE), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
     return (OK, session.distance_m) + session.running_totals.as_tuple()
 
 
@@ -86,9 +97,9 @@ def finalize(handle: int) -> tuple[int, float, int, float, float, float, float, 
     """
     session = _sessions.get(handle)
     if session is None:
-        return (ERR_HANDLE, 0.0, 0) + (0.0,) * 10
+        return (_error(ERR_HANDLE), 0.0, 0) + (0.0,) * 10
     if session.step_count == 0:
-        return (ERR_INPUT, 0.0, 0) + (0.0,) * 10
+        return (_error(ERR_INPUT), 0.0, 0) + (0.0,) * 10
     totals = session.running_totals
     ef = per_km(totals, session.distance_m)
     return (OK, session.distance_m, int(ef is not None)) + totals.as_tuple() \
@@ -97,8 +108,25 @@ def finalize(handle: int) -> tuple[int, float, int, float, float, float, float, 
 
 def destroy(handle: int) -> int:
     """Release a handle. Idempotent; unknown handles report ERR_HANDLE."""
+    global _destroyed_steps
     with _lock:
-        return OK if _sessions.pop(handle, None) is not None else ERR_HANDLE
+        session = _sessions.pop(handle, None)
+        if session is not None:
+            _destroyed_steps += session.step_count
+            return OK
+    return _error(ERR_HANDLE)
+
+
+def stats() -> tuple[int, int, int, int, int]:
+    """Live counters of this process's handles.
+
+    Returns (live handles, steps, ERR_INPUT results, ERR_TABLES results,
+    ERR_HANDLE results). Steps are those of the live sessions and of every
+    destroyed one; the counts of non-OK results cover every function here.
+    """
+    with _lock:
+        steps = _destroyed_steps + sum(s.step_count for s in _sessions.values())
+        return (len(_sessions), steps) + tuple(_errors[ERR_INPUT:])
 
 
 def reset_shared_tables() -> None:
@@ -108,4 +136,4 @@ def reset_shared_tables() -> None:
 
 
 __all__ = ["OK", "ERR_INPUT", "ERR_TABLES", "ERR_HANDLE",
-           "create", "step", "totals", "finalize", "destroy", "reset_shared_tables"]
+           "create", "step", "totals", "finalize", "destroy", "stats", "reset_shared_tables"]

@@ -2,8 +2,9 @@
 
 A session consumes one speed sample per call at a fixed 1 s cadence and
 returns that second's operating mode and emission mass. It shares the batch
-kernel's thresholds, VSP formula, per-mode rows and result assembler, so a
-session replaying a cycle reproduces `aggregate_cycle` bit for bit.
+kernel's thresholds, mode grid, per-mode rows and result assembler, and
+evaluates the VSP formula in `specific_power`'s operation order, so a session
+replaying a cycle reproduces `aggregate_cycle` bit for bit.
 
 Each session is single-caller; independent sessions can run concurrently
 against one shared TableSet, which is immutable after load.
@@ -13,12 +14,19 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
+    _MODE_GRID,
+    _SPEED_CLASS_EDGES_MPH,
+    _VSP_BIN_EDGES,
+    BRAKE_DECEL_MPHPS,
+    BRAKE_SOFT_DECEL_MPHPS,
     BRAKE_SOFT_RUN_S,
+    MPS_PER_MPH,
     CycleResult,
     EmissionVector,
     ModeRows,
@@ -27,12 +35,13 @@ from .core import (
     SourceType,
     VehicleParams,
     assemble_result,
-    is_soft_decel,
-    opmode_of,
-    specific_power,
 )
 from .errors import EmptySession, InvalidSample, MissingEntry, NegativeSpeed, UnknownSourceType
 from .tables import TableSet
+
+# A second is braking by the soft rule when it and the run of soft
+# decelerations before it make BRAKE_SOFT_RUN_S seconds.
+_SOFT_HISTORY_RUN = BRAKE_SOFT_RUN_S - 1
 
 
 @dataclass(slots=True)
@@ -63,30 +72,50 @@ class EmissionSession:
         The caller contract is a fixed 1 s cadence; the session does not
         resample. On an error the session is left unchanged.
         """
-        if speed_mps < 0.0:
-            raise NegativeSpeed(speed_mps)
-        if not math.isfinite(speed_mps):
+        mode = self._advance(speed_mps)
+        return mode, self._rows.vectors[mode]
+
+    def _advance(self, speed_mps: float) -> OpMode:
+        """One second of `step` in straight-line code; returns the mode.
+
+        The decision is `opmode_of(v, a, specific_power(params, v, a),
+        soft_history)` with `a / MPS_PER_MPH` computed once; VSP keeps
+        `specific_power`'s operation order, its zero-grade term being 0.0,
+        so the result is bit for bit the same. State changes only after the
+        last check has passed."""
+        if not 0.0 <= speed_mps < math.inf:
+            if speed_mps < 0.0:
+                raise NegativeSpeed(speed_mps)
             raise InvalidSample(f"non-finite speed {speed_mps!r}")
         v = float(speed_mps)
-        a = 0.0 if self.prev_speed is None else v - self.prev_speed
-        soft_history = self._soft_run >= BRAKE_SOFT_RUN_S - 1
-        mode = opmode_of(v, a, specific_power(self.params, v, a), soft_history)
-        vec = self._rows.vectors[mode]
-        if vec is None:
+        prev = self.prev_speed
+        a = 0.0 if prev is None else v - prev
+        a_mphps = a / MPS_PER_MPH
+        soft = a_mphps < BRAKE_SOFT_DECEL_MPHPS
+        if a_mphps <= BRAKE_DECEL_MPHPS or (soft and self._soft_run >= _SOFT_HISTORY_RUN):
+            mode = OpMode.BRAKING
+        else:
+            p = self.params
+            vsp = (p.A * v + p.B * v * v + p.C * v * v * v + p.M * (a + 0.0) * v) / p.f
+            mode = _MODE_GRID[bisect_right(_SPEED_CLASS_EDGES_MPH, v / MPS_PER_MPH)][
+                bisect_right(_VSP_BIN_EDGES, vsp)]
+        grams = self._rows.sums[mode]
+        if grams is None:
             raise MissingEntry(self.params.source_type.value, int(mode))
 
+        e, co, hc, nox, co2 = grams
         t = self._totals
-        t[0] += vec.energy
-        t[1] += vec.co
-        t[2] += vec.hc
-        t[3] += vec.nox
-        t[4] += vec.co2
+        t[0] += e
+        t[1] += co
+        t[2] += hc
+        t[3] += nox
+        t[4] += co2
         self._modes.append(mode)
-        self._soft_run = self._soft_run + 1 if is_soft_decel(a) else 0
+        self._soft_run = self._soft_run + 1 if soft else 0
         self.distance_m += v
         self.prev_speed = v
         self.step_count += 1
-        return mode, vec
+        return mode
 
     def finalize(self) -> CycleResult:
         """Close the session and return the same result shape as the batch path."""

@@ -55,6 +55,18 @@ class TestRun:
             b = (tmp_path / ("b" + suffix)).read_bytes()
             assert a == b
 
+    def test_out_prefix_is_a_literal_string(self, cycle_file, tmp_path, capsys):
+        # A prefix ending in "/" names files inside that directory.
+        od = tmp_path / "od"
+        od.mkdir()
+        assert run_cli("run", "--cycle", cycle_file, "--veh", "1", "--out", f"{od}/") == 0
+        assert sorted(p.name for p in od.iterdir()) == ["_EF.csv", "_ER.csv"]
+        assert not (tmp_path / "od_ER.csv").exists()
+        assert f"{od}/_ER.csv, {od}/_EF.csv" in capsys.readouterr().out
+        assert run_cli("run", "--cycle", cycle_file, "--veh", "1", "--out", od / "x") == 0
+        for suffix in ("_ER.csv", "_EF.csv"):
+            assert (od / ("x" + suffix)).read_bytes() == (od / suffix).read_bytes()
+
     def test_veh_selects_truck(self, cycle_file, tmp_path):
         assert run_cli("run", "--cycle", cycle_file, "--veh", "1",
                        "--out", tmp_path / "ldv") == 0

@@ -1,18 +1,80 @@
 """Streaming session tests: batch equivalence, errors, flat surface."""
 
+import math
 import shutil
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movestar import flatapi
-from movestar.core import DriveCycle, OpMode, SourceType, aggregate_cycle, per_second_emissions
-from movestar.errors import EmptySession, NegativeSpeed, UnknownSourceType
-from movestar.session import session_create, session_finalize, session_step
+from movestar.core import (
+    BRAKE_SOFT_RUN_S,
+    DriveCycle,
+    OpMode,
+    RateTable,
+    SourceType,
+    aggregate_cycle,
+    is_soft_decel,
+    opmode_of,
+    per_second_emissions,
+    specific_power,
+)
+from movestar.errors import EmptySession, MissingEntry, NegativeSpeed, UnknownSourceType
+from movestar.session import EmissionSession, session_create, session_finalize, session_step
 from movestar.tables import load_tables_from_dir
 
-from conftest import FIXTURE_CYCLES
+from conftest import FIXTURE_CYCLES, MPH
+
+
+def around(x):
+    """`x` and the floats one ulp either side of it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+EDGE_SPEEDS = [v for mph in (1.0, 25.0, 50.0) for v in around(mph * MPH)] + [0.0, -0.0]
+EDGE_ACCELS = [a for mphps in (-2.0, -1.0) for a in around(mphps * MPH)] + [0.0, -0.0]
+VSP_EDGES = (0.0, 3.0, 6.0, 9.0, 12.0, 18.0, 24.0, 30.0)
+SOFT_STEP = 1.5 * MPH       # a deceleration of 1.5 mph/s: soft, not braking
+
+
+def prev_at_vsp_edge(params, v, edge, below):
+    """The previous speed whose step to `v` puts VSP on the smallest float at
+    or above `edge` (or, `below`, on the largest float under it)."""
+    p = params
+    prev = v - (edge * p.f - (p.A * v + p.B * v * v + p.C * v * v * v)) / (p.M * v)
+    for _ in range(64):     # VSP falls as `prev` rises
+        if prev < 0.0:
+            return 0.0
+        up = math.nextafter(prev, math.inf)
+        if specific_power(p, v, v - prev) < edge:
+            prev = math.nextafter(prev, -math.inf)
+        elif specific_power(p, v, v - up) >= edge:
+            prev = up
+        else:
+            break
+    return up if below else prev
+
+
+def approach(params, run, v, target):
+    """Speeds that end at `v` after `run` soft decelerations and then one
+    second whose acceleration is `target`: ("a", value), or ("vsp", edge,
+    below), which puts VSP just at or just under that bin edge."""
+    if target[0] == "vsp" and v > 0.0:
+        prev = prev_at_vsp_edge(params, v, *target[1:])
+    else:
+        prev = max(v - (target[1] if target[0] == "a" else 0.0), 0.0)
+    return [prev + j * SOFT_STEP for j in range(run, 0, -1)] + [prev, v]
+
+
+segments = st.tuples(
+    st.sampled_from([0, 1, 2, 3]),
+    st.one_of(st.sampled_from(EDGE_SPEEDS), st.floats(0.0, 40.0)),
+    st.one_of(st.sampled_from(EDGE_ACCELS).map(lambda a: ("a", a)),
+              st.tuples(st.just("vsp"), st.sampled_from(VSP_EDGES), st.booleans())),
+)
 
 
 class TestSessionBasics:
@@ -46,6 +108,17 @@ class TestSessionBasics:
         snapshot = (s.step_count, s.prev_speed, s.distance_m, s.running_totals)
         with pytest.raises(NegativeSpeed):
             session_step(s, -1.0)
+        assert (s.step_count, s.prev_speed, s.distance_m, s.running_totals) == snapshot
+
+    def test_missing_entry_leaves_session_unchanged(self, tables):
+        broken = dict(tables.rates.entries)
+        broken.pop((SourceType.LDV, 12))
+        rates = RateTable(entries=broken, units=dict(tables.rates.units))
+        s = EmissionSession(params=tables.params_for(SourceType.LDV), rates=rates)
+        session_step(s, 0.0)
+        snapshot = (s.step_count, s.prev_speed, s.distance_m, s.running_totals)
+        with pytest.raises(MissingEntry, match=r"^no rate entry for \(LDV, opmode 12\)$"):
+            session_step(s, 0.5)
         assert (s.step_count, s.prev_speed, s.distance_m, s.running_totals) == snapshot
 
     def test_finalize_before_step(self, tables):
@@ -109,6 +182,35 @@ class TestStreamBatchEquivalence:
         mode_b, _ = session_step(b, 0.0)
         assert mode_b is OpMode.IDLE
         assert b.step_count == 1 and a.step_count == 2
+
+
+class TestSharedClassifier:
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(segments, min_size=1, max_size=4))
+    def test_every_step_is_the_shared_classifier(self, parts, tables):
+        """Session and flat steps give `opmode_of`'s mode and its table row
+        at the speed-class, braking and VSP-bin edges, after soft runs."""
+        params = tables.params_for(SourceType.LDV)
+        rows = tables.rates.per_second[SourceType.LDV]
+        speeds = [v for part in parts for v in approach(params, *part)]
+        s = session_create(SourceType.LDV, tables)
+        _, handle = flatapi.create(1)
+        accels, prev = [], None
+        try:
+            for v in speeds:
+                a = 0.0 if prev is None else v - prev
+                recent = accels[-(BRAKE_SOFT_RUN_S - 1):]
+                soft_history = (len(recent) == BRAKE_SOFT_RUN_S - 1
+                                and all(map(is_soft_decel, recent)))
+                want = opmode_of(v, a, specific_power(params, v, a), soft_history)
+                mode, vec = session_step(s, v)
+                assert mode is want
+                assert vec == rows.vectors[want]
+                assert flatapi.step(handle, v) == (flatapi.OK, int(want)) + vec.as_tuple()
+                accels.append(a)
+                prev = v
+        finally:
+            flatapi.destroy(handle)
 
 
 class TestFlatApi:
@@ -239,3 +341,53 @@ class TestFlatApi:
         assert flatapi.step(999_999, 1.0)[0] == flatapi.ERR_HANDLE
         assert flatapi.finalize(999_999)[0] == flatapi.ERR_HANDLE
         assert flatapi.totals(999_999)[0] == flatapi.ERR_HANDLE
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_speed_leaves_the_session_unchanged(self, bad):
+        _, handle = flatapi.create(1)
+        for v in (5.0, 7.5):
+            flatapi.step(handle, v)
+        session = flatapi._sessions[handle]
+        before = (flatapi.totals(handle), session.step_count, session.prev_speed)
+        assert flatapi.step(handle, bad) == (flatapi.ERR_INPUT, -1, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert (flatapi.totals(handle), session.step_count, session.prev_speed) == before
+        flatapi.destroy(handle)
+
+    @pytest.mark.parametrize("speed,as_float", [(np.float64(12.5), 12.5), (12, 12.0),
+                                                (-0.0, 0.0)])
+    def test_speed_types_give_the_float_result(self, speed, as_float):
+        results = []
+        for first in (speed, as_float):
+            _, handle = flatapi.create(1)
+            results.append([flatapi.step(handle, v) for v in (first, 10.0)])
+            flatapi.destroy(handle)
+        assert results[0] == results[1]
+        for out in results[0] + [flatapi.step(999_999, 1.0)]:
+            assert type(out[0]) is int and type(out[1]) is int
+
+    def test_stats_counts_handles_steps_and_errors(self):
+        live, steps, *errors = flatapi.stats()
+        _, a = flatapi.create(1)
+        _, b = flatapi.create(2)
+        for v in (0.0, 1.0, 2.0):
+            flatapi.step(a, v)
+        flatapi.step(b, 4.0)
+        flatapi.totals(a)
+        flatapi.finalize(a)
+        assert flatapi.stats() == (live + 2, steps + 4, *errors)
+
+        flatapi.step(a, -1.0)
+        flatapi.step(a, math.nan)
+        assert flatapi.destroy(a) == flatapi.OK
+        flatapi.step(a, 1.0)
+        flatapi.totals(a)
+        flatapi.finalize(a)
+        flatapi.destroy(a)
+        flatapi.create(9)
+        _, c = flatapi.create(1)
+        flatapi.finalize(c)
+        assert flatapi.stats() == (live + 2, steps + 4,
+                                   errors[0] + 3, errors[1] + 1, errors[2] + 4)
+        flatapi.destroy(b)
+        flatapi.destroy(c)
+        assert flatapi.stats()[:2] == (live, steps + 4)
