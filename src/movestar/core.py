@@ -15,13 +15,14 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyCycle, InvalidSample, MissingEntry, NegativeSpeed, UnknownSourceType
+from .errors import (EmptyCycle, IncompleteTable, InvalidSample, MissingEntry, NegativeSpeed,
+                     UnknownSourceType)
 
 # Exact statute conversion; all mph thresholds below are converted with it.
 MPS_PER_MPH = 0.44704
@@ -197,12 +198,11 @@ class ModeRows(NamedTuple):
     """Per-second emission mass of each mode id `m` of one source type: row `m`
     of `grams`, and as a shared vector `vectors[m]`, its 5-tuple `sums[m]`
     and the flat step result `results[m]`, `(0, m, *sums[m])` with status 0
-    (OK). Where the table has no entry, `known[m]` is False and the others
-    are None."""
+    (OK). An id without a table entry, which is never an operating mode, has
+    a NaN row and None in the others."""
 
     source_type: SourceType
     grams: np.ndarray
-    known: np.ndarray
     vectors: tuple[EmissionVector | None, ...]
     sums: tuple[tuple[float, float, float, float, float] | None, ...]
     results: tuple[tuple[int, int, float, float, float, float, float] | None, ...]
@@ -221,9 +221,21 @@ class RateTable:
             units=dict(self.units),
         )
 
+    def missing(self) -> list[tuple[str, int]]:
+        """The (source type, operating mode) pairs without an entry, in
+        source type then mode order."""
+        return [(st.value, mode) for st in SourceType for mode in VALID_OPMODE_IDS
+                if (st, mode) not in self.entries]
+
     @cached_property
     def per_second(self) -> dict[SourceType, ModeRows]:
-        """Per-second rows of each source type, built once per table."""
+        """Per-second rows of each source type, built once per table.
+
+        Raises IncompleteTable if any operating mode lacks an entry, so every
+        mode a cycle or session can reach has a row."""
+        missing = self.missing()
+        if missing:
+            raise IncompleteTable(missing)
         out = {}
         for st in SourceType:
             rates = [self.entries.get((st, m)) for m in range(max(VALID_OPMODE_IDS) + 1)]
@@ -231,58 +243,44 @@ class RateTable:
             sums = tuple(None if v is None else v.as_tuple() for v in vectors)
             results = tuple(None if g is None else (0, m) + g for m, g in enumerate(sums))
             grams = np.array([(math.nan,) * 5 if g is None else g for g in sums])
-            known = np.array([g is not None for g in sums])
-            out[st] = ModeRows(st, _readonly(grams), _readonly(known), vectors, sums, results)
+            out[st] = ModeRows(st, _readonly(grams), vectors, sums, results)
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class DriveCycle:
-    """A validated 1 Hz drive cycle: read-only speeds `v` (m/s, non-negative)
-    and accelerations `a` (m/s^2), both finite and of one length."""
+    """A validated 1 Hz drive cycle built from its speeds: read-only speeds
+    `v` (m/s, finite, non-negative) and their forward-difference
+    accelerations `a` (m/s^2, the first zero). Grade is zero throughout."""
 
     v: np.ndarray
-    a: np.ndarray
+    a: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self._accept(np.array(self.v, dtype=float), np.array(self.a, dtype=float), check_a=True)
-
-    @classmethod
-    def from_speeds(cls, speeds: Sequence[float]) -> "DriveCycle":
-        """Build a cycle from 1 Hz speeds in m/s, deriving accelerations.
-
-        Grade is zero throughout; the first sample's acceleration is zero.
-        The speeds are copied once, and the constructor's copy is skipped.
-        """
-        v = np.array(speeds, dtype=float)
+        """Copy the speeds once; two reductions accept them (a NaN fails
+        both), and only a rejected cycle is searched for the second to name,
+        the first negative speed winning. A forward difference of finite,
+        non-negative speeds is finite, so `a` needs no test."""
+        v = np.array(self.v, dtype=float)
         if v.ndim != 1:
             raise InvalidSample(f"speeds of shape {v.shape} are not one-dimensional")
-        a = np.zeros(v.size)
-        np.subtract(v[1:], v[:-1], out=a[1:])
-        cycle = object.__new__(cls)
-        cycle._accept(v, a, check_a=False)
-        return cycle
-
-    def _accept(self, v: np.ndarray, a: np.ndarray, check_a: bool) -> None:
-        """Take ownership of `v` and `a` if they make a valid cycle.
-
-        Two reductions accept the speeds: a NaN fails both. `a` needs its own
-        test only when the caller gave it: a forward difference of finite,
-        non-negative speeds is finite. A rejected cycle is searched for the
-        second to name, the first negative speed winning."""
         if v.size == 0:
             raise EmptyCycle("drive cycle has no samples")
-        if v.ndim != 1 or a.shape != v.shape:
-            raise InvalidSample(f"speeds {v.shape} and accelerations {a.shape} differ")
-        if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) < math.inf
-                and (not check_a or np.isfinite(a).all())):
+        if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) < math.inf):
             negative = v < 0.0
             if negative.any():
                 raise NegativeSpeed(float(v[negative.argmax()]))
-            finite = np.isfinite(v) & np.isfinite(a)
-            raise InvalidSample(f"non-finite speed or acceleration at second {finite.argmin()}")
+            raise InvalidSample(
+                f"non-finite speed or acceleration at second {np.isfinite(v).argmin()}")
+        a = np.zeros(v.size)
+        np.subtract(v[1:], v[:-1], out=a[1:])
         object.__setattr__(self, "v", _readonly(v))
         object.__setattr__(self, "a", _readonly(a))
+
+    @classmethod
+    def from_speeds(cls, speeds: Sequence[float]) -> "DriveCycle":
+        """Build a cycle from 1 Hz speeds in m/s; the same as `DriveCycle(speeds)`."""
+        return cls(speeds)
 
     @cached_property
     def samples(self) -> tuple[KinematicSample, ...]:
@@ -441,15 +439,9 @@ def assemble_result(modes: np.ndarray, rows: ModeRows, distance_m: float) -> Cyc
     """Gather each second's row by mode, then totals and per-km factors.
 
     Totals, like `distance_m`, are in-order sums (`np.add.accumulate`, which
-    `np.cumsum` calls); `np.sum` may add pairwise and round differently. The
-    row of a mode missing from the table is NaN, so only a NaN total calls
-    for the search of a missing mode."""
+    `np.cumsum` calls); `np.sum` may add pairwise and round differently."""
     grams = _readonly(rows.grams.take(modes, axis=0))
     totals = EmissionVector(*np.add.accumulate(grams, axis=0)[-1].tolist())
-    if any(map(math.isnan, totals.as_tuple())):
-        missing = ~rows.known.take(modes)
-        if missing.any():
-            raise MissingEntry(rows.source_type.value, int(modes[missing.argmax()]))
     return CycleResult(modes=_readonly(modes), grams=grams, totals=totals,
                        distance_m=distance_m, ef=per_km(totals, distance_m))
 

@@ -6,7 +6,7 @@ vehicle; independent handles share one immutable table set.
 
 Status codes:
     0  OK
-    1  bad input (negative speed, empty session)
+    1  bad input (negative, non-finite or non-number speed, empty session)
     2  table problem (unknown vehicle code, unloadable tables)
     3  bad handle
 """
@@ -74,7 +74,10 @@ def step(handle: int, speed_mps: float) -> tuple[int, int, float, float, float, 
         return _error(ERR_HANDLE), -1, 0.0, 0.0, 0.0, 0.0, 0.0
     try:
         return session._rows.results[session._advance(speed_mps)]
-    except CycleError:
+    except (CycleError, TypeError, ValueError, OverflowError):
+        # A non-number speed fails the range test or `float()` before any
+        # state changes: TypeError (str, None, list, complex), ValueError (an
+        # array of several values), OverflowError (an int past float range).
         return _error(ERR_INPUT), -1, 0.0, 0.0, 0.0, 0.0, 0.0
 
 

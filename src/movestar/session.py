@@ -36,7 +36,7 @@ from .core import (
     VehicleParams,
     assemble_result,
 )
-from .errors import EmptySession, InvalidSample, MissingEntry, NegativeSpeed, UnknownSourceType
+from .errors import EmptySession, InvalidSample, NegativeSpeed, UnknownSourceType
 from .tables import TableSet
 
 # A second is braking by the soft rule when it and the run of soft
@@ -46,21 +46,28 @@ _SOFT_HISTORY_RUN = BRAKE_SOFT_RUN_S - 1
 
 @dataclass(slots=True)
 class EmissionSession:
-    """Incremental pipeline state for one simulated vehicle; one byte per step."""
+    """Incremental pipeline state for one simulated vehicle; one byte per step.
+
+    Built from `params` and `rates` alone; the running state starts empty.
+    Building it raises IncompleteTable if `rates` lacks an operating mode."""
 
     params: VehicleParams
     rates: RateTable
-    prev_speed: float | None = None
+    prev_speed: float | None = field(init=False, default=None)
     # Sums start at -0.0 (-0.0 + x == x for every x), as the batch path's do.
-    distance_m: float = -0.0
-    step_count: int = 0
-    _totals: list[float] = field(default_factory=lambda: [-0.0] * 5)
-    _soft_run: int = 0      # consecutive trailing seconds of soft deceleration
-    _modes: array = field(default_factory=lambda: array("b"))
+    distance_m: float = field(init=False, default=-0.0)
+    _totals: list[float] = field(init=False, default_factory=lambda: [-0.0] * 5)
+    _soft_run: int = field(init=False, default=0)   # trailing seconds of soft deceleration
+    _modes: array = field(init=False, default_factory=lambda: array("b"))
     _rows: ModeRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._rows = self.rates.per_second[self.params.source_type]
+
+    @property
+    def step_count(self) -> int:
+        """Seconds stepped so far."""
+        return len(self._modes)
 
     @property
     def running_totals(self) -> EmissionVector:
@@ -99,11 +106,7 @@ class EmissionSession:
             vsp = (p.A * v + p.B * v * v + p.C * v * v * v + p.M * (a + 0.0) * v) / p.f
             mode = _MODE_GRID[bisect_right(_SPEED_CLASS_EDGES_MPH, v / MPS_PER_MPH)][
                 bisect_right(_VSP_BIN_EDGES, vsp)]
-        grams = self._rows.sums[mode]
-        if grams is None:
-            raise MissingEntry(self.params.source_type.value, int(mode))
-
-        e, co, hc, nox, co2 = grams
+        e, co, hc, nox, co2 = self._rows.sums[mode]
         t = self._totals
         t[0] += e
         t[1] += co
@@ -114,7 +117,6 @@ class EmissionSession:
         self._soft_run = self._soft_run + 1 if soft else 0
         self.distance_m += v
         self.prev_speed = v
-        self.step_count += 1
         return mode
 
     def finalize(self) -> CycleResult:

@@ -23,7 +23,8 @@ from .core import (
     VALID_OPMODE_IDS,
     VehicleParams,
 )
-from .errors import IncompleteTable, SchemaError, TableFileError, TableParseError, UnitError
+from .errors import (IncompleteTable, SchemaError, TableFileError, TableParseError, UnitError,
+                     UnknownSourceType)
 
 RECOGNIZED_UNITS = frozenset({"g/h", "kJ/h", "mph", "m/s", "metric_ton"})
 
@@ -122,7 +123,7 @@ def _data_rows(path: Path, header: list[str]):
                                   f"expected {len(header)} columns, got {len(cells)}")
         try:
             st = SourceType.from_token(cells[0])
-        except Exception:
+        except UnknownSourceType:
             raise TableParseError(str(path), lineno,
                                   f"unknown source_type {cells[0]!r}") from None
         out.append((lineno, st, cells[1:]))
@@ -169,9 +170,7 @@ def validate_table_set(tables: TableSet) -> list[str]:
             report.append(f"params: row keyed {st.value} carries {p.source_type.value}")
         report.extend(p.violations())
 
-    missing = [(st.value, mode) for st in SourceType for mode in VALID_OPMODE_IDS
-               if (st, mode) not in tables.rates.entries]
-    for st_token, mode in missing:
+    for st_token, mode in tables.rates.missing():
         report.append(f"rates: missing entry ({st_token}, {mode})")
     for (st, mode), vec in tables.rates.entries.items():
         if mode not in VALID_OPMODE_IDS:
@@ -209,8 +208,7 @@ def load_table_set(params_path: str | Path, rates_path: str | Path) -> TableSet:
                       rates=RateTable(entries=entries, units=units),
                       provenance=provenance)
 
-    missing = [(st.value, mode) for st in SourceType for mode in VALID_OPMODE_IDS
-               if (st, mode) not in entries]
+    missing = tables.rates.missing()
     if missing:
         raise IncompleteTable(missing)
     report = validate_table_set(tables)

@@ -22,7 +22,7 @@ from movestar.core import (
     per_second_emissions,
     specific_power,
 )
-from movestar.errors import EmptySession, MissingEntry, NegativeSpeed, UnknownSourceType
+from movestar.errors import EmptySession, IncompleteTable, NegativeSpeed, UnknownSourceType
 from movestar.session import EmissionSession, session_create, session_finalize, session_step
 from movestar.tables import load_tables_from_dir
 
@@ -114,12 +114,10 @@ class TestSessionBasics:
         broken = dict(tables.rates.entries)
         broken.pop((SourceType.LDV, 12))
         rates = RateTable(entries=broken, units=dict(tables.rates.units))
-        s = EmissionSession(params=tables.params_for(SourceType.LDV), rates=rates)
-        session_step(s, 0.0)
-        snapshot = (s.step_count, s.prev_speed, s.distance_m, s.running_totals)
-        with pytest.raises(MissingEntry, match=r"^no rate entry for \(LDV, opmode 12\)$"):
-            session_step(s, 0.5)
-        assert (s.step_count, s.prev_speed, s.distance_m, s.running_totals) == snapshot
+        with pytest.raises(IncompleteTable) as info:
+            EmissionSession(params=tables.params_for(SourceType.LDV), rates=rates)
+        assert info.value.missing == [("LDV", 12)]
+        assert str(info.value) == "rate table incomplete; missing entries: (LDV, 12)"
 
     def test_finalize_before_step(self, tables):
         s = session_create(SourceType.LDV, tables)
@@ -211,6 +209,30 @@ class TestSharedClassifier:
                 prev = v
         finally:
             flatapi.destroy(handle)
+
+    # Two LDV seconds whose VSP sits on a bin edge only in `specific_power`'s
+    # operation order: summed as C v^3 + B v^2 + A v + M a v, the first reads
+    # 2.9999999999999996 (mode 22) and the second 9.0 (mode 25).
+    @pytest.mark.parametrize("speeds, vsp, mode", [
+        ([15.66801702180043, 15.651101682448285], "3.0", OpMode.MID_VSP_3_6),
+        ([19.52145102237396, 19.71594388402388], "8.999999999999998", OpMode.MID_VSP_6_9),
+    ])
+    def test_vsp_operation_order_decides_the_bin(self, speeds, vsp, mode, tables):
+        p = tables.params_for(SourceType.LDV)
+        v, a = speeds[1], speeds[1] - speeds[0]
+        assert repr(specific_power(p, v, a)) == vsp
+        reordered = (p.C * v * v * v + p.B * v * v + p.A * v + p.M * a * v) / p.f
+        assert opmode_of(v, a, reordered) is not mode
+        s = session_create(SourceType.LDV, tables)
+        _, handle = flatapi.create(1)
+        try:
+            assert [session_step(s, x)[0] for x in speeds][1] is mode
+            assert [flatapi.step(handle, x)[1] for x in speeds][1] == mode
+        finally:
+            flatapi.destroy(handle)
+        batch = aggregate_cycle(DriveCycle(speeds), p, tables.rates)
+        assert batch.modes[1] == mode
+        assert session_finalize(s).totals == batch.totals
 
 
 class TestFlatApi:
@@ -352,6 +374,21 @@ class TestFlatApi:
         assert flatapi.step(handle, bad) == (flatapi.ERR_INPUT, -1, 0.0, 0.0, 0.0, 0.0, 0.0)
         assert (flatapi.totals(handle), session.step_count, session.prev_speed) == before
         flatapi.destroy(handle)
+
+    @pytest.mark.parametrize("bad", ["5", None, [1.0], 1j, np.array([1.0, 2.0]), 10**400],
+                             ids=["str", "None", "list", "complex", "array", "big_int"])
+    def test_non_number_speed_is_input_status(self, bad, tables):
+        _, handle = flatapi.create(1)
+        flatapi.step(handle, 5.0)
+        session = flatapi._sessions[handle]
+        before = (flatapi.totals(handle), session.step_count, session.prev_speed)
+        errors = flatapi.stats()[2]
+        assert flatapi.step(handle, bad) == (flatapi.ERR_INPUT, -1, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert flatapi.stats()[2] == errors + 1
+        assert (flatapi.totals(handle), session.step_count, session.prev_speed) == before
+        flatapi.destroy(handle)
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            session_step(session_create(SourceType.LDV, tables), bad)
 
     @pytest.mark.parametrize("speed,as_float", [(np.float64(12.5), 12.5), (12, 12.0),
                                                 (-0.0, 0.0)])
