@@ -17,11 +17,7 @@ from .core import (
     SourceType,
     VehicleParams,
     aggregate_cycle,
-    classify_opmode,
     classify_opmode_array,
-    compute_vsp,
-    derive_acceleration,
-    lookup_rate,
     per_second_emissions,
 )
 from .cycleio import RawTrace, load_cycle, parse_trace, resample_to_1hz
@@ -36,13 +32,12 @@ from .tables import (
     validate_table_set,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CycleResult", "DriveCycle", "EmissionVector", "KinematicSample", "OpMode",
     "RateTable", "SecondRecord", "SourceType", "VehicleParams",
-    "aggregate_cycle", "classify_opmode", "classify_opmode_array", "compute_vsp",
-    "derive_acceleration", "lookup_rate", "per_second_emissions",
+    "aggregate_cycle", "classify_opmode_array", "per_second_emissions",
     "RawTrace", "load_cycle", "parse_trace", "resample_to_1hz",
     "SignalScenario", "compare_scenarios", "gen_baseline_trajectory",
     "gen_smoothed_trajectory",

@@ -1,32 +1,36 @@
-"""Pure per-second emission computation: VSP, operating modes, rate lookup.
+"""Pure per-second emission computation: VSP, operating modes, rate rows.
 
 The pipeline turns a 1 Hz speed trace into per-second operating modes and
 emission mass flows:
 
     speed -> acceleration -> VSP -> operating mode -> base rate -> g/s
 
-Everything here is a pure function over immutable inputs; no I/O. Speeds and
-accelerations are SI (m/s, m/s^2). Operating-mode thresholds are defined in
-mph per the MOVES convention and converted at the boundary.
+`aggregate_cycle` runs it as array operations over a whole `DriveCycle`;
+`session.EmissionSession` runs the same decision one second at a time. VSP is
+MOVESTAR's flat-road formula. Everything here is a pure function over
+immutable inputs; no I/O. Speeds and accelerations are SI (m/s, m/s^2).
+Operating-mode thresholds are defined in mph per the MOVES convention and
+converted at the boundary.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (EmptyCycle, IncompleteTable, InvalidSample, MissingEntry, NegativeSpeed,
-                     UnknownSourceType)
+from .errors import EmptyCycle, IncompleteTable, InvalidSample, NegativeSpeed, UnknownSourceType
 
 # Exact statute conversion; all mph thresholds below are converted with it.
 MPS_PER_MPH = 0.44704
-GRAVITY_MPS2 = 9.8
+
+# The highest accepted speed, checked once where speeds enter a cycle or a
+# session; it keeps every VSP term, distance and total finite.
+MAX_SPEED_MPS = 100.0
 
 # Operating-mode decision constants (mph domain, MOVES convention).
 # Braking wins over idle; bins are lower-inclusive, upper-exclusive.
@@ -154,12 +158,11 @@ class VehicleParams:
 
 @dataclass(frozen=True)
 class KinematicSample:
-    """One second of vehicle state: time index, speed, acceleration, grade."""
+    """One second of vehicle state: time index, speed, acceleration."""
 
     t: int
     v: float            # m/s
     a: float            # m/s^2
-    grade: float = 0.0  # road grade angle theta, radians
 
 
 @dataclass(frozen=True)
@@ -177,18 +180,8 @@ class EmissionVector:
     nox: float
     co2: float
 
-    def __add__(self, other: "EmissionVector") -> "EmissionVector":
-        return EmissionVector(*(x + y for x, y in zip(self.as_tuple(), other.as_tuple())))
-
-    def scaled(self, k: float) -> "EmissionVector":
-        return EmissionVector(*(x * k for x in self.as_tuple()))
-
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.energy, self.co, self.hc, self.nox, self.co2)
-
-    @classmethod
-    def zero(cls) -> "EmissionVector":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 SPECIES_NAMES = ("energy", "CO", "HC", "NOx", "CO2")
@@ -196,15 +189,13 @@ SPECIES_NAMES = ("energy", "CO", "HC", "NOx", "CO2")
 
 class ModeRows(NamedTuple):
     """Per-second emission mass of each mode id `m` of one source type: row `m`
-    of `grams`, and as a shared vector `vectors[m]`, its 5-tuple `sums[m]`
-    and the flat step result `results[m]`, `(0, m, *sums[m])` with status 0
-    (OK). An id without a table entry, which is never an operating mode, has
-    a NaN row and None in the others."""
+    of `grams`, and as a shared vector `vectors[m]` and the flat step result
+    `results[m]`, `(0, m, *vectors[m].as_tuple())` with status 0 (OK). An id
+    without a table entry, which is never an operating mode, has a NaN row and
+    None in the others."""
 
-    source_type: SourceType
     grams: np.ndarray
     vectors: tuple[EmissionVector | None, ...]
-    sums: tuple[tuple[float, float, float, float, float] | None, ...]
     results: tuple[tuple[int, int, float, float, float, float, float] | None, ...]
 
 
@@ -214,12 +205,6 @@ class RateTable:
 
     entries: Mapping[tuple[SourceType, int], EmissionVector]
     units: Mapping[str, str]
-
-    def scaled(self, k: float) -> "RateTable":
-        return RateTable(
-            entries={key: vec.scaled(k) for key, vec in self.entries.items()},
-            units=dict(self.units),
-        )
 
     def missing(self) -> list[tuple[str, int]]:
         """The (source type, operating mode) pairs without an entry, in
@@ -243,35 +228,39 @@ class RateTable:
             sums = tuple(None if v is None else v.as_tuple() for v in vectors)
             results = tuple(None if g is None else (0, m) + g for m, g in enumerate(sums))
             grams = np.array([(math.nan,) * 5 if g is None else g for g in sums])
-            out[st] = ModeRows(st, _readonly(grams), vectors, sums, results)
+            out[st] = ModeRows(_readonly(grams), vectors, results)
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class DriveCycle:
     """A validated 1 Hz drive cycle built from its speeds: read-only speeds
-    `v` (m/s, finite, non-negative) and their forward-difference
-    accelerations `a` (m/s^2, the first zero). Grade is zero throughout."""
+    `v` (m/s, from 0 to MAX_SPEED_MPS) and their forward-difference
+    accelerations `a` (m/s^2, the first zero)."""
 
     v: np.ndarray
     a: np.ndarray = field(init=False)
 
     def __post_init__(self):
         """Copy the speeds once; two reductions accept them (a NaN fails
-        both), and only a rejected cycle is searched for the second to name,
-        the first negative speed winning. A forward difference of finite,
-        non-negative speeds is finite, so `a` needs no test."""
+        both), and only a rejected cycle is searched for the second to name:
+        the first negative speed wins, then the first non-finite one, then
+        the first over MAX_SPEED_MPS. A forward difference of speeds in range
+        is finite, so `a` needs no test."""
         v = np.array(self.v, dtype=float)
         if v.ndim != 1:
             raise InvalidSample(f"speeds of shape {v.shape} are not one-dimensional")
         if v.size == 0:
             raise EmptyCycle("drive cycle has no samples")
-        if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) < math.inf):
+        if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) <= MAX_SPEED_MPS):
             negative = v < 0.0
             if negative.any():
                 raise NegativeSpeed(float(v[negative.argmax()]))
-            raise InvalidSample(
-                f"non-finite speed or acceleration at second {np.isfinite(v).argmin()}")
+            finite = np.isfinite(v)
+            if not finite.all():
+                raise InvalidSample(f"non-finite speed or acceleration at second {finite.argmin()}")
+            second = int((v > MAX_SPEED_MPS).argmax())
+            raise _over_speed_limit(float(v[second]), second)
         a = np.zeros(v.size)
         np.subtract(v[1:], v[:-1], out=a[1:])
         object.__setattr__(self, "v", _readonly(v))
@@ -342,43 +331,22 @@ def _readonly(x: np.ndarray) -> np.ndarray:
 # Operations
 # ---------------------------------------------------------------------------
 
-def derive_acceleration(speeds: Sequence[float]) -> list[float]:
-    """Forward-difference accelerations for a 1 Hz speed sequence.
+def _over_speed_limit(speed: float, second: int) -> InvalidSample:
+    """The error for a finite `speed` over MAX_SPEED_MPS at `second`."""
+    return InvalidSample(
+        f"speed {speed!r} at second {second} is over the {MAX_SPEED_MPS!r} m/s limit")
 
-    a(t) = v(t) - v(t-1) with dt = 1 s; the first sample gets a = 0 since it
-    has no predecessor.
+
+def specific_power(params: VehicleParams, v, a):
+    """Vehicle specific power in kW per metric ton on a flat road, on floats
+    or arrays alike; callers check the inputs.
+
+    VSP = (A*v + B*v^2 + C*v^3 + M*a*v) / f
     """
-    return DriveCycle.from_speeds(speeds).a.tolist()
-
-
-def specific_power(params: VehicleParams, v, a, grade: float = 0.0):
-    """The VSP formula on floats or arrays alike; callers check the inputs."""
     return (params.A * v
             + params.B * v * v
             + params.C * v * v * v
-            + params.M * (a + GRAVITY_MPS2 * math.sin(grade)) * v) / params.f
-
-
-def compute_vsp(sample: KinematicSample, params: VehicleParams) -> float:
-    """Vehicle specific power in kW per metric ton.
-
-    VSP = (A*v + B*v^2 + C*v^3 + M*(a + g*sin(theta))*v) / f
-    """
-    v, a = sample.v, sample.a
-    if not (math.isfinite(v) and math.isfinite(a)) or v < 0.0:
-        raise InvalidSample(f"bad kinematic sample v={v!r} a={a!r}")
-    return specific_power(params, v, a, sample.grade)
-
-
-def opmode_of(v_mps: float, a_mps2: float, vsp: float, soft_history: bool = False) -> OpMode:
-    """Operating mode of one second. `soft_history` is whether the previous
-    BRAKE_SOFT_RUN_S - 1 seconds were all soft decelerations (is_soft_decel).
-    Braking wins; otherwise the mode is the speed-class / VSP-bin cell."""
-    a_mphps = a_mps2 / MPS_PER_MPH
-    if a_mphps <= BRAKE_DECEL_MPHPS or (soft_history and a_mphps < BRAKE_SOFT_DECEL_MPHPS):
-        return OpMode.BRAKING
-    return _MODE_GRID[bisect_right(_SPEED_CLASS_EDGES_MPH, v_mps / MPS_PER_MPH)][
-        bisect_right(_VSP_BIN_EDGES, vsp)]
+            + params.M * a * v) / params.f
 
 
 def is_soft_decel(a_mps2):
@@ -386,24 +354,13 @@ def is_soft_decel(a_mps2):
     return a_mps2 / MPS_PER_MPH < BRAKE_SOFT_DECEL_MPHPS
 
 
-def classify_opmode(sample: KinematicSample, vsp: float,
-                    history: Sequence[float] = ()) -> OpMode:
-    """Map one second of driving onto its operating mode.
-
-    `history` holds up to the two previous accelerations (m/s^2, oldest
-    first); with fewer than two the consecutive-deceleration rule cannot
-    fire. Every (v >= 0, finite a, finite vsp) input maps to exactly one
-    mode.
-    """
-    recent = list(history)[-(BRAKE_SOFT_RUN_S - 1):]
-    soft = len(recent) == BRAKE_SOFT_RUN_S - 1 and all(map(is_soft_decel, recent))
-    return opmode_of(sample.v, sample.a, vsp, soft)
-
-
 def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray | float = 0.0,
                           soft_history: np.ndarray | bool = False) -> np.ndarray:
-    """Vectorized `opmode_of`: accelerations default to zero and the
-    soft-deceleration history to none."""
+    """Operating mode of each second: braking if `a_mps2` is at or under
+    BRAKE_DECEL_MPHPS, or under BRAKE_SOFT_DECEL_MPHPS where `soft_history`
+    (the previous BRAKE_SOFT_RUN_S - 1 seconds were all soft decelerations,
+    `is_soft_decel`); otherwise the speed-class / VSP-bin cell of the mode
+    grid. Accelerations default to zero and the history to none."""
     a_mphps = np.divide(a_mps2, MPS_PER_MPH)
     braking = a_mphps < BRAKE_SOFT_DECEL_MPHPS
     braking &= soft_history
@@ -411,14 +368,6 @@ def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray
     speed_class = _SPEED_CLASS_EDGES_ARRAY.searchsorted(np.divide(v_mps, MPS_PER_MPH), "right")
     cells = _MODE_GRID_IDS[speed_class, _VSP_BIN_EDGES_ARRAY.searchsorted(vsp, "right")]
     return np.where(braking, int(OpMode.BRAKING), cells)
-
-
-def lookup_rate(mode: OpMode, params: VehicleParams, rates: RateTable) -> EmissionVector:
-    """Per-hour base rates for one (mode, source type). No interpolation."""
-    try:
-        return rates.entries[(params.source_type, int(mode))]
-    except KeyError:
-        raise MissingEntry(params.source_type.value, int(mode)) from None
 
 
 def per_second_emissions(rate_per_hour: EmissionVector) -> EmissionVector:
@@ -468,10 +417,6 @@ def aggregate_cycle(cycle: DriveCycle, params: VehicleParams,
                            float(np.add.accumulate(v)[-1]))
 
 
-def mps_to_mph(v: float) -> float:
-    return v / MPS_PER_MPH
-
-
 def mph_to_mps(v: float) -> float:
     return v * MPS_PER_MPH
 
@@ -481,13 +426,12 @@ def kmh_to_mps(v: float) -> float:
 
 
 __all__ = [
-    "MPS_PER_MPH", "GRAVITY_MPS2", "SECONDS_PER_HOUR",
+    "MPS_PER_MPH", "MAX_SPEED_MPS", "SECONDS_PER_HOUR",
     "IDLE_MAX_MPH", "LOW_SPEED_MAX_MPH", "MID_SPEED_MAX_MPH",
     "BRAKE_DECEL_MPHPS", "BRAKE_SOFT_DECEL_MPHPS", "BRAKE_SOFT_RUN_S",
     "SourceType", "OpMode", "VALID_OPMODE_IDS", "SPECIES_NAMES",
     "VehicleParams", "KinematicSample", "EmissionVector", "RateTable",
     "DriveCycle", "SecondRecord", "CycleResult", "ModeRows",
-    "derive_acceleration", "specific_power", "compute_vsp", "opmode_of", "is_soft_decel",
-    "classify_opmode", "classify_opmode_array", "lookup_rate", "per_second_emissions",
-    "per_km", "assemble_result", "aggregate_cycle", "mps_to_mph", "mph_to_mps", "kmh_to_mps",
+    "specific_power", "is_soft_decel", "classify_opmode_array", "per_second_emissions",
+    "per_km", "assemble_result", "aggregate_cycle", "mph_to_mps", "kmh_to_mps",
 ]

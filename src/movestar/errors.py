@@ -124,15 +124,6 @@ class UnitError(TableError):
         super().__init__(f"unknown unit token {token!r}")
 
 
-class MissingEntry(TableError):
-    """A rate lookup hit a hole in the table (corrupted table only)."""
-
-    def __init__(self, source_type: str, opmode: int):
-        self.source_type = source_type
-        self.opmode = opmode
-        super().__init__(f"no rate entry for ({source_type}, opmode {opmode})")
-
-
 class UnknownSourceType(TableError):
     """A vehicle type token or code outside the supported set."""
 

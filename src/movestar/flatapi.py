@@ -6,7 +6,8 @@ vehicle; independent handles share one immutable table set.
 
 Status codes:
     0  OK
-    1  bad input (negative, non-finite or non-number speed, empty session)
+    1  bad input (negative, non-finite, over-limit or non-number speed, empty
+       session)
     2  table problem (unknown vehicle code, unloadable tables)
     3  bad handle
 """

@@ -26,6 +26,7 @@ from .core import (
     BRAKE_DECEL_MPHPS,
     BRAKE_SOFT_DECEL_MPHPS,
     BRAKE_SOFT_RUN_S,
+    MAX_SPEED_MPS,
     MPS_PER_MPH,
     CycleResult,
     EmissionVector,
@@ -34,6 +35,7 @@ from .core import (
     RateTable,
     SourceType,
     VehicleParams,
+    _over_speed_limit,
     assemble_result,
 )
 from .errors import EmptySession, InvalidSample, NegativeSpeed, UnknownSourceType
@@ -85,15 +87,17 @@ class EmissionSession:
     def _advance(self, speed_mps: float) -> OpMode:
         """One second of `step` in straight-line code; returns the mode.
 
-        The decision is `opmode_of(v, a, specific_power(params, v, a),
-        soft_history)` with `a / MPS_PER_MPH` computed once; VSP keeps
-        `specific_power`'s operation order, its zero-grade term being 0.0,
-        so the result is bit for bit the same. State changes only after the
-        last check has passed."""
-        if not 0.0 <= speed_mps < math.inf:
+        The decision is `classify_opmode_array`'s for one second: the
+        braking rules on `a / MPS_PER_MPH`, computed once, then the cell of
+        the shared mode grid. VSP keeps `specific_power`'s operation order,
+        so the mode is bit for bit the batch kernel's. State changes only
+        after the last check has passed."""
+        if not 0.0 <= speed_mps <= MAX_SPEED_MPS:
             if speed_mps < 0.0:
                 raise NegativeSpeed(speed_mps)
-            raise InvalidSample(f"non-finite speed {speed_mps!r}")
+            if not math.isfinite(speed_mps):
+                raise InvalidSample(f"non-finite speed {speed_mps!r}")
+            raise _over_speed_limit(float(speed_mps), len(self._modes))
         v = float(speed_mps)
         prev = self.prev_speed
         a = 0.0 if prev is None else v - prev
@@ -103,10 +107,10 @@ class EmissionSession:
             mode = OpMode.BRAKING
         else:
             p = self.params
-            vsp = (p.A * v + p.B * v * v + p.C * v * v * v + p.M * (a + 0.0) * v) / p.f
+            vsp = (p.A * v + p.B * v * v + p.C * v * v * v + p.M * a * v) / p.f
             mode = _MODE_GRID[bisect_right(_SPEED_CLASS_EDGES_MPH, v / MPS_PER_MPH)][
                 bisect_right(_VSP_BIN_EDGES, vsp)]
-        e, co, hc, nox, co2 = self._rows.sums[mode]
+        _, _, e, co, hc, nox, co2 = self._rows.results[mode]
         t = self._totals
         t[0] += e
         t[1] += co

@@ -1,5 +1,6 @@
 import pytest
 
+from movestar.core import EmissionVector, RateTable
 from movestar.tables import default_tables_dir, load_default_tables
 
 MPH = 0.44704
@@ -25,6 +26,21 @@ FIXTURE_CYCLES = {
     "sawtooth_0_30_0": sawtooth_speeds(),
     "gentle_decel": gentle_decel_speeds(),
 }
+
+
+def in_order_sum(vectors) -> EmissionVector:
+    """Each species of `vectors` summed in order from -0.0, as totals are."""
+    acc = [-0.0] * 5
+    for vec in vectors:
+        acc = [t + x for t, x in zip(acc, vec.as_tuple())]
+    return EmissionVector(*acc)
+
+
+def scaled_rates(rates: RateTable, k: float) -> RateTable:
+    """`rates` with every value multiplied by `k`."""
+    return RateTable(entries={key: EmissionVector(*(x * k for x in vec.as_tuple()))
+                              for key, vec in rates.entries.items()},
+                     units=dict(rates.units))
 
 
 @pytest.fixture(scope="session")

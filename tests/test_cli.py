@@ -276,6 +276,16 @@ class TestInputBoundary:
         assert run_cli("convert", "--in", path, "--out", tmp_path / "out.csv") == 1
         assert capsys.readouterr().err.startswith("error: trace: gap of")
 
+    @pytest.mark.parametrize("speed", ["1e300", "1e308"])
+    def test_speed_over_the_limit_is_input_error(self, tmp_path, capsys, speed):
+        path = tmp_path / "fast.csv"
+        path.write_text(f"0,1.0\n1,{speed}\n")
+        assert run_cli("factors", "--cycle", path, "--veh", "1") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: cycle: speed {float(speed)!r} at second 1 "
+                       "is over the 100.0 m/s limit\n")
+
     TOKENS = [b"nan", b"inf", b"-inf", b"5e-324", b"1e18", b"-1e18", b"1e308", b"t", b"#",
               b",", b"\n", b"\xff", b"0", b"1.5", b"-1", b" "]
 
@@ -286,7 +296,6 @@ class TestInputBoundary:
         except SystemExit as exc:
             return exc.code
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # 1e308 overflows, exit 0
     @settings(max_examples=200, deadline=None)
     @given(body=st.one_of(st.binary(max_size=64),
                           st.lists(st.sampled_from(TOKENS), max_size=20).map(b"".join)))

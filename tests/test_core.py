@@ -8,51 +8,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movestar.core import (
+    MAX_SPEED_MPS,
     EmissionVector,
     DriveCycle,
-    KinematicSample,
     OpMode,
     SourceType,
     VALID_OPMODE_IDS,
     VehicleParams,
     aggregate_cycle,
-    classify_opmode,
     classify_opmode_array,
-    compute_vsp,
-    derive_acceleration,
-    lookup_rate,
-    opmode_of,
     per_second_emissions,
+    specific_power,
 )
-from movestar.errors import (EmptyCycle, IncompleteTable, InvalidSample, MissingEntry,
-                             NegativeSpeed)
+from movestar.errors import EmptyCycle, IncompleteTable, InvalidSample, NegativeSpeed
 
+from conftest import in_order_sum, scaled_rates
 from reference_pipeline import MPH, opmode_from_mph, run_reference, vsp_si
 
+ZERO = EmissionVector(0.0, 0.0, 0.0, 0.0, 0.0)
 
-def sample(v, a=0.0, t=0, grade=0.0):
-    return KinematicSample(t=t, v=v, a=a, grade=grade)
+
+def mode_of(v, vsp, a=0.0):
+    """The kernel's mode of one second with no soft-deceleration history."""
+    return OpMode(classify_opmode_array(np.array([v]), np.array([vsp]), np.array([a]))[0])
 
 
 class TestDeriveAcceleration:
     def test_constant_speed(self):
-        assert derive_acceleration([5.0, 5.0, 5.0]) == [0.0, 0.0, 0.0]
+        assert DriveCycle([5.0, 5.0, 5.0]).a.tolist() == [0.0, 0.0, 0.0]
 
     def test_forward_difference(self):
-        assert derive_acceleration([0.0, 2.0, 3.0]) == [0.0, 2.0, 1.0]
+        assert DriveCycle([0.0, 2.0, 3.0]).a.tolist() == [0.0, 2.0, 1.0]
 
     def test_sawtooth_matches_independent_diff(self, fixture_cycle):
         _, speeds = fixture_cycle
         expected = [0.0] + [speeds[i] - speeds[i - 1] for i in range(1, len(speeds))]
-        assert derive_acceleration(speeds) == expected
+        assert DriveCycle(speeds).a.tolist() == expected
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCycle):
-            derive_acceleration([])
+            DriveCycle([])
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeSpeed):
-            derive_acceleration([1.0, -0.5])
+            DriveCycle([1.0, -0.5])
 
 
 class TestDriveCycleContract:
@@ -67,12 +66,22 @@ class TestDriveCycleContract:
         ([], EmptyCycle, "drive cycle has no samples"),
         ([[1.0, 2.0]], InvalidSample, "speeds of shape (1, 2) are not one-dimensional"),
         (5.0, InvalidSample, "speeds of shape () are not one-dimensional"),
+        # a speed over the limit is reported after any negative or non-finite one
+        ([0.0, 100.0, math.nextafter(100.0, math.inf)], InvalidSample,
+         "speed 100.00000000000001 at second 2 is over the 100.0 m/s limit"),
+        ([1.0, 1e300, 200.0], InvalidSample,
+         "speed 1e+300 at second 1 is over the 100.0 m/s limit"),
+        ([200.0, math.nan, -1.0], NegativeSpeed, "negative speed -1.0"),
+        ([200.0, 1.0, math.inf], InvalidSample, "non-finite speed or acceleration at second 2"),
     ])
     def test_from_speeds_rejects(self, speeds, error, message):
         with pytest.raises(error) as info:
             DriveCycle.from_speeds(speeds)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    def test_accepts_the_speed_limit(self):
+        assert DriveCycle([0.0, MAX_SPEED_MPS]).v.tolist() == [0.0, 100.0]
 
     def test_accepts_negative_zero_speed(self):
         for build in (DriveCycle, DriveCycle.from_speeds):
@@ -94,11 +103,11 @@ class TestComputeVsp:
     def test_zero_speed_is_zero(self, tables):
         for st_ in SourceType:
             p = tables.params_for(st_)
-            assert compute_vsp(sample(0.0, a=3.0), p) == 0.0
+            assert specific_power(p, 0.0, 3.0) == 0.0
 
     def test_reduces_to_rolling_term(self):
         p = VehicleParams(SourceType.LDV, A=1.0, B=0.0, C=0.0, M=1.0, f=1.0)
-        assert compute_vsp(sample(1.0), p) == pytest.approx(1.0, abs=0)
+        assert specific_power(p, 1.0, 0.0) == pytest.approx(1.0, abs=0)
 
     def test_ldv_hand_evaluation(self, tables):
         # independent evaluation of the formula with explicit constants
@@ -106,49 +115,38 @@ class TestComputeVsp:
         v, a = 10.0, 0.5
         expected = (0.156461 * 10.0 + 0.00200193 * 100.0 + 0.000492646 * 1000.0
                     + 1.4788 * 0.5 * 10.0) / 1.4788
-        assert compute_vsp(sample(v, a), p) == pytest.approx(expected, rel=1e-15)
-
-    def test_grade_term(self, tables):
-        p = tables.params_for(SourceType.LDV)
-        theta = 0.02
-        flat = compute_vsp(sample(10.0, 0.0), p)
-        sloped = compute_vsp(sample(10.0, 0.0, grade=theta), p)
-        assert sloped - flat == pytest.approx(
-            p.M * 9.8 * math.sin(theta) * 10.0 / p.f, rel=1e-12)
-
-    def test_invalid_sample(self, tables):
-        p = tables.params_for(SourceType.LDV)
-        with pytest.raises(InvalidSample):
-            compute_vsp(sample(-1.0), p)
-        with pytest.raises(InvalidSample):
-            compute_vsp(sample(float("nan")), p)
+        assert specific_power(p, v, a) == pytest.approx(expected, rel=1e-15)
 
     @given(v=st.floats(0.0, 60.0), a1=st.floats(-8.0, 8.0), a2=st.floats(-8.0, 8.0))
     def test_linear_in_acceleration(self, v, a1, a2, tables):
         p = tables.params_for(SourceType.LDT)
-        lhs = compute_vsp(sample(v, a2), p) - compute_vsp(sample(v, a1), p)
+        lhs = specific_power(p, v, a2) - specific_power(p, v, a1)
         rhs = p.M * (a2 - a1) * v / p.f
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestClassifyOpmode:
     def test_standstill_is_idle(self):
-        assert classify_opmode(sample(0.0, 0.0), vsp=0.0) is OpMode.IDLE
+        assert mode_of(0.0, 0.0) is OpMode.IDLE
 
     def test_low_speed_negative_vsp_is_coasting(self):
-        assert classify_opmode(sample(5.0, -0.1), vsp=-1.0) is OpMode.LOW_COAST
+        assert mode_of(5.0, -1.0, a=-0.1) is OpMode.LOW_COAST
 
     def test_hard_braking_beats_everything(self):
-        assert classify_opmode(sample(20.0, -1.0), vsp=-12.0) is OpMode.BRAKING
+        assert mode_of(20.0, -12.0, a=-1.0) is OpMode.BRAKING
         # braking precedence holds even inside the idle band
-        assert classify_opmode(sample(0.2, -1.0), vsp=0.0) is OpMode.BRAKING
+        assert mode_of(0.2, 0.0, a=-1.0) is OpMode.BRAKING
 
-    def test_soft_braking_needs_three_seconds(self):
-        v, a = 10.0, -0.6  # -1.34 mph/s
-        assert classify_opmode(sample(v, a), vsp=-2.0) is not OpMode.BRAKING
-        assert classify_opmode(sample(v, a), vsp=-2.0, history=[a]) is not OpMode.BRAKING
-        assert classify_opmode(sample(v, a), vsp=-2.0, history=[a, a]) is OpMode.BRAKING
-        assert classify_opmode(sample(v, a), vsp=-2.0, history=[0.0, a]) is not OpMode.BRAKING
+    def test_soft_braking_needs_three_seconds(self, tables):
+        # Each speed step below is -0.6 m/s^2, -1.34 mph/s: soft, not hard braking.
+        p = tables.params_for(SourceType.LDV)
+
+        def last_mode(speeds):
+            return aggregate_cycle(DriveCycle(speeds), p, tables.rates).modes[-1]
+
+        assert last_mode([12.6, 12.0, 11.4, 10.8]) == OpMode.BRAKING
+        assert last_mode([12.0, 12.0, 11.4, 10.8]) != OpMode.BRAKING
+        assert last_mode([12.0, 11.4, 10.8]) != OpMode.BRAKING
 
     @pytest.mark.parametrize("v_mph,vsp,expected", [
         (0.5, 0.0, 1),
@@ -162,31 +160,19 @@ class TestClassifyOpmode:
         (60.0, 18.0, 38), (60.0, 24.0, 39), (60.0, 30.0, 40),
     ])
     def test_bin_cells(self, v_mph, vsp, expected):
-        mode = classify_opmode(sample(v_mph * MPH, 0.0), vsp=vsp)
-        assert int(mode) == expected
+        assert int(mode_of(v_mph * MPH, vsp)) == expected
 
     def test_grid_against_independent_transcription(self):
-        for v_mph in np.arange(0.0, 90.0, 0.7):
-            for vsp in np.arange(-38.0, 42.0, 0.9):
-                got = classify_opmode(sample(float(v_mph) * MPH, 0.0), vsp=float(vsp))
-                want = opmode_from_mph(float(v_mph), 0.0, [], float(vsp))
-                assert int(got) == want
+        v_mph, vsp = (g.ravel() for g in np.meshgrid(np.arange(0.0, 90.0, 0.7),
+                                                     np.arange(-38.0, 42.0, 0.9)))
+        got = classify_opmode_array(v_mph * MPH, vsp)
+        for i in range(v_mph.size):
+            assert got[i] == opmode_from_mph(float(v_mph[i]), 0.0, [], float(vsp[i]))
 
     @given(v=st.floats(0.0, 80.0), a=st.floats(-10.0, 10.0),
            vsp=st.floats(-60.0, 60.0))
     def test_totality(self, v, a, vsp):
-        mode = classify_opmode(sample(v, a), vsp=vsp)
-        assert int(mode) in VALID_OPMODE_IDS
-
-    def test_array_classifier_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        v = rng.uniform(0.0, 45.0, 4000)
-        vsp = rng.uniform(-40.0, 45.0, 4000)
-        a = rng.uniform(-5.0, 5.0, 4000)
-        got = classify_opmode_array(v, vsp, a)
-        for i in range(len(v)):
-            scalar = classify_opmode(sample(float(v[i]), float(a[i])), float(vsp[i]))
-            assert got[i] == int(scalar)
+        assert int(mode_of(v, vsp, a)) in VALID_OPMODE_IDS
 
     def test_array_classifier_with_history_matches_scalar(self):
         rng = np.random.default_rng(11)
@@ -198,22 +184,22 @@ class TestClassifyOpmode:
         a = rng.choice([-1.0, -0.6, -0.2, 0.0, 0.5], v.size) * rng.uniform(0.5, 1.5, v.size)
         soft_history = rng.random(v.size) < 0.5
         got = classify_opmode_array(v, vsp, a, soft_history)
+        # a history of two soft decelerations (-1.5 mph/s) where soft_history is set
         for i in range(v.size):
-            scalar = opmode_of(float(v[i]), float(a[i]), float(vsp[i]), bool(soft_history[i]))
-            assert got[i] == int(scalar)
+            prev2 = [-1.5, -1.5] if soft_history[i] else []
+            assert got[i] == opmode_from_mph(float(v[i]) / MPH, float(a[i]) / MPH, prev2,
+                                             float(vsp[i]))
         assert {0, 1, 11, 16, 21, 30, 33, 40} <= set(got.tolist())
 
 
 class TestRates:
     def test_idle_row_verbatim(self, tables):
-        p = tables.params_for(SourceType.LDV)
-        row = lookup_rate(OpMode.IDLE, p, tables.rates)
-        assert row == tables.rates.entries[(SourceType.LDV, 1)]
+        row = tables.rates.per_second[SourceType.LDV].vectors[OpMode.IDLE]
+        assert row == per_second_emissions(tables.rates.entries[(SourceType.LDV, 1)])
 
     def test_top_row_verbatim_ldt(self, tables):
-        p = tables.params_for(SourceType.LDT)
-        row = lookup_rate(OpMode.HIGH_VSP_30_UP, p, tables.rates)
-        assert row == tables.rates.entries[(SourceType.LDT, 40)]
+        row = tables.rates.per_second[SourceType.LDT].vectors[OpMode.HIGH_VSP_30_UP]
+        assert row == per_second_emissions(tables.rates.entries[(SourceType.LDT, 40)])
 
     def test_energy_monotone_with_power_bin(self, tables):
         for st_ in SourceType:
@@ -221,23 +207,8 @@ class TestRates:
             e16 = tables.rates.entries[(st_, 16)].energy
             assert e16 >= e12
 
-    def test_missing_entry_reachable_only_with_corrupt_table(self, tables):
-        from movestar.core import RateTable
-        broken = dict(tables.rates.entries)
-        broken.pop((SourceType.LDV, 33))
-        table = RateTable(entries=broken, units=dict(tables.rates.units))
-        p = tables.params_for(SourceType.LDV)
-        with pytest.raises(MissingEntry):
-            lookup_rate(OpMode.HIGH_VSP_LT_6, p, table)
-
-    @given(parts=st.lists(st.floats(0.0, 1e6), min_size=10, max_size=10))
-    def test_vector_addition_commutes(self, parts):
-        a = EmissionVector(*parts[:5])
-        b = EmissionVector(*parts[5:])
-        assert a + b == b + a
-
     def test_per_second_zero(self):
-        assert per_second_emissions(EmissionVector.zero()) == EmissionVector.zero()
+        assert per_second_emissions(ZERO) == ZERO
 
     def test_per_second_unit_arithmetic(self):
         vec = EmissionVector(0.0, 0.0, 0.0, 0.0, 3600.0)
@@ -255,10 +226,7 @@ class TestAggregateCycle:
         cycle = DriveCycle.from_speeds([0.0] * 10)
         result = aggregate_cycle(cycle, p, tables.rates)
         idle = per_second_emissions(tables.rates.entries[(SourceType.LDV, 1)])
-        expected = EmissionVector.zero()
-        for _ in range(10):
-            expected = expected + idle
-        assert result.totals == expected
+        assert result.totals == in_order_sum([idle] * 10)
         assert result.ef is None
         assert not result.ef_defined
         assert all(rec.opmode is OpMode.IDLE for rec in result.per_second)
@@ -298,10 +266,7 @@ class TestAggregateCycle:
         _, speeds = fixture_cycle
         p = tables.params_for(SourceType.LDT)
         result = aggregate_cycle(DriveCycle.from_speeds(speeds), p, tables.rates)
-        acc = EmissionVector.zero()
-        for rec in result.per_second:
-            acc = acc + rec.emissions
-        assert acc == result.totals
+        assert in_order_sum(rec.emissions for rec in result.per_second) == result.totals
 
     def test_ef_identity(self, tables):
         p = tables.params_for(SourceType.LDV)
@@ -316,7 +281,7 @@ class TestAggregateCycle:
         speeds = [0.0, 2.0, 5.0, 9.0, 9.0, 7.0]
         base = aggregate_cycle(DriveCycle.from_speeds(speeds), p, tables.rates)
         doubled = aggregate_cycle(DriveCycle.from_speeds(speeds), p,
-                                  tables.rates.scaled(2.0))
+                                  scaled_rates(tables.rates, 2.0))
         assert [r.opmode for r in doubled.per_second] == [r.opmode for r in base.per_second]
         for got, want in zip(doubled.totals.as_tuple(), base.totals.as_tuple()):
             assert got == pytest.approx(2.0 * want, rel=1e-12)
@@ -339,11 +304,11 @@ class TestAggregateCycle:
                               A=float(rng.uniform(0, 2)), B=float(rng.uniform(0, 0.1)),
                               C=float(rng.uniform(0, 0.01)), M=float(rng.uniform(0.5, 30)),
                               f=float(rng.uniform(0.5, 30)))
-            assert compute_vsp(sample(0.0, float(rng.uniform(-5, 5))), p) == 0.0
+            assert specific_power(p, 0.0, float(rng.uniform(-5, 5))) == 0.0
 
     def test_reference_vsp_agrees(self, tables):
         p = tables.params_for(SourceType.LDV)
         ref_p = {"A": p.A, "B": p.B, "C": p.C, "M": p.M, "f": p.f}
         for v, a in [(0.0, 0.0), (3.3, 1.2), (17.9, -0.4), (31.0, 0.0)]:
-            assert compute_vsp(sample(v, a), p) == pytest.approx(
+            assert specific_power(p, v, a) == pytest.approx(
                 vsp_si(v, a, ref_p), rel=1e-14)

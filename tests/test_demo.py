@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from movestar import demo
-from movestar.core import OpMode, SourceType, aggregate_cycle
+from movestar.core import MAX_SPEED_MPS, OpMode, SourceType, aggregate_cycle
 from movestar.demo import (
     GLIDE_DECEL_MAX,
     MAX_CYCLE_S,
@@ -19,7 +19,7 @@ from movestar.demo import (
     gen_baseline_trajectory,
     gen_smoothed_trajectory,
 )
-from movestar.errors import InfeasibleScenario
+from movestar.errors import InfeasibleScenario, InvalidSample
 
 from reference_demo import reference_smoothed_trajectory
 
@@ -92,6 +92,11 @@ class TestScenario:
             return
         sc = SignalScenario(**kwargs)
         assume(sc.cruise_seconds_to_bar >= (sc.stop_ramp_steps - 1) // 2)
+        if cruise > MAX_SPEED_MPS:
+            # every baseline cycle ends at cruise speed, which no cycle may exceed
+            with pytest.raises(InvalidSample, match="m/s limit"):
+                gen_baseline_trajectory(sc)
+            return
         longest = max(len(gen_baseline_trajectory(sc)), len(gen_smoothed_trajectory(sc).cycle))
         assert longest <= sc.longest_cycle_s <= MAX_CYCLE_S
 

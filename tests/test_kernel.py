@@ -1,5 +1,7 @@
 """The columnar batch kernel against the oracle, the ER writer and the session path."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from movestar import flatapi
 from movestar.cli import write_er_csv
 from movestar.core import (
+    MAX_SPEED_MPS,
     SPECIES_NAMES,
     DriveCycle,
     SecondRecord,
@@ -21,6 +24,7 @@ from conftest import FIXTURE_CYCLES
 from reference_pipeline import run_reference
 
 GENTLE_DECEL = (-0.89, -0.45)    # m/s^2: between -2 and -1 mph/s
+OVER_LIMIT = math.nextafter(MAX_SPEED_MPS, math.inf)
 
 
 @st.composite
@@ -147,4 +151,28 @@ class TestDriveCycleBoundary:
         flatapi.reset_shared_tables()
         _, handle = flatapi.create(1)
         assert flatapi.step(handle, float("nan"))[0] == flatapi.ERR_INPUT
+        flatapi.destroy(handle)
+
+    def test_session_speed_limit(self, tables):
+        s = session_create(SourceType.LDV, tables)
+        session_step(s, MAX_SPEED_MPS)
+        session_step(s, MAX_SPEED_MPS)
+        snapshot = (s.step_count, s.prev_speed, s.distance_m, s.running_totals)
+        with pytest.raises(InvalidSample) as info:
+            session_step(s, OVER_LIMIT)
+        assert str(info.value) == \
+            "speed 100.00000000000001 at second 2 is over the 100.0 m/s limit"
+        assert (s.step_count, s.prev_speed, s.distance_m, s.running_totals) == snapshot
+        batch = aggregate_cycle(DriveCycle([MAX_SPEED_MPS] * 2),
+                                tables.params_for(SourceType.LDV), tables.rates)
+        assert session_finalize(s).per_second == batch.per_second
+
+    def test_flatapi_speed_limit(self):
+        flatapi.reset_shared_tables()
+        _, handle = flatapi.create(1)
+        assert flatapi.step(handle, MAX_SPEED_MPS)[0] == flatapi.OK
+        session = flatapi._sessions[handle]
+        before = (flatapi.totals(handle), session.step_count, session.prev_speed)
+        assert flatapi.step(handle, OVER_LIMIT) == (flatapi.ERR_INPUT, -1) + (0.0,) * 5
+        assert (flatapi.totals(handle), session.step_count, session.prev_speed) == before
         flatapi.destroy(handle)

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from movestar import flatapi
 from movestar.core import (
-    BRAKE_SOFT_RUN_S,
     DriveCycle,
     OpMode,
     RateTable,
     SourceType,
     aggregate_cycle,
-    is_soft_decel,
-    opmode_of,
+    classify_opmode_array,
     per_second_emissions,
     specific_power,
 )
@@ -26,7 +24,7 @@ from movestar.errors import EmptySession, IncompleteTable, NegativeSpeed, Unknow
 from movestar.session import EmissionSession, session_create, session_finalize, session_step
 from movestar.tables import load_tables_from_dir
 
-from conftest import FIXTURE_CYCLES, MPH
+from conftest import FIXTURE_CYCLES, MPH, in_order_sum
 
 
 def around(x):
@@ -131,10 +129,7 @@ class TestSessionBasics:
         result = session_finalize(s)
         assert result.ef is None
         idle = per_second_emissions(tables.rates.entries[(SourceType.LDV, 1)])
-        acc = idle
-        for _ in range(9):
-            acc = acc + idle
-        assert result.totals == acc
+        assert result.totals == in_order_sum([idle] * 10)
 
 
 class TestStreamBatchEquivalence:
@@ -186,27 +181,20 @@ class TestSharedClassifier:
     @settings(max_examples=300, deadline=None)
     @given(parts=st.lists(segments, min_size=1, max_size=4))
     def test_every_step_is_the_shared_classifier(self, parts, tables):
-        """Session and flat steps give `opmode_of`'s mode and its table row
-        at the speed-class, braking and VSP-bin edges, after soft runs."""
+        """Each session and flat step gives the batch kernel's mode and grams
+        for its second at the speed-class, braking and VSP-bin edges, after
+        soft runs."""
         params = tables.params_for(SourceType.LDV)
-        rows = tables.rates.per_second[SourceType.LDV]
         speeds = [v for part in parts for v in approach(params, *part)]
+        batch = aggregate_cycle(DriveCycle(speeds), params, tables.rates)
         s = session_create(SourceType.LDV, tables)
         _, handle = flatapi.create(1)
-        accels, prev = [], None
         try:
-            for v in speeds:
-                a = 0.0 if prev is None else v - prev
-                recent = accels[-(BRAKE_SOFT_RUN_S - 1):]
-                soft_history = (len(recent) == BRAKE_SOFT_RUN_S - 1
-                                and all(map(is_soft_decel, recent)))
-                want = opmode_of(v, a, specific_power(params, v, a), soft_history)
+            for v, want, grams in zip(speeds, batch.modes.tolist(), batch.grams.tolist()):
                 mode, vec = session_step(s, v)
-                assert mode is want
-                assert vec == rows.vectors[want]
-                assert flatapi.step(handle, v) == (flatapi.OK, int(want)) + vec.as_tuple()
-                accels.append(a)
-                prev = v
+                assert type(mode) is OpMode and mode == want
+                assert vec.as_tuple() == tuple(grams)
+                assert flatapi.step(handle, v) == (flatapi.OK, want, *grams)
         finally:
             flatapi.destroy(handle)
 
@@ -222,7 +210,7 @@ class TestSharedClassifier:
         v, a = speeds[1], speeds[1] - speeds[0]
         assert repr(specific_power(p, v, a)) == vsp
         reordered = (p.C * v * v * v + p.B * v * v + p.A * v + p.M * a * v) / p.f
-        assert opmode_of(v, a, reordered) is not mode
+        assert classify_opmode_array(np.array([v]), np.array([reordered]), a)[0] != mode
         s = session_create(SourceType.LDV, tables)
         _, handle = flatapi.create(1)
         try:

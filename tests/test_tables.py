@@ -16,6 +16,8 @@ from movestar.tables import (
     validate_table_set,
 )
 
+from conftest import scaled_rates
+
 
 def _copy_assets(tmp_path, params_path, rates_path, edit=None):
     """Copy the shipped assets into tmp_path, optionally transforming text."""
@@ -185,7 +187,8 @@ class TestCorruptedTables:
         from movestar.tables import TableSet
         params = dict(tables.params)
         params[SourceType.LDT] = replace(params[SourceType.LDT], M=float("inf"))
-        bad = TableSet(params=params, rates=tables.rates.scaled(float("inf")), provenance="")
+        bad = TableSet(params=params, rates=scaled_rates(tables.rates, float("inf")),
+                       provenance="")
         report = validate_table_set(bad)
         assert "params[LDT]: M = inf is not finite" in report
         assert "rates: (LDV, 13) CO = inf is not finite" in report
