@@ -10,7 +10,7 @@ emission mass flows:
 MOVESTAR's flat-road formula. Everything here is a pure function over
 immutable inputs; no I/O. Speeds and accelerations are SI (m/s, m/s^2).
 Operating-mode thresholds are defined in mph per the MOVES convention and
-converted at the boundary.
+applied as m/s thresholds derived from them once, at import.
 """
 
 from __future__ import annotations
@@ -114,16 +114,44 @@ VALID_OPMODE_IDS: tuple[int, ...] = tuple(int(m) for m in OpMode)
 # to the class or bin above it.
 _SPEED_CLASS_EDGES_MPH = (IDLE_MAX_MPH, LOW_SPEED_MAX_MPH, MID_SPEED_MAX_MPH)
 _VSP_BIN_EDGES = (0.0, 3.0, 6.0, 9.0, 12.0, 18.0, 24.0, 30.0)
-_MODE_GRID = tuple(tuple(map(OpMode, row)) for row in (
+# Plain int ids, each checked through OpMode: tuple indexing and array
+# appends take CPython's fast path for exact ints.
+_MODE_GRID = tuple(tuple(int(OpMode(m)) for m in row) for row in (
     (1, 1, 1, 1, 1, 1, 1, 1, 1),
     (11, 12, 13, 14, 15, 16, 16, 16, 16),
     (21, 22, 23, 24, 25, 27, 28, 29, 30),
     (33, 33, 33, 35, 35, 37, 38, 39, 40),
 ))
 _MODE_GRID_IDS = np.array(_MODE_GRID, dtype=np.int64)
+
+
+def _least_mps(mph: float) -> float:
+    """The smallest double x with x / MPS_PER_MPH >= mph.
+
+    Division by a positive constant is correctly rounded, hence monotone, so
+    for every double x (NaN and infinities included) `x / MPS_PER_MPH >= mph`
+    is `x >= _least_mps(mph)`: comparing with it decides as the division does.
+    """
+    x = mph * MPS_PER_MPH
+    while x / MPS_PER_MPH < mph:
+        x = math.nextafter(x, math.inf)
+    while math.nextafter(x, -math.inf) / MPS_PER_MPH >= mph:
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+# The mph thresholds as exact m/s ones. A speed is in the class above an edge
+# iff v >= its m/s edge; a second is a soft deceleration iff a < _SOFT_DECEL_MPS2
+# and hard braking iff a <= _HARD_DECEL_MPS2, the largest x with
+# x / MPS_PER_MPH <= BRAKE_DECEL_MPHPS (the double before the least x whose
+# quotient is over it).
+_SPEED_CLASS_EDGES_MPS = tuple(map(_least_mps, _SPEED_CLASS_EDGES_MPH))
+_SOFT_DECEL_MPS2 = _least_mps(BRAKE_SOFT_DECEL_MPHPS)
+_HARD_DECEL_MPS2 = math.nextafter(
+    _least_mps(math.nextafter(BRAKE_DECEL_MPHPS, math.inf)), -math.inf)
 # The edges as arrays for ndarray.searchsorted, called as a method: np.searchsorted
 # adds a Python wrapper per call, and a tuple would be converted per call.
-_SPEED_CLASS_EDGES_ARRAY = np.array(_SPEED_CLASS_EDGES_MPH)
+_SPEED_CLASS_EDGES_ARRAY = np.array(_SPEED_CLASS_EDGES_MPS)
 _VSP_BIN_EDGES_ARRAY = np.array(_VSP_BIN_EDGES)
 
 
@@ -189,13 +217,13 @@ SPECIES_NAMES = ("energy", "CO", "HC", "NOx", "CO2")
 
 class ModeRows(NamedTuple):
     """Per-second emission mass of each mode id `m` of one source type: row `m`
-    of `grams`, and as a shared vector `vectors[m]` and the flat step result
-    `results[m]`, `(0, m, *vectors[m].as_tuple())` with status 0 (OK). An id
-    without a table entry, which is never an operating mode, has a NaN row and
-    None in the others."""
+    of `grams`; the session step result `pairs[m]`, `(OpMode(m), vector)`;
+    and the flat step result `results[m]`, `(0, m, *vector.as_tuple())` with
+    status 0 (OK). An id that is not an operating mode has a NaN row and None
+    in the others."""
 
     grams: np.ndarray
-    vectors: tuple[EmissionVector | None, ...]
+    pairs: tuple[tuple[OpMode, EmissionVector] | None, ...]
     results: tuple[tuple[int, int, float, float, float, float, float] | None, ...]
 
 
@@ -223,12 +251,14 @@ class RateTable:
             raise IncompleteTable(missing)
         out = {}
         for st in SourceType:
-            rates = [self.entries.get((st, m)) for m in range(max(VALID_OPMODE_IDS) + 1)]
-            vectors = tuple(None if r is None else per_second_emissions(r) for r in rates)
-            sums = tuple(None if v is None else v.as_tuple() for v in vectors)
+            rates = [self.entries.get((st, m)) if m in VALID_OPMODE_IDS else None
+                     for m in range(max(VALID_OPMODE_IDS) + 1)]
+            vectors = [None if r is None else per_second_emissions(r) for r in rates]
+            pairs = tuple(None if v is None else (OpMode(m), v) for m, v in enumerate(vectors))
+            sums = [None if v is None else v.as_tuple() for v in vectors]
             results = tuple(None if g is None else (0, m) + g for m, g in enumerate(sums))
             grams = np.array([(math.nan,) * 5 if g is None else g for g in sums])
-            out[st] = ModeRows(_readonly(grams), vectors, results)
+            out[st] = ModeRows(_readonly(grams), pairs, results)
         return out
 
 
@@ -350,8 +380,9 @@ def specific_power(params: VehicleParams, v, a):
 
 
 def is_soft_decel(a_mps2):
-    """Whether a(t), float or array, counts towards the consecutive-decel rule."""
-    return a_mps2 / MPS_PER_MPH < BRAKE_SOFT_DECEL_MPHPS
+    """Whether a(t), float or array, counts towards the consecutive-decel rule:
+    a / MPS_PER_MPH < BRAKE_SOFT_DECEL_MPHPS."""
+    return a_mps2 < _SOFT_DECEL_MPS2
 
 
 def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray | float = 0.0,
@@ -360,12 +391,12 @@ def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray
     BRAKE_DECEL_MPHPS, or under BRAKE_SOFT_DECEL_MPHPS where `soft_history`
     (the previous BRAKE_SOFT_RUN_S - 1 seconds were all soft decelerations,
     `is_soft_decel`); otherwise the speed-class / VSP-bin cell of the mode
-    grid. Accelerations default to zero and the history to none."""
-    a_mphps = np.divide(a_mps2, MPS_PER_MPH)
-    braking = a_mphps < BRAKE_SOFT_DECEL_MPHPS
+    grid. Accelerations default to zero and the history to none. Each mph
+    threshold is applied as its exact m/s threshold."""
+    braking = np.less(a_mps2, _SOFT_DECEL_MPS2)
     braking &= soft_history
-    braking |= a_mphps <= BRAKE_DECEL_MPHPS
-    speed_class = _SPEED_CLASS_EDGES_ARRAY.searchsorted(np.divide(v_mps, MPS_PER_MPH), "right")
+    braking |= np.less_equal(a_mps2, _HARD_DECEL_MPS2)
+    speed_class = _SPEED_CLASS_EDGES_ARRAY.searchsorted(v_mps, "right")
     cells = _MODE_GRID_IDS[speed_class, _VSP_BIN_EDGES_ARRAY.searchsorted(vsp, "right")]
     return np.where(braking, int(OpMode.BRAKING), cells)
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DriveCycle, _readonly, kmh_to_mps, mph_to_mps
+from .core import MAX_SPEED_MPS, DriveCycle, _readonly, kmh_to_mps, mph_to_mps
 from .errors import (
     CycleError, EmptyTrace, GapTooLarge, NegativeSpeed, NonMonotonicTime, ParseError,
     TraceFileError,
@@ -87,8 +87,9 @@ def _number(cell: str) -> float:
 def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
     """Read a trace file, rejecting malformed rows with their line numbers.
 
-    Negative speeds and non-finite or backwards timestamps are hard errors. Single-column
-    files get implicit timestamps 0, 1, 2, ... An unreadable file raises TraceFileError.
+    Negative speeds, speeds over MAX_SPEED_MPS once converted to m/s, and non-finite or
+    backwards timestamps are hard errors. Single-column files get implicit timestamps
+    0, 1, 2, ... An unreadable file raises TraceFileError.
     """
     if unit not in SUPPORTED_UNITS:
         raise ParseError(f"unsupported unit flag {unit!r}; expected one of {SUPPORTED_UNITS}")
@@ -115,24 +116,27 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
     try:
         table = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
     except ValueError:
-        raise _first_bad_line(lines, start) from None
+        raise _first_bad_line(lines, start, unit) from None
     if table.shape[1] > 2:
-        raise _first_bad_line(lines, start)
+        raise _first_bad_line(lines, start, unit)
     if table.shape[1] == 1:
         t, v = np.arange(len(table), dtype=float), table[:, 0]
     else:
         t, v = table[:, 0], table[:, 1]
-    bad = ~np.isfinite(t) | (v < 0.0)
+    bad = ~np.isfinite(t) | (v < 0.0) | (_to_mps(v, unit) > MAX_SPEED_MPS)
     bad[1:] |= np.diff(t) < 0.0
     if bad.any():
         i = int(bad.argmax())
-        raise _first_bad_line(lines, start, stop=i + start + 1 if linenos is None else linenos[i])
+        raise _first_bad_line(lines, start, unit,
+                              stop=i + start + 1 if linenos is None else linenos[i])
     return RawTrace(t=t, v=v, unit=unit)
 
 
-def _first_bad_line(lines: list[str], start: int, stop: int | None = None) -> CycleError:
-    """The error of the first bad line among `lines[start:stop]`, found with
-    per-line checks; runs only on a file the array checks have rejected."""
+def _first_bad_line(lines: list[str], start: int, unit: str,
+                    stop: int | None = None) -> CycleError:
+    """The error of the first bad line among `lines[start:stop]` of a trace in
+    `unit`, found with per-line checks; runs only on a file the array checks
+    have rejected."""
     ncols: int | None = None
     t_prev: float | None = None
     for lineno, raw in enumerate(lines[start:stop], start=start + 1):
@@ -158,6 +162,9 @@ def _first_bad_line(lines: list[str], start: int, stop: int | None = None) -> Cy
             return ParseError(f"bad speed {cells[-1]!r}", line=lineno)
         if v < 0.0:
             return NegativeSpeed(v, line=lineno)
+        if _to_mps(v, unit) > MAX_SPEED_MPS:
+            return ParseError(f"speed {v!r} {unit} is over the {MAX_SPEED_MPS!r} m/s limit",
+                              line=lineno)
         if len(cells) == 2:
             if t_prev is not None and t < t_prev:
                 return NonMonotonicTime(lineno)

@@ -56,7 +56,9 @@ def create(veh_type: int, tables_dir: str | None = None) -> tuple[int, int]:
     try:
         tables = _tables(tables_dir)
         session = session_create(veh_type, tables)
-    except TableError:
+    except (TableError, TypeError, ValueError):
+        # TypeError and ValueError: a tables_dir that is not a path (123,
+        # b"/x") or that no file can have (an embedded NUL).
         return _error(ERR_TABLES), 0
     with _lock:
         handle = _next_handle
@@ -70,11 +72,14 @@ def step(handle: int, speed_mps: float) -> tuple[int, int, float, float, float, 
 
     The OK result is the table's own tuple for the mode (`ModeRows.results`,
     whose status 0 is OK), shared by every session and step."""
-    session = _sessions.get(handle)
-    if session is None:
+    # A handle that is not live, unhashable ones included, raises KeyError
+    # or TypeError here; so in `totals`, `finalize` and `destroy`.
+    try:
+        session = _sessions[handle]
+    except (KeyError, TypeError):
         return _error(ERR_HANDLE), -1, 0.0, 0.0, 0.0, 0.0, 0.0
     try:
-        return session._rows.results[session._advance(speed_mps)]
+        return session._advance(speed_mps)
     except (CycleError, TypeError, ValueError, OverflowError):
         # A non-number speed fails the range test or `float()` before any
         # state changes: TypeError (str, None, list, complex), ValueError (an
@@ -84,10 +89,11 @@ def step(handle: int, speed_mps: float) -> tuple[int, int, float, float, float, 
 
 def totals(handle: int) -> tuple[int, float, float, float, float, float, float]:
     """Running totals so far. Returns (status, distance_m, energy..CO2)."""
-    session = _sessions.get(handle)
-    if session is None:
+    try:
+        session = _sessions[handle]
+    except (KeyError, TypeError):
         return _error(ERR_HANDLE), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    return (OK, session.distance_m) + session.running_totals.as_tuple()
+    return (OK, session.distance_m, *session._totals)
 
 
 def finalize(handle: int) -> tuple[int, float, int, float, float, float, float, float,
@@ -99,8 +105,9 @@ def finalize(handle: int) -> tuple[int, float, int, float, float, float, float, 
     The answer comes from the session's running totals, the same in-order
     sums that `EmissionSession.finalize` would rebuild from every second.
     """
-    session = _sessions.get(handle)
-    if session is None:
+    try:
+        session = _sessions[handle]
+    except (KeyError, TypeError):
         return (_error(ERR_HANDLE), 0.0, 0) + (0.0,) * 10
     if session.step_count == 0:
         return (_error(ERR_INPUT), 0.0, 0) + (0.0,) * 10
@@ -114,8 +121,11 @@ def destroy(handle: int) -> int:
     """Release a handle. Idempotent; unknown handles report ERR_HANDLE."""
     global _destroyed_steps
     with _lock:
-        session = _sessions.pop(handle, None)
-        if session is not None:
+        try:
+            session = _sessions.pop(handle)
+        except (KeyError, TypeError):
+            pass
+        else:
             _destroyed_steps += session.step_count
             return OK
     return _error(ERR_HANDLE)

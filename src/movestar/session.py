@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    _HARD_DECEL_MPS2,
     _MODE_GRID,
-    _SPEED_CLASS_EDGES_MPH,
+    _SOFT_DECEL_MPS2,
+    _SPEED_CLASS_EDGES_MPS,
     _VSP_BIN_EDGES,
-    BRAKE_DECEL_MPHPS,
-    BRAKE_SOFT_DECEL_MPHPS,
     BRAKE_SOFT_RUN_S,
     MAX_SPEED_MPS,
-    MPS_PER_MPH,
     CycleResult,
     EmissionVector,
     ModeRows,
@@ -44,6 +43,7 @@ from .tables import TableSet
 # A second is braking by the soft rule when it and the run of soft
 # decelerations before it make BRAKE_SOFT_RUN_S seconds.
 _SOFT_HISTORY_RUN = BRAKE_SOFT_RUN_S - 1
+_BRAKING = int(OpMode.BRAKING)
 
 
 @dataclass(slots=True)
@@ -58,13 +58,16 @@ class EmissionSession:
     prev_speed: float | None = field(init=False, default=None)
     # Sums start at -0.0 (-0.0 + x == x for every x), as the batch path's do.
     distance_m: float = field(init=False, default=-0.0)
-    _totals: list[float] = field(init=False, default_factory=lambda: [-0.0] * 5)
+    _totals: tuple[float, ...] = field(init=False, default=(-0.0,) * 5)
     _soft_run: int = field(init=False, default=0)   # trailing seconds of soft deceleration
     _modes: array = field(init=False, default_factory=lambda: array("b"))
     _rows: ModeRows = field(init=False, repr=False, compare=False)
+    _coefficients: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._rows = self.rates.per_second[self.params.source_type]
+        p = self.params
+        self._coefficients = (p.A, p.B, p.C, p.M, p.f)
 
     @property
     def step_count(self) -> int:
@@ -81,17 +84,17 @@ class EmissionSession:
         The caller contract is a fixed 1 s cadence; the session does not
         resample. On an error the session is left unchanged.
         """
-        mode = self._advance(speed_mps)
-        return mode, self._rows.vectors[mode]
+        return self._rows.pairs[self._advance(speed_mps)[1]]
 
-    def _advance(self, speed_mps: float) -> OpMode:
-        """One second of `step` in straight-line code; returns the mode.
+    def _advance(self, speed_mps: float) -> tuple[int, int, float, float, float, float, float]:
+        """One second of `step` in straight-line code; returns the table's flat
+        result for the mode, `ModeRows.results[mode]`.
 
         The decision is `classify_opmode_array`'s for one second: the
-        braking rules on `a / MPS_PER_MPH`, computed once, then the cell of
-        the shared mode grid. VSP keeps `specific_power`'s operation order,
-        so the mode is bit for bit the batch kernel's. State changes only
-        after the last check has passed."""
+        braking rules, then the cell of the shared mode grid, each mph
+        threshold compared as its exact m/s threshold. VSP keeps
+        `specific_power`'s operation order, so the mode is bit for bit the
+        batch kernel's. State changes only after the last check has passed."""
         if not 0.0 <= speed_mps <= MAX_SPEED_MPS:
             if speed_mps < 0.0:
                 raise NegativeSpeed(speed_mps)
@@ -101,27 +104,23 @@ class EmissionSession:
         v = float(speed_mps)
         prev = self.prev_speed
         a = 0.0 if prev is None else v - prev
-        a_mphps = a / MPS_PER_MPH
-        soft = a_mphps < BRAKE_SOFT_DECEL_MPHPS
-        if a_mphps <= BRAKE_DECEL_MPHPS or (soft and self._soft_run >= _SOFT_HISTORY_RUN):
-            mode = OpMode.BRAKING
+        soft = a < _SOFT_DECEL_MPS2
+        if a <= _HARD_DECEL_MPS2 or (soft and self._soft_run >= _SOFT_HISTORY_RUN):
+            mode = _BRAKING
         else:
-            p = self.params
-            vsp = (p.A * v + p.B * v * v + p.C * v * v * v + p.M * a * v) / p.f
-            mode = _MODE_GRID[bisect_right(_SPEED_CLASS_EDGES_MPH, v / MPS_PER_MPH)][
+            A, B, C, M, f = self._coefficients
+            vsp = (A * v + B * v * v + C * v * v * v + M * a * v) / f
+            mode = _MODE_GRID[bisect_right(_SPEED_CLASS_EDGES_MPS, v)][
                 bisect_right(_VSP_BIN_EDGES, vsp)]
-        _, _, e, co, hc, nox, co2 = self._rows.results[mode]
-        t = self._totals
-        t[0] += e
-        t[1] += co
-        t[2] += hc
-        t[3] += nox
-        t[4] += co2
+        result = self._rows.results[mode]
+        _, _, e, co, hc, nox, co2 = result
+        t0, t1, t2, t3, t4 = self._totals
+        self._totals = (t0 + e, t1 + co, t2 + hc, t3 + nox, t4 + co2)
         self._modes.append(mode)
         self._soft_run = self._soft_run + 1 if soft else 0
         self.distance_m += v
         self.prev_speed = v
-        return mode
+        return result
 
     def finalize(self) -> CycleResult:
         """Close the session and return the same result shape as the batch path."""

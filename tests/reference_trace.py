@@ -3,7 +3,8 @@ before it read every row with one `np.loadtxt` call.
 
 Kept as the oracle for `tests/test_cycleio.py`. Each cell goes through
 Python's `float()`, which also accepts digit-group underscores and
-non-ASCII digits; the package's reader rejects those cells.
+non-ASCII digits; the package's reader rejects those cells. A speed over
+100 m/s, once converted from its unit, is an error of its line.
 """
 
 from __future__ import annotations
@@ -13,9 +14,21 @@ from pathlib import Path
 
 from movestar.errors import EmptyTrace, NegativeSpeed, NonMonotonicTime, ParseError
 
+MAX_SPEED_MPS = 100.0
 
-def reference_parse_trace(path: str | Path) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(times, speeds) of a trace file, or the error of its first bad line."""
+
+def to_mps(v: float, unit: str) -> float:
+    """`v` in m/s: mph times the statute 0.44704, km/h over 3.6."""
+    if unit == "mph":
+        return v * 0.44704
+    if unit == "km/h":
+        return v / 3.6
+    return v
+
+
+def reference_parse_trace(path: str | Path,
+                          unit: str = "m/s") -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(times, speeds in `unit`) of a trace file, or the error of its first bad line."""
     path = Path(path)
     times: list[float] = []
     speeds: list[float] = []
@@ -56,6 +69,9 @@ def reference_parse_trace(path: str | Path) -> tuple[tuple[float, ...], tuple[fl
             raise ParseError(f"bad speed {v_cell!r}", line=lineno) from None
         if v < 0.0:
             raise NegativeSpeed(v, line=lineno)
+        if to_mps(v, unit) > MAX_SPEED_MPS:
+            raise ParseError(f"speed {v!r} {unit} is over the {MAX_SPEED_MPS!r} m/s limit",
+                             line=lineno)
         if times and t < times[-1]:
             raise NonMonotonicTime(lineno)
         times.append(t)

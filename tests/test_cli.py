@@ -283,8 +283,23 @@ class TestInputBoundary:
         assert run_cli("factors", "--cycle", path, "--veh", "1") == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"error: cycle: speed {float(speed)!r} at second 1 "
-                       "is over the 100.0 m/s limit\n")
+        assert err == (f"error: cycle: speed {float(speed)!r} m/s "
+                       "is over the 100.0 m/s limit at line 2\n")
+
+    # Two finite speeds whose window sum overflows, and one raw sample over
+    # the bound in a window whose mean (80 m/s) is under it.
+    @pytest.mark.parametrize("body,line", [("0,1e308\n0.5,1e308\n", 1),
+                                           ("0,1\n1,10\n1.5,150\n2,1\n", 3)])
+    def test_raw_speed_over_the_limit_names_its_line(self, tmp_path, capsys, body, line):
+        path = tmp_path / "fast.csv"
+        path.write_text(body)
+        speed = float(body.splitlines()[line - 1].split(",")[1])
+        message = f"speed {speed!r} m/s is over the 100.0 m/s limit at line {line}\n"
+        assert run_cli("factors", "--cycle", path, "--veh", "1") == 1
+        assert capsys.readouterr() == ("", "error: cycle: " + message)
+        assert run_cli("convert", "--in", path, "--out", tmp_path / "out.csv") == 1
+        assert capsys.readouterr() == ("", "error: trace: " + message)
+        assert not (tmp_path / "out.csv").exists()
 
     TOKENS = [b"nan", b"inf", b"-inf", b"5e-324", b"1e18", b"-1e18", b"1e308", b"t", b"#",
               b",", b"\n", b"\xff", b"0", b"1.5", b"-1", b" "]

@@ -194,11 +194,11 @@ class TestClassifyOpmode:
 
 class TestRates:
     def test_idle_row_verbatim(self, tables):
-        row = tables.rates.per_second[SourceType.LDV].vectors[OpMode.IDLE]
+        row = tables.rates.per_second[SourceType.LDV].pairs[OpMode.IDLE][1]
         assert row == per_second_emissions(tables.rates.entries[(SourceType.LDV, 1)])
 
     def test_top_row_verbatim_ldt(self, tables):
-        row = tables.rates.per_second[SourceType.LDT].vectors[OpMode.HIGH_VSP_30_UP]
+        row = tables.rates.per_second[SourceType.LDT].pairs[OpMode.HIGH_VSP_30_UP][1]
         assert row == per_second_emissions(tables.rates.entries[(SourceType.LDT, 40)])
 
     def test_energy_monotone_with_power_bin(self, tables):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from movestar.core import MPS_PER_MPH, mph_to_mps
 from movestar.cycleio import (
     MAX_GAP_S,
+    SUPPORTED_UNITS,
     parse_trace,
     resample_speeds_to_1hz,
     resample_to_1hz,
@@ -91,6 +92,26 @@ class TestParseTrace:
         raw = parse_trace(write(tmp_path, "0,36\n"), "km/h")
         assert raw.speeds_mps() == [10.0]
 
+    # The bound applies to each raw speed once converted to m/s; the error
+    # names its line, also when a later line holds a bad cell.
+    @pytest.mark.parametrize("unit,text,line,speed", [
+        ("m/s", "0,0\n0.5,1e308\n1,1\n", 2, "1e+308"),
+        ("m/s", "0,100\n1,100.00000000000001\n", 2, "100.00000000000001"),
+        ("mph", "# c\n223.69362920544023\n\n223.69362920544026\n", 4, "223.69362920544026"),
+        ("km/h", "t,v\n0,360\n1,360.00000000000006\n2,abc\n", 3, "360.00000000000006"),
+    ])
+    def test_speed_over_the_limit_names_its_line(self, tmp_path, unit, text, line, speed):
+        with pytest.raises(ParseError) as info:
+            parse_trace(write(tmp_path, text), unit)
+        assert info.value.line == line
+        assert str(info.value) == \
+            f"speed {speed} {unit} is over the 100.0 m/s limit at line {line}"
+
+    @pytest.mark.parametrize("unit,text", [("m/s", "0,100\n"), ("mph", "223.69362920544023\n"),
+                                           ("km/h", "0,360\n")])
+    def test_speed_at_the_limit_is_accepted(self, tmp_path, unit, text):
+        assert resample_to_1hz(parse_trace(write(tmp_path, text), unit)).v.tolist() == [100.0]
+
     def test_unit_round_trip_identity(self):
         for v in (0.0, 0.1, 3.7, 31.2929):
             assert mph_to_mps(v / MPS_PER_MPH) == pytest.approx(v, rel=1e-12, abs=1e-15)
@@ -99,7 +120,11 @@ class TestParseTrace:
 # Cells that Python's float() reads but the array reader does not.
 NARROWED_CELLS = ["1_000", "\u0663", "\uff11", "2.\u0665"]
 SPEEDS = ["0", "1", "2.5", "10", "0.25", " 3 ", "\t4", "5 ", "\xa06", "+2", "5e-324", "1e308"]
-CELLS = SPEEDS * 2 + ["-1", "-0.5", "-0", "nan", "inf", "-inf", "1e999", "abc", ""] + NARROWED_CELLS
+# The 100 m/s bound and the next float, in each unit.
+LIMIT_CELLS = ["100", "100.00000000000001", "223.69362920544023", "223.69362920544026",
+               "360", "360.00000000000006"]
+CELLS = (SPEEDS * 2 + LIMIT_CELLS + ["-1", "-0.5", "-0", "nan", "inf", "-inf", "1e999", "abc", ""]
+         + NARROWED_CELLS)
 
 
 @st.composite
@@ -126,16 +151,16 @@ def trace_texts(draw):
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
-def outcome(parse, path):
+def outcome(parse, path, unit):
     try:
-        times, speeds = parse(path)
+        times, speeds = parse(path, unit)
     except CycleError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     return np.array(times, dtype=float).tobytes(), np.array(speeds, dtype=float).tobytes()
 
 
-def columns(path):
-    raw = parse_trace(path)
+def columns(path, unit):
+    raw = parse_trace(path, unit)
     return raw.t, raw.v
 
 
@@ -148,16 +173,21 @@ def narrowed_lines(text):
 
 class TestParseTraceMatchesReference:
     @settings(max_examples=400, deadline=None)
-    @given(text=trace_texts())
-    @example(text="0,1\nt,v\n1,2\n")
-    @example(text="0,1\n1,2 # note\n")
-    @example(text="0,1\n")
-    @example(text="# c\n\n0,1\n# c\n1,2\n\n0,3\n")
-    def test_same_columns_or_same_error(self, tmp_path_factory, text):
+    @given(text=trace_texts(), unit=st.sampled_from(SUPPORTED_UNITS))
+    @example(text="0,1\nt,v\n1,2\n", unit="m/s")
+    @example(text="0,1\n1,2 # note\n", unit="m/s")
+    @example(text="0,1\n", unit="m/s")
+    @example(text="# c\n\n0,1\n# c\n1,2\n\n0,3\n", unit="m/s")
+    @example(text="0,1e308\n0.5,1e308\n", unit="m/s")
+    @example(text="0,100\n1,100.00000000000001\n", unit="m/s")
+    @example(text="223.69362920544023\n223.69362920544026\n", unit="mph")
+    @example(text="0,360\nx\n", unit="km/h")
+    @example(text="0,361\nx\n", unit="km/h")
+    def test_same_columns_or_same_error(self, tmp_path_factory, text, unit):
         path = tmp_path_factory.getbasetemp() / "prop.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        got = outcome(columns, path)
-        want = outcome(reference_parse_trace, path)
+        got = outcome(columns, path, unit)
+        want = outcome(reference_parse_trace, path, unit)
         if got != want:  # allowed only on the first row with a narrowed cell
             assert got[0] is ParseError and got[1].startswith(("bad speed", "bad timestamp"))
             assert got[2] == min(narrowed_lines(text), default=None)

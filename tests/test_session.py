@@ -11,12 +11,21 @@ from hypothesis import strategies as st
 
 from movestar import flatapi
 from movestar.core import (
+    _HARD_DECEL_MPS2,
+    _SOFT_DECEL_MPS2,
+    _SPEED_CLASS_EDGES_MPH,
+    _SPEED_CLASS_EDGES_MPS,
+    BRAKE_DECEL_MPHPS,
+    BRAKE_SOFT_DECEL_MPHPS,
+    MPS_PER_MPH,
     DriveCycle,
+    EmissionVector,
     OpMode,
     RateTable,
     SourceType,
     aggregate_cycle,
     classify_opmode_array,
+    is_soft_decel,
     per_second_emissions,
     specific_power,
 )
@@ -25,6 +34,7 @@ from movestar.session import EmissionSession, session_create, session_finalize, 
 from movestar.tables import load_tables_from_dir
 
 from conftest import FIXTURE_CYCLES, MPH, in_order_sum
+from reference_pipeline import opmode_from_mph, run_reference
 
 
 def around(x):
@@ -223,6 +233,75 @@ class TestSharedClassifier:
         assert session_finalize(s).totals == batch.totals
 
 
+class TestExactThresholds:
+    """Each m/s threshold derived from an mph constant, and the floats one
+    ulp either side of it, decide as dividing by MPS_PER_MPH and comparing
+    with the mph constant does: in `classify_opmode_array`, the batch kernel
+    and a session step, against the oracle's mph arithmetic."""
+
+    @staticmethod
+    def modes(speeds, tables, params_path, rates_path):
+        """The modes of `speeds` (LDV), the same from the oracle, the kernel
+        and a session."""
+        want = run_reference(speeds, "LDV", params_path, rates_path)["modes"]
+        batch = aggregate_cycle(DriveCycle(speeds), tables.params_for(SourceType.LDV),
+                                tables.rates)
+        s = session_create(SourceType.LDV, tables)
+        assert [session_step(s, v)[0] for v in speeds] == batch.modes.tolist() == want
+        return want
+
+    @pytest.mark.parametrize("edge", range(len(_SPEED_CLASS_EDGES_MPH)))
+    def test_speed_class_edge(self, edge, tables, params_path, rates_path):
+        mph, vs = _SPEED_CLASS_EDGES_MPH[edge], around(_SPEED_CLASS_EDGES_MPS[edge])
+        assert [v / MPS_PER_MPH >= mph for v in vs] == [False, True, True]
+        got = classify_opmode_array(np.array(vs), np.zeros(3)).tolist()
+        assert got == [opmode_from_mph(v / MPS_PER_MPH, 0.0, [], 0.0) for v in vs]
+        first = [self.modes([v], tables, params_path, rates_path)[0] for v in vs]
+        assert first[0] != first[1] == first[2]
+
+    @pytest.mark.parametrize("rule", ["hard", "soft"])
+    def test_braking_threshold(self, rule, tables, params_path, rates_path):
+        if rule == "hard":
+            accels = around(_HARD_DECEL_MPS2)
+            decides = [a / MPS_PER_MPH <= BRAKE_DECEL_MPHPS for a in accels]
+            assert decides == [True, True, False]
+        else:
+            accels = around(_SOFT_DECEL_MPS2)
+            decides = [a / MPS_PER_MPH < BRAKE_SOFT_DECEL_MPHPS for a in accels]
+            assert decides == [True, False, False]
+            assert is_soft_decel(np.array(accels)).tolist() == decides
+        history = [-1.5, -1.5] if rule == "soft" else []
+        got = classify_opmode_array(np.full(3, 10.0), np.zeros(3), np.array(accels),
+                                    rule == "soft").tolist()
+        assert got == [opmode_from_mph(10.0 / MPS_PER_MPH, a / MPS_PER_MPH, history, 0.0)
+                       for a in accels]
+        # A last step of exactly `a`: -a - (-2 a) is exact. The soft rule
+        # gets two soft seconds (-0.6 m/s^2, about -1.3 mph/s) before it.
+        lead = [-2.0 * accels[1] + 1.2, -2.0 * accels[1] + 0.6] if rule == "soft" else []
+        for a, brakes in zip(accels, decides):
+            speeds = lead + [-2.0 * a, -a]
+            assert DriveCycle(speeds).a[-1] == a
+            assert (self.modes(speeds, tables, params_path, rates_path)[-1] == 0) is brakes
+
+    def test_step_result_types(self, tables):
+        """`EmissionSession.step` gives an OpMode and an EmissionVector;
+        `flatapi.step` and `flatapi.totals` give plain ints and floats."""
+        speeds = FIXTURE_CYCLES["sawtooth_0_30_0"] + FIXTURE_CYCLES["gentle_decel"]
+        s = session_create(SourceType.LDV, tables)
+        _, handle = flatapi.create(1)
+        try:
+            for v in speeds:
+                mode, vec = session_step(s, v)
+                assert type(mode) is OpMode and type(vec) is EmissionVector
+                status, flat_mode, *grams = flatapi.step(handle, v)
+                status_totals, *sums = flatapi.totals(handle)
+                assert type(status) is type(flat_mode) is type(status_totals) is int
+                assert all(type(x) is float for x in grams + sums)
+        finally:
+            flatapi.destroy(handle)
+        assert 0 in session_finalize(s).modes
+
+
 class TestFlatApi:
     def setup_method(self):
         flatapi.reset_shared_tables()
@@ -351,6 +430,25 @@ class TestFlatApi:
         assert flatapi.step(999_999, 1.0)[0] == flatapi.ERR_HANDLE
         assert flatapi.finalize(999_999)[0] == flatapi.ERR_HANDLE
         assert flatapi.totals(999_999)[0] == flatapi.ERR_HANDLE
+
+    @pytest.mark.parametrize("handle", [[1], {}, np.array([1]), (1, [2])],
+                             ids=["list", "dict", "array", "tuple_of_list"])
+    def test_unhashable_handle_is_handle_status(self, handle):
+        _, live = flatapi.create(1)     # handle 1 or later is live
+        errors = flatapi.stats()[4]
+        assert flatapi.step(handle, 5.0) == (flatapi.ERR_HANDLE, -1) + (0.0,) * 5
+        assert flatapi.totals(handle) == (flatapi.ERR_HANDLE,) + (0.0,) * 6
+        assert flatapi.finalize(handle) == (flatapi.ERR_HANDLE, 0.0, 0) + (0.0,) * 10
+        assert flatapi.destroy(handle) == flatapi.ERR_HANDLE
+        assert flatapi.stats()[4] == errors + 4
+        assert flatapi.destroy(live) == flatapi.OK
+
+    @pytest.mark.parametrize("tables_dir", [123, b"/x", "\x00x", ["x"]],
+                             ids=["int", "bytes", "nul", "list"])
+    def test_unusable_tables_dir_is_table_status(self, tables_dir):
+        errors = flatapi.stats()[3]
+        assert flatapi.create(1, tables_dir=tables_dir) == (flatapi.ERR_TABLES, 0)
+        assert flatapi.stats()[3] == errors + 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_speed_leaves_the_session_unchanged(self, bad):
