@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import CycleResult, SourceType, SPECIES_NAMES, aggregate_cycle
 from .cycleio import SUPPORTED_UNITS, load_cycle, parse_trace, resample_to_1hz, write_cycle_csv
-from .demo import SignalScenario, compare_scenarios
 from .errors import CycleError, TableError
 from .tables import TableSet, load_tables_from_dir, resolve_tables_dir
 
@@ -136,6 +135,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .demo import SignalScenario, compare_scenarios   # only `demo` needs it
+
     tables = _load_tables(args)
     sc = SignalScenario(approach_m=args.distance, cruise_mps=args.cruise,
                         green_s=args.green, red_s=args.red, offset_s=args.offset,

@@ -44,10 +44,6 @@ class RawTrace:
     def times(self) -> tuple[float, ...]:
         return tuple(self.t.tolist())
 
-    @property
-    def speeds(self) -> tuple[float, ...]:
-        return tuple(self.v.tolist())
-
     def __len__(self) -> int:
         return self.t.size
 
@@ -123,7 +119,8 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
         t, v = np.arange(len(table), dtype=float), table[:, 0]
     else:
         t, v = table[:, 0], table[:, 1]
-    bad = ~np.isfinite(t) | (v < 0.0) | (_to_mps(v, unit) > MAX_SPEED_MPS)
+    # NaN fails `<=`, so a NaN speed is named by its line like an over-limit one.
+    bad = ~np.isfinite(t) | (v < 0.0) | ~(_to_mps(v, unit) <= MAX_SPEED_MPS)
     bad[1:] |= np.diff(t) < 0.0
     if bad.any():
         i = int(bad.argmax())
@@ -165,6 +162,8 @@ def _first_bad_line(lines: list[str], start: int, unit: str,
         if _to_mps(v, unit) > MAX_SPEED_MPS:
             return ParseError(f"speed {v!r} {unit} is over the {MAX_SPEED_MPS!r} m/s limit",
                               line=lineno)
+        if not math.isfinite(v):        # NaN: the tests above pass it
+            return ParseError(f"bad speed {cells[-1]!r}", line=lineno)
         if len(cells) == 2:
             if t_prev is not None and t < t_prev:
                 return NonMonotonicTime(lineno)

@@ -9,15 +9,15 @@ Status codes:
     1  bad input (negative, non-finite, over-limit or non-number speed, empty
        session)
     2  table problem (unknown vehicle code, unloadable tables)
-    3  bad handle
+    3  bad handle (not live, or not an int: 1.0 and True never name handle 1)
 """
 
 from __future__ import annotations
 
 import threading
 
-from .core import per_km
 from .errors import CycleError, TableError
+from .model import per_km
 from .session import EmissionSession, session_create
 from .tables import TableSet, load_tables_from_dir, resolve_tables_dir
 
@@ -72,11 +72,12 @@ def step(handle: int, speed_mps: float) -> tuple[int, int, float, float, float, 
 
     The OK result is the table's own tuple for the mode (`ModeRows.results`,
     whose status 0 is OK), shared by every session and step."""
-    # A handle that is not live, unhashable ones included, raises KeyError
-    # or TypeError here; so in `totals`, `finalize` and `destroy`.
+    # Only an exact int names a vehicle: 1.0 and True hash and compare as 1
+    # does, so any other handle looks up None, which is never a key. So in
+    # `totals`, `finalize` and `destroy`.
     try:
-        session = _sessions[handle]
-    except (KeyError, TypeError):
+        session = _sessions[handle if type(handle) is int else None]
+    except KeyError:
         return _error(ERR_HANDLE), -1, 0.0, 0.0, 0.0, 0.0, 0.0
     try:
         return session._advance(speed_mps)
@@ -90,8 +91,8 @@ def step(handle: int, speed_mps: float) -> tuple[int, int, float, float, float, 
 def totals(handle: int) -> tuple[int, float, float, float, float, float, float]:
     """Running totals so far. Returns (status, distance_m, energy..CO2)."""
     try:
-        session = _sessions[handle]
-    except (KeyError, TypeError):
+        session = _sessions[handle if type(handle) is int else None]
+    except KeyError:
         return _error(ERR_HANDLE), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
     return (OK, session.distance_m, *session._totals)
 
@@ -106,8 +107,8 @@ def finalize(handle: int) -> tuple[int, float, int, float, float, float, float, 
     sums that `EmissionSession.finalize` would rebuild from every second.
     """
     try:
-        session = _sessions[handle]
-    except (KeyError, TypeError):
+        session = _sessions[handle if type(handle) is int else None]
+    except KeyError:
         return (_error(ERR_HANDLE), 0.0, 0) + (0.0,) * 10
     if session.step_count == 0:
         return (_error(ERR_INPUT), 0.0, 0) + (0.0,) * 10
@@ -122,8 +123,8 @@ def destroy(handle: int) -> int:
     global _destroyed_steps
     with _lock:
         try:
-            session = _sessions.pop(handle)
-        except (KeyError, TypeError):
+            session = _sessions.pop(handle if type(handle) is int else None)
+        except KeyError:
             pass
         else:
             _destroyed_steps += session.step_count

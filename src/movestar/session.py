@@ -1,10 +1,11 @@
 """Per-timestep emission sessions for embedding in host simulators.
 
 A session consumes one speed sample per call at a fixed 1 s cadence and
-returns that second's operating mode and emission mass. It shares the batch
-kernel's thresholds, mode grid, per-mode rows and result assembler, and
-evaluates the VSP formula in `specific_power`'s operation order, so a session
-replaying a cycle reproduces `aggregate_cycle` bit for bit.
+returns that second's operating mode and emission mass. It runs on the scalar
+model (`model`): the batch kernel's thresholds, mode grid and per-mode rows,
+with the VSP formula in `specific_power`'s operation order, so a session
+replaying a cycle reproduces `aggregate_cycle` bit for bit. Only `finalize`,
+which returns arrays, loads numpy and the kernel's result assembler.
 
 Each session is single-caller; independent sessions can run concurrently
 against one shared TableSet, which is immutable after load.
@@ -16,10 +17,10 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import (
+from .errors import EmptySession, InvalidSample, NegativeSpeed, UnknownSourceType
+from .model import (
     _HARD_DECEL_MPS2,
     _MODE_GRID,
     _SOFT_DECEL_MPS2,
@@ -27,7 +28,6 @@ from .core import (
     _VSP_BIN_EDGES,
     BRAKE_SOFT_RUN_S,
     MAX_SPEED_MPS,
-    CycleResult,
     EmissionVector,
     ModeRows,
     OpMode,
@@ -35,10 +35,11 @@ from .core import (
     SourceType,
     VehicleParams,
     _over_speed_limit,
-    assemble_result,
 )
-from .errors import EmptySession, InvalidSample, NegativeSpeed, UnknownSourceType
 from .tables import TableSet
+
+if TYPE_CHECKING:
+    from .core import CycleResult
 
 # A second is braking by the soft rule when it and the run of soft
 # decelerations before it make BRAKE_SOFT_RUN_S seconds.
@@ -123,11 +124,16 @@ class EmissionSession:
         return result
 
     def finalize(self) -> CycleResult:
-        """Close the session and return the same result shape as the batch path."""
+        """Close the session and return the same result shape as the batch path.
+
+        The one session method that returns arrays: it imports the kernel."""
         if self.step_count == 0:
             raise EmptySession("finalize called before any step")
-        return assemble_result(np.array(self._modes, dtype=np.int64), self._rows,
-                               self.distance_m)
+        import numpy as np
+
+        from .core import assemble_result
+        return assemble_result(np.array(self._modes, dtype=np.int64),
+                               self.rates.grams[self.params.source_type], self.distance_m)
 
 
 def session_create(source_type: SourceType | int | str, tables: TableSet) -> EmissionSession:

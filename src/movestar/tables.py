@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .core import (
+from .model import (
     EmissionVector,
     RateTable,
     SourceType,

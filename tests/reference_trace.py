@@ -4,7 +4,8 @@ before it read every row with one `np.loadtxt` call.
 Kept as the oracle for `tests/test_cycleio.py`. Each cell goes through
 Python's `float()`, which also accepts digit-group underscores and
 non-ASCII digits; the package's reader rejects those cells. A speed over
-100 m/s, once converted from its unit, is an error of its line.
+100 m/s, once converted from its unit, is an error of its line, and so is a
+NaN speed.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ def reference_parse_trace(path: str | Path,
         if to_mps(v, unit) > MAX_SPEED_MPS:
             raise ParseError(f"speed {v!r} {unit} is over the {MAX_SPEED_MPS!r} m/s limit",
                              line=lineno)
+        if math.isnan(v):
+            raise ParseError(f"bad speed {v_cell!r}", line=lineno)
         if times and t < times[-1]:
             raise NonMonotonicTime(lineno)
         times.append(t)

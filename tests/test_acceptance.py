@@ -12,6 +12,7 @@ import pytest
 from movestar.cli import main as cli_main
 from movestar.core import (
     DriveCycle,
+    EmissionVector,
     SourceType,
     VALID_OPMODE_IDS,
     VehicleParams,
@@ -54,7 +55,7 @@ def test_criterion_1_oracle_equivalence(tables, params_path, rates_path):
             ref = run_reference(speeds, st.value, params_path, rates_path)
             result = aggregate_cycle(DriveCycle.from_speeds(speeds),
                                      tables.params_for(st), tables.rates)
-            assert [int(r.opmode) for r in result.per_second] == ref["modes"], name
+            assert result.modes.tolist() == ref["modes"], name
             for got, want in zip(result.totals.as_tuple(), ref["totals"]):
                 assert got == pytest.approx(want, rel=1e-9), name
             if ref["ef"] is None:
@@ -179,7 +180,7 @@ def test_criterion_4_stream_batch_equivalence(tables):
         stream_modes = [session_step(session, v)[0] for v in speeds]
         stream = session_finalize(session)
 
-        assert stream_modes == [r.opmode for r in batch.per_second]
+        assert stream_modes == batch.modes.tolist()
         assert stream.totals == batch.totals          # bit-identical
         assert stream.distance_m == batch.distance_m
         assert stream.ef == batch.ef
@@ -197,7 +198,7 @@ def test_criterion_5_conservation_and_ef_identity(tables):
         for st in SourceType:
             result = aggregate_cycle(DriveCycle.from_speeds(speeds),
                                      tables.params_for(st), tables.rates)
-            assert in_order_sum(rec.emissions for rec in result.per_second) \
+            assert in_order_sum(EmissionVector(*g) for g in result.grams.tolist()) \
                 == result.totals, name
             if result.distance_m > 0.0:
                 nonzero += 1

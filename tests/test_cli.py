@@ -301,6 +301,17 @@ class TestInputBoundary:
         assert capsys.readouterr() == ("", "error: trace: " + message)
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("body,line", [("0,1\n0.5,nan\n1,2\n", 2), ("nan\n", 1)])
+    def test_raw_nan_speed_names_its_line(self, tmp_path, capsys, body, line):
+        path = tmp_path / "nan.csv"
+        path.write_text(body)
+        message = f"bad speed 'nan' at line {line}\n"
+        assert run_cli("factors", "--cycle", path, "--veh", "1") == 1
+        assert capsys.readouterr() == ("", "error: cycle: " + message)
+        assert run_cli("convert", "--in", path, "--out", tmp_path / "out.csv") == 1
+        assert capsys.readouterr() == ("", "error: trace: " + message)
+        assert not (tmp_path / "out.csv").exists()
+
     TOKENS = [b"nan", b"inf", b"-inf", b"5e-324", b"1e18", b"-1e18", b"1e308", b"t", b"#",
               b",", b"\n", b"\xff", b"0", b"1.5", b"-1", b" "]
 

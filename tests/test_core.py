@@ -229,7 +229,7 @@ class TestAggregateCycle:
         assert result.totals == in_order_sum([idle] * 10)
         assert result.ef is None
         assert not result.ef_defined
-        assert all(rec.opmode is OpMode.IDLE for rec in result.per_second)
+        assert result.modes.tolist() == [OpMode.IDLE] * 10
 
     def test_missing_entry_names_first_missing_mode(self, tables):
         from movestar.core import RateTable
@@ -257,7 +257,7 @@ class TestAggregateCycle:
         ref = run_reference(speeds, "LDV", params_path, rates_path)
         p = tables.params_for(SourceType.LDV)
         result = aggregate_cycle(DriveCycle.from_speeds(speeds), p, tables.rates)
-        assert [int(r.opmode) for r in result.per_second] == ref["modes"]
+        assert result.modes.tolist() == ref["modes"]
         for got, want in zip(result.totals.as_tuple(), ref["totals"]):
             assert got == pytest.approx(want, rel=1e-9)
         assert result.distance_m == pytest.approx(ref["distance_m"], rel=1e-12)
@@ -266,7 +266,7 @@ class TestAggregateCycle:
         _, speeds = fixture_cycle
         p = tables.params_for(SourceType.LDT)
         result = aggregate_cycle(DriveCycle.from_speeds(speeds), p, tables.rates)
-        assert in_order_sum(rec.emissions for rec in result.per_second) == result.totals
+        assert in_order_sum(EmissionVector(*g) for g in result.grams.tolist()) == result.totals
 
     def test_ef_identity(self, tables):
         p = tables.params_for(SourceType.LDV)
@@ -282,7 +282,7 @@ class TestAggregateCycle:
         base = aggregate_cycle(DriveCycle.from_speeds(speeds), p, tables.rates)
         doubled = aggregate_cycle(DriveCycle.from_speeds(speeds), p,
                                   scaled_rates(tables.rates, 2.0))
-        assert [r.opmode for r in doubled.per_second] == [r.opmode for r in base.per_second]
+        assert doubled.modes.tolist() == base.modes.tolist()
         for got, want in zip(doubled.totals.as_tuple(), base.totals.as_tuple()):
             assert got == pytest.approx(2.0 * want, rel=1e-12)
         for got, want in zip(doubled.ef.as_tuple(), base.ef.as_tuple()):
@@ -295,7 +295,7 @@ class TestAggregateCycle:
         p = tables.params_for(SourceType.LDV)
         cycle = DriveCycle.from_speeds([speeds[0]] * len(speeds))
         result = aggregate_cycle(cycle, p, tables.rates)
-        assert all(int(r.opmode) not in (0, 1) for r in result.per_second)
+        assert not set(result.modes.tolist()) & {0, 1}
 
     def test_vsp_zero_whenever_v_zero_property(self, tables):
         rng = np.random.default_rng(11)

@@ -38,7 +38,7 @@ class TestParseTrace:
     def test_two_column(self, tmp_path):
         raw = parse_trace(write(tmp_path, "0,0.0\n1,2.0\n2,3.0\n"), "m/s")
         assert len(raw) == 3
-        assert raw.speeds == (0.0, 2.0, 3.0)
+        assert raw.v.tolist() == [0.0, 2.0, 3.0]
         assert raw.unit == "m/s"
 
     def test_header_and_comments(self, tmp_path):
@@ -85,7 +85,7 @@ class TestParseTrace:
 
     def test_mph_conversion_factor(self, tmp_path):
         raw = parse_trace(write(tmp_path, "0,10\n1,20\n"), "mph")
-        assert raw.speeds == (10.0, 20.0)  # stored as declared
+        assert raw.v.tolist() == [10.0, 20.0]  # stored as declared
         assert raw.speeds_mps() == [10 * 0.44704, 20 * 0.44704]
 
     def test_kmh_conversion(self, tmp_path):
@@ -106,6 +106,18 @@ class TestParseTrace:
         assert info.value.line == line
         assert str(info.value) == \
             f"speed {speed} {unit} is over the 100.0 m/s limit at line {line}"
+
+    # A NaN speed is named by its line too, not by its second after resampling.
+    @pytest.mark.parametrize("unit,text,line,cell", [
+        ("m/s", "0,1\n0.5,nan\n1,2\n", 2, "nan"),
+        ("mph", "# c\n1\n\nNaN\n", 4, "NaN"),
+        ("km/h", "t,v\n0,1\n1,-nan\n2,abc\n", 3, "-nan"),
+    ])
+    def test_nan_speed_names_its_line(self, tmp_path, unit, text, line, cell):
+        with pytest.raises(ParseError) as info:
+            parse_trace(write(tmp_path, text), unit)
+        assert info.value.line == line
+        assert str(info.value) == f"bad speed {cell!r} at line {line}"
 
     @pytest.mark.parametrize("unit,text", [("m/s", "0,100\n"), ("mph", "223.69362920544023\n"),
                                            ("km/h", "0,360\n")])
@@ -183,6 +195,8 @@ class TestParseTraceMatchesReference:
     @example(text="223.69362920544023\n223.69362920544026\n", unit="mph")
     @example(text="0,360\nx\n", unit="km/h")
     @example(text="0,361\nx\n", unit="km/h")
+    @example(text="0,1\n0.5,nan\n1,2\n", unit="m/s")
+    @example(text="nan\n-1\n", unit="mph")
     def test_same_columns_or_same_error(self, tmp_path_factory, text, unit):
         path = tmp_path_factory.getbasetemp() / "prop.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -270,5 +284,5 @@ class TestResample:
         path = tmp_path / "t.csv"
         path.write_text("0.0,2.0\n0.5,4.0\n1.0,6.0\n1.5,8.0\n")
         cycle = resample_to_1hz(parse_trace(path, "m/s"))
-        assert cycle.speeds == [3.0, 7.0]
-        assert cycle.samples[1].a == 4.0
+        assert cycle.v.tolist() == [3.0, 7.0]
+        assert cycle.a[1] == 4.0

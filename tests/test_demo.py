@@ -43,7 +43,7 @@ def green_arrival_scenario():
 
 
 def cycle_distance(cycle):
-    return sum(s.v for s in cycle.samples)
+    return sum(cycle.v.tolist())
 
 
 def random_red_arrival_scenarios(seed, count, require_glide=True):
@@ -119,7 +119,7 @@ class TestBaseline:
 
     def test_green_arrival_constant_speed(self):
         cycle = gen_baseline_trajectory(green_arrival_scenario())
-        assert set(s.v for s in cycle.samples) == {12.0}
+        assert set(cycle.v.tolist()) == {12.0}
 
     def test_distance_matches_scenario(self):
         for sc in (red_arrival_scenario(), green_arrival_scenario()):
@@ -128,7 +128,7 @@ class TestBaseline:
 
     def test_acceleration_bounds(self):
         cycle = gen_baseline_trajectory(red_arrival_scenario())
-        accels = [s.a for s in cycle.samples]
+        accels = cycle.a.tolist()
         assert min(accels) >= -STOP_DECEL_MAX - 1e-9
         assert max(accels) <= RESTART_ACCEL_MAX + 1e-9
 
@@ -150,7 +150,7 @@ class TestSmoothed:
 
     def test_glide_decel_bound(self):
         out = gen_smoothed_trajectory(red_arrival_scenario())
-        decels = [s.a for s in out.cycle.samples if s.a < 0]
+        decels = [a for a in out.cycle.a.tolist() if a < 0]
         assert all(a >= -GLIDE_DECEL_MAX - 1e-9 for a in decels)
 
     def test_equal_distance_to_baseline(self):
@@ -180,8 +180,8 @@ class TestSmoothed:
             for cycle in (gen_baseline_trajectory(sc),
                           gen_smoothed_trajectory(sc).cycle):
                 assert len(cycle) > 0
-                assert all(s.v >= 0.0 for s in cycle.samples)
-                assert [s.t for s in cycle.samples] == list(range(len(cycle)))
+                assert cycle.v.min() >= 0.0
+                assert len(cycle.a) == len(cycle.v) == len(cycle)
 
 
 def _scenario_or_none(**kwargs):
@@ -299,4 +299,4 @@ class TestComparison:
 
 def _modes(cycle, tables):
     result = aggregate_cycle(cycle, tables.params_for(SourceType.LDV), tables.rates)
-    return {rec.opmode for rec in result.per_second}
+    return set(map(OpMode, result.modes.tolist()))

@@ -4,7 +4,7 @@ import importlib
 
 import pytest
 
-MODULES = ["movestar", "movestar.core", "movestar.cycleio", "movestar.session",
+MODULES = ["movestar", "movestar.model", "movestar.core", "movestar.cycleio", "movestar.session",
            "movestar.flatapi", "movestar.tables", "movestar.demo"]
 
 

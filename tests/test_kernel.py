@@ -13,7 +13,6 @@ from movestar.core import (
     MAX_SPEED_MPS,
     SPECIES_NAMES,
     DriveCycle,
-    SecondRecord,
     SourceType,
     aggregate_cycle,
 )
@@ -53,11 +52,11 @@ def random_walk(seed, n=500):
 
 
 def naive_er_body(result):
-    """ER rows from the per-second records, one format call per value."""
+    """ER rows from the per-second arrays, one format call per value."""
     lines = ["t,opmode," + ",".join(SPECIES_NAMES)]
-    for rec in result.per_second:
-        values = ",".join(f"{x:.9f}" for x in rec.emissions.as_tuple())
-        lines.append(f"{rec.t},{int(rec.opmode)},{values}")
+    for t, (mode, grams) in enumerate(zip(result.modes.tolist(), result.grams.tolist())):
+        values = ",".join(f"{x:.9f}" for x in grams)
+        lines.append(f"{t},{mode},{values}")
     lines.append("TOTAL,," + ",".join(f"{x:.9f}" for x in result.totals.as_tuple()))
     return "\n".join(lines) + "\n"
 
@@ -109,11 +108,14 @@ class TestRecordsOnDemand:
     def test_per_second_equals_session_step_records(self, veh, tables):
         for speeds in [random_walk(9)] + list(FIXTURE_CYCLES.values()):
             s = session_create(veh, tables)
-            records = tuple(SecondRecord(t, *session_step(s, v)) for t, v in enumerate(speeds))
+            steps = [session_step(s, v) for v in speeds]
+            modes = [int(mode) for mode, _ in steps]
+            grams = [list(vector.as_tuple()) for _, vector in steps]
             batch = aggregate_cycle(DriveCycle.from_speeds(speeds),
                                     tables.params_for(veh), tables.rates)
-            assert batch.per_second == records
-            assert session_finalize(s).per_second == records
+            for result in (batch, session_finalize(s)):
+                assert result.modes.tolist() == modes
+                assert result.grams.tolist() == grams
 
     def test_arrays_are_read_only(self, tables):
         cycle = DriveCycle.from_speeds([0.0, 3.0, 5.0])
@@ -133,10 +135,9 @@ class TestDriveCycleBoundary:
         with pytest.raises(NegativeSpeed):
             DriveCycle.from_speeds([1.0, -0.5, float("nan")])
 
-    def test_samples_built_from_arrays(self):
+    def test_accelerations_built_from_speeds(self):
         cycle = DriveCycle.from_speeds([0.0, 2.0, 3.0])
-        assert [(s.t, s.v, s.a) for s in cycle.samples] == [(0, 0.0, 0.0), (1, 2.0, 2.0),
-                                                             (2, 3.0, 1.0)]
+        assert (cycle.v.tolist(), cycle.a.tolist()) == ([0.0, 2.0, 3.0], [0.0, 2.0, 1.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_session_rejects_non_finite_speed_unchanged(self, bad, tables):
@@ -165,7 +166,9 @@ class TestDriveCycleBoundary:
         assert (s.step_count, s.prev_speed, s.distance_m, s.running_totals) == snapshot
         batch = aggregate_cycle(DriveCycle([MAX_SPEED_MPS] * 2),
                                 tables.params_for(SourceType.LDV), tables.rates)
-        assert session_finalize(s).per_second == batch.per_second
+        result = session_finalize(s)
+        assert result.modes.tolist() == batch.modes.tolist()
+        assert result.grams.tolist() == batch.grams.tolist()
 
     def test_flatapi_speed_limit(self):
         flatapi.reset_shared_tables()

@@ -3,6 +3,8 @@
 import math
 import shutil
 import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,11 +156,12 @@ class TestStreamBatchEquivalence:
             mode, _ = session_step(s, v)
             stream_modes.append(mode)
         result = session_finalize(s)
-        assert stream_modes == [r.opmode for r in batch.per_second]
+        assert stream_modes == batch.modes.tolist()
         assert result.totals == batch.totals
         assert result.distance_m == batch.distance_m
         assert result.ef == batch.ef
-        assert result.per_second == batch.per_second
+        assert result.modes.tolist() == batch.modes.tolist()
+        assert result.grams.tolist() == batch.grams.tolist()
 
     def test_random_cycles_bit_identical(self, tables):
         rng = np.random.default_rng(1234)
@@ -174,8 +177,7 @@ class TestStreamBatchEquivalence:
             result = session_finalize(s)
             assert result.totals == batch.totals
             assert result.ef == batch.ef
-            assert [r.opmode for r in result.per_second] == \
-                   [r.opmode for r in batch.per_second]
+            assert result.modes.tolist() == batch.modes.tolist()
 
     def test_sessions_do_not_interfere(self, tables):
         a = session_create(SourceType.LDV, tables)
@@ -442,6 +444,26 @@ class TestFlatApi:
         assert flatapi.destroy(handle) == flatapi.ERR_HANDLE
         assert flatapi.stats()[4] == errors + 4
         assert flatapi.destroy(live) == flatapi.OK
+
+    # Handles that equal live handle 1 but are not ints: a dict lookup alone
+    # would step, read or destroy vehicle 1 through them.
+    @pytest.mark.parametrize("alias", [float, bool, np.int64, Fraction, Decimal, complex],
+                             ids=["float", "bool", "np_int64", "fraction", "decimal", "complex"])
+    def test_handle_that_is_not_an_int_is_handle_status(self, alias, monkeypatch):
+        monkeypatch.setattr(flatapi, "_sessions", {})
+        monkeypatch.setattr(flatapi, "_next_handle", 1)
+        assert flatapi.create(1) == (flatapi.OK, 1)
+        assert flatapi.step(1, 5.0)[0] == flatapi.OK
+        handle = alias(1)
+        assert handle == 1 and hash(handle) == hash(1)
+        errors = flatapi.stats()[4]
+        assert flatapi.step(handle, 6.0) == (flatapi.ERR_HANDLE, -1) + (0.0,) * 5
+        assert flatapi.totals(handle) == (flatapi.ERR_HANDLE,) + (0.0,) * 6
+        assert flatapi.finalize(handle) == (flatapi.ERR_HANDLE, 0.0, 0) + (0.0,) * 10
+        assert flatapi.destroy(handle) == flatapi.ERR_HANDLE
+        assert flatapi.stats()[4] == errors + 4
+        assert flatapi.totals(1)[:2] == (flatapi.OK, 5.0)     # one step, still live
+        assert flatapi.destroy(1) == flatapi.OK
 
     @pytest.mark.parametrize("tables_dir", [123, b"/x", "\x00x", ["x"]],
                              ids=["int", "bytes", "nul", "list"])
