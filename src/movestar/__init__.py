@@ -5,16 +5,15 @@ The pipeline mirrors the MOVES project-level running-exhaust calculation:
 base-rate lookup -> per-second and per-kilometre outputs. Two gasoline
 light-duty source types are shipped; table assets are versioned CSV files.
 
-Importing the package loads only the numpy-free modules: the scalar model,
-table loading and the streaming session. The array kernel (`core`), trace
-I/O (`cycleio`) and the demo load, with numpy, on first use of one of their
-names here.
+Importing the package loads only the scalar model and table loading. The
+streaming session (`session`) loads on first use of one of its names here;
+the array kernel (`core`), trace I/O (`cycleio`) and the demo load, with
+numpy, on first use of theirs.
 """
 
 from importlib import import_module
 
 from .model import EmissionVector, OpMode, RateTable, SourceType, VehicleParams, per_second_emissions
-from .session import EmissionSession, session_create, session_finalize, session_step
 from .tables import (
     TableSet,
     load_default_tables,
@@ -24,7 +23,7 @@ from .tables import (
     validate_table_set,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # Names resolved on first access (PEP 562), by the module that defines them.
 _LAZY = {
@@ -34,6 +33,8 @@ _LAZY = {
     "resample_to_1hz": "cycleio",
     "SignalScenario": "demo", "compare_scenarios": "demo",
     "gen_baseline_trajectory": "demo", "gen_smoothed_trajectory": "demo",
+    "EmissionSession": "session", "session_create": "session",
+    "session_finalize": "session", "session_step": "session",
 }
 
 

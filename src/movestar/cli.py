@@ -71,13 +71,13 @@ def write_er_csv(result: CycleResult, tables: TableSet, path: Path) -> None:
     rows = {m: f"{m}," + ",".join(map(_fmt, result.grams[i].tolist()))
             for m, i in zip(modes.tolist(), first.tolist())}
     lines += [f"{t},{rows[m]}" for t, m in enumerate(result.modes.tolist())]
-    lines.append("TOTAL,," + ",".join(map(_fmt, result.totals.as_tuple())))
+    lines.append("TOTAL,," + ",".join(map(_fmt, result.totals)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _ef_lines(result: CycleResult, tables: TableSet) -> list[str]:
     """The per-km factor table shared by the EF file and `factors`."""
-    ef = result.ef.as_tuple() if result.ef is not None else (None,) * len(SPECIES_NAMES)
+    ef = result.ef if result.ef is not None else (None,) * len(SPECIES_NAMES)
     lines = ["species,value,unit_per_km"]
     for name, value in zip(SPECIES_NAMES, ef):
         shown = "undefined" if value is None else _fmt(value)

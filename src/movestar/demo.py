@@ -282,8 +282,8 @@ class ScenarioComparison:
 
     def delta_pct(self) -> dict[str, float]:
         out = {}
-        for name, base, smooth in zip(SPECIES_NAMES, self.baseline.totals.as_tuple(),
-                                      self.smoothed.totals.as_tuple()):
+        for name, base, smooth in zip(SPECIES_NAMES, self.baseline.totals,
+                                      self.smoothed.totals):
             if base == 0.0:
                 out[name] = 0.0 if smooth == 0.0 else math.inf
             else:
@@ -293,8 +293,8 @@ class ScenarioComparison:
     def csv_lines(self) -> list[str]:
         lines = ["species,baseline_total,smoothed_total,delta_pct"]
         deltas = self.delta_pct()
-        for name, base, smooth in zip(SPECIES_NAMES, self.baseline.totals.as_tuple(),
-                                      self.smoothed.totals.as_tuple()):
+        for name, base, smooth in zip(SPECIES_NAMES, self.baseline.totals,
+                                      self.smoothed.totals):
             lines.append(f"{name},{base:.9f},{smooth:.9f},{deltas[name]:.6f}")
         lines.append(f"distance_m,{self.baseline.distance_m:.6f},"
                      f"{self.smoothed.distance_m:.6f},")

@@ -14,6 +14,7 @@ Status codes:
 
 from __future__ import annotations
 
+import os
 import threading
 
 from .errors import CycleError, TableError
@@ -29,18 +30,22 @@ ERR_HANDLE = 3
 _lock = threading.Lock()
 _sessions: dict[int, EmissionSession] = {}
 _next_handle = 1
-_shared_tables: TableSet | None = None
+_table_sets: dict[str | bytes | None, TableSet] = {}   # by absolute directory; None: the default set
 _destroyed_steps = 0                # steps of the sessions `destroy` released
 _errors = [0, 0, 0, 0]              # non-OK results, by status code
 
 
 def _tables(tables_dir: str | None) -> TableSet:
-    global _shared_tables
-    if tables_dir is not None:
-        return load_tables_from_dir(tables_dir)
-    if _shared_tables is None:
-        _shared_tables = load_tables_from_dir(resolve_tables_dir())
-    return _shared_tables
+    """The table set in `tables_dir`, or the default set for None, loaded
+    once per process and directory. The load runs outside `_lock`; a load
+    that raised is not kept, so the next call retries."""
+    key = None if tables_dir is None else os.path.abspath(os.fspath(tables_dir))
+    tables = _table_sets.get(key)
+    if tables is None:
+        tables = load_tables_from_dir(resolve_tables_dir() if key is None else key)
+        with _lock:
+            tables = _table_sets.setdefault(key, tables)
+    return tables
 
 
 def _error(status: int) -> int:
@@ -51,12 +56,16 @@ def _error(status: int) -> int:
 
 
 def create(veh_type: int, tables_dir: str | None = None) -> tuple[int, int]:
-    """Open a session. Returns (status, handle); handle is 0 on error."""
+    """Open a session. Returns (status, handle); handle is 0 on error.
+
+    Each `tables_dir`, like the default set, is read and validated on its
+    first use only; later sessions share that table set."""
     global _next_handle
     try:
         tables = _tables(tables_dir)
         session = session_create(veh_type, tables)
-    except (TableError, TypeError, ValueError):
+    except (TableError, OSError, TypeError, ValueError):
+        # OSError: a relative tables_dir when the working directory is gone.
         # TypeError and ValueError: a tables_dir that is not a path (123,
         # b"/x") or that no file can have (an embedded NUL).
         return _error(ERR_TABLES), 0
@@ -114,8 +123,8 @@ def finalize(handle: int) -> tuple[int, float, int, float, float, float, float, 
         return (_error(ERR_INPUT), 0.0, 0) + (0.0,) * 10
     totals = session.running_totals
     ef = per_km(totals, session.distance_m)
-    return (OK, session.distance_m, int(ef is not None)) + totals.as_tuple() \
-        + (ef.as_tuple() if ef is not None else (0.0,) * 5)
+    return (OK, session.distance_m, int(ef is not None)) + totals \
+        + (ef if ef is not None else (0.0,) * 5)
 
 
 def destroy(handle: int) -> int:
@@ -145,9 +154,9 @@ def stats() -> tuple[int, int, int, int, int]:
 
 
 def reset_shared_tables() -> None:
-    """Drop the cached default table set (test hook)."""
-    global _shared_tables
-    _shared_tables = None
+    """Drop every cached table set, the default one included (test hook)."""
+    with _lock:
+        _table_sets.clear()
 
 
 __all__ = ["OK", "ERR_INPUT", "ERR_TABLES", "ERR_HANDLE",

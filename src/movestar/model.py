@@ -4,17 +4,17 @@ Everything the streaming path (`session`, `flatapi`) and table loading read
 lives here, in plain Python: the mph thresholds and the exact m/s thresholds
 derived from them, the speed-class x VSP-bin mode grid, the VSP formula, and
 the per-second rows of a rate table. This module never imports numpy at
-import time; the array kernel (`core`) builds on it. Speeds and
-accelerations are SI (m/s, m/s^2). Operating-mode thresholds are defined in
-mph per the MOVES convention and applied as m/s thresholds derived from them
-once, at import.
+import time, and its records are named tuples and plain classes, not
+dataclasses, so loading it stays cheap; the array kernel (`core`) builds on
+it. Speeds and accelerations are SI (m/s, m/s^2). Operating-mode thresholds
+are defined in mph per the MOVES convention and applied as m/s thresholds
+derived from them once, at import.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -52,6 +52,9 @@ class SourceType(enum.Enum):
 
     @classmethod
     def from_code(cls, code: int) -> "SourceType":
+        # True and False compare equal to 1 and 0 but name no vehicle.
+        if isinstance(code, bool):
+            raise UnknownSourceType(code)
         if code == 1:
             return cls.LDV
         if code == 2:
@@ -145,8 +148,27 @@ _HARD_DECEL_MPS2 = math.nextafter(
     _least_mps(math.nextafter(BRAKE_DECEL_MPHPS, math.inf)), -math.inf)
 
 
-@dataclass(frozen=True)
-class VehicleParams:
+class _DataclassFields:
+    """`__dataclass_fields__` of a named-tuple record, built on first read.
+
+    The public records were frozen dataclasses until version 0.4.0. With this
+    attribute `dataclasses.replace`, `fields`, `asdict` and `is_dataclass`
+    still accept them, and `dataclasses` is imported only when one of those
+    asks, never at import."""
+
+    def __init__(self):
+        self._fields = None
+
+    def __get__(self, obj, owner):
+        if self._fields is None:
+            from dataclasses import make_dataclass
+            mirror = make_dataclass(owner.__name__,
+                                    [(n, owner.__annotations__[n]) for n in owner._fields])
+            self._fields = mirror.__dataclass_fields__
+        return self._fields
+
+
+class VehicleParams(NamedTuple):
     """Road-load coefficients and masses for one source type.
 
     A is the rolling term (kW*s/m), B the rotating term (kW*s^2/m^2),
@@ -161,6 +183,8 @@ class VehicleParams:
     M: float
     f: float
 
+    __dataclass_fields__ = _DataclassFields()
+
     def violations(self) -> list[str]:
         out = []
         for name in ("A", "B", "C", "M", "f"):
@@ -174,8 +198,7 @@ class VehicleParams:
         return out
 
 
-@dataclass(frozen=True)
-class EmissionVector:
+class EmissionVector(NamedTuple):
     """One value per output species. Also used for per-hour base rates.
 
     `energy` is the fuel/energy channel; its unit comes from the rate table
@@ -189,8 +212,11 @@ class EmissionVector:
     nox: float
     co2: float
 
+    __dataclass_fields__ = _DataclassFields()
+
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.energy, self.co, self.hc, self.nox, self.co2)
+        """The values as a plain tuple (the record itself is one)."""
+        return tuple(self)
 
 
 SPECIES_NAMES = ("energy", "CO", "HC", "NOx", "CO2")
@@ -199,19 +225,40 @@ SPECIES_NAMES = ("energy", "CO", "HC", "NOx", "CO2")
 class ModeRows(NamedTuple):
     """Per-second emission mass of each mode id `m` of one source type: the
     session step result `pairs[m]`, `(OpMode(m), vector)`, and the flat step
-    result `results[m]`, `(0, m, *vector.as_tuple())` with status 0 (OK). An
+    result `results[m]`, `(0, m, *vector)` with status 0 (OK). An
     id that is not an operating mode has None in both."""
 
     pairs: tuple[tuple[OpMode, EmissionVector] | None, ...]
     results: tuple[tuple[int, int, float, float, float, float, float] | None, ...]
 
 
-@dataclass(frozen=True)
 class RateTable:
-    """Base emission/energy rates per (source type, operating mode), per hour."""
+    """Base emission/energy rates per (source type, operating mode), per hour.
+
+    Read-only once built, and equal to another table with equal `entries`
+    and `units`. The rows derived from it are built once, on first use."""
 
     entries: Mapping[tuple[SourceType, int], EmissionVector]
     units: Mapping[str, str]
+
+    def __init__(self, entries: Mapping[tuple[SourceType, int], EmissionVector],
+                 units: Mapping[str, str]):
+        # `cached_property` stores into `__dict__` directly, as this does.
+        self.__dict__.update(entries=entries, units=units)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RateTable is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RateTable is read-only: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.units) == (other.entries, other.units)
+
+    def __repr__(self) -> str:
+        return f"RateTable(entries={self.entries!r}, units={self.units!r})"
 
     def missing(self) -> list[tuple[str, int]]:
         """The (source type, operating mode) pairs without an entry, in
@@ -233,7 +280,7 @@ class RateTable:
             vectors = [per_second_emissions(self.entries[(st, m)]) if m in VALID_OPMODE_IDS
                        else None for m in range(max(VALID_OPMODE_IDS) + 1)]
             pairs = tuple(None if v is None else (OpMode(m), v) for m, v in enumerate(vectors))
-            results = tuple(None if v is None else (0, m) + v.as_tuple()
+            results = tuple(None if v is None else (0, m) + v
                             for m, v in enumerate(vectors))
             out[st] = ModeRows(pairs, results)
         return out
@@ -280,7 +327,7 @@ def is_soft_decel(a_mps2):
 
 def per_second_emissions(rate_per_hour: EmissionVector) -> EmissionVector:
     """Convert a per-hour base rate into a per-second emission mass."""
-    return EmissionVector(*(x / SECONDS_PER_HOUR for x in rate_per_hour.as_tuple()))
+    return EmissionVector(*(x / SECONDS_PER_HOUR for x in rate_per_hour))
 
 
 def per_km(totals: EmissionVector, distance_m: float) -> EmissionVector | None:

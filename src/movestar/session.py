@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import EmptySession, InvalidSample, NegativeSpeed, UnknownSourceType
@@ -47,28 +46,26 @@ _SOFT_HISTORY_RUN = BRAKE_SOFT_RUN_S - 1
 _BRAKING = int(OpMode.BRAKING)
 
 
-@dataclass(slots=True)
 class EmissionSession:
     """Incremental pipeline state for one simulated vehicle; one byte per step.
 
     Built from `params` and `rates` alone; the running state starts empty.
     Building it raises IncompleteTable if `rates` lacks an operating mode."""
 
-    params: VehicleParams
-    rates: RateTable
-    prev_speed: float | None = field(init=False, default=None)
-    # Sums start at -0.0 (-0.0 + x == x for every x), as the batch path's do.
-    distance_m: float = field(init=False, default=-0.0)
-    _totals: tuple[float, ...] = field(init=False, default=(-0.0,) * 5)
-    _soft_run: int = field(init=False, default=0)   # trailing seconds of soft deceleration
-    _modes: array = field(init=False, default_factory=lambda: array("b"))
-    _rows: ModeRows = field(init=False, repr=False, compare=False)
-    _coefficients: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("params", "rates", "prev_speed", "distance_m", "_totals", "_soft_run",
+                 "_modes", "_rows", "_coefficients")
 
-    def __post_init__(self):
-        self._rows = self.rates.per_second[self.params.source_type]
-        p = self.params
-        self._coefficients = (p.A, p.B, p.C, p.M, p.f)
+    def __init__(self, params: VehicleParams, rates: RateTable):
+        self.params = params
+        self.rates = rates
+        self._rows = rates.per_second[params.source_type]
+        self._coefficients = (params.A, params.B, params.C, params.M, params.f)
+        self.prev_speed = None
+        # Sums start at -0.0 (-0.0 + x == x for every x), as the batch path's do.
+        self.distance_m = -0.0
+        self._totals = (-0.0,) * 5
+        self._soft_run = 0          # trailing seconds of soft deceleration
+        self._modes = array("b")
 
     @property
     def step_count(self) -> int:

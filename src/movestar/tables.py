@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .model import (
     EmissionVector,
@@ -22,6 +21,7 @@ from .model import (
     SPECIES_NAMES,
     VALID_OPMODE_IDS,
     VehicleParams,
+    _DataclassFields,
 )
 from .errors import (IncompleteTable, SchemaError, TableFileError, TableParseError, UnitError,
                      UnknownSourceType)
@@ -34,13 +34,14 @@ RATES_HEADER = ["source_type", "opmode", "energy", "CO", "HC", "NOx", "CO2"]
 ENV_TABLES_DIR = "MOVESTAR_TABLES"
 
 
-@dataclass(frozen=True)
-class TableSet:
+class TableSet(NamedTuple):
     """A validated pair of coefficient and rate tables plus provenance."""
 
     params: Mapping[SourceType, VehicleParams]
     rates: RateTable
     provenance: str
+
+    __dataclass_fields__ = _DataclassFields()
 
     def params_for(self, source_type: SourceType) -> VehicleParams:
         return self.params[source_type]
@@ -175,7 +176,7 @@ def validate_table_set(tables: TableSet) -> list[str]:
     for (st, mode), vec in tables.rates.entries.items():
         if mode not in VALID_OPMODE_IDS:
             report.append(f"rates: ({st.value}, {mode}) is not a valid operating mode")
-        for name, value in zip(SPECIES_NAMES, vec.as_tuple()):
+        for name, value in zip(SPECIES_NAMES, vec):
             if not math.isfinite(value):
                 report.append(f"rates: ({st.value}, {mode}) {name} = {value} is not finite")
             elif value < 0.0:
@@ -250,7 +251,7 @@ def serialize_table_set(tables: TableSet, params_path: str | Path,
             vec = tables.rates.entries.get((st, mode))
             if vec is not None:
                 rlines.append(",".join([st.value, str(mode)]
-                                       + [repr(x) for x in vec.as_tuple()]))
+                                       + [repr(x) for x in vec]))
     rates_path.write_text("\n".join(rlines) + "\n", encoding="utf-8")
 
 

@@ -74,3 +74,39 @@ def test_lazy_kernel_matches_the_core_kernel(tables):
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'KinematicSample'"):
         movestar.KinematicSample
+
+
+# Children that record `sys.modules` before importing the package, then print
+# the names they added as JSON.
+RECORDED = """\
+import sys
+before = set(sys.modules)
+{body}
+import json
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def added_modules(body: str) -> list[str]:
+    return json.loads(run_child(RECORDED.format(body=body)))
+
+
+def test_package_import_and_table_load_load_only_the_model():
+    added = added_modules("import movestar\nmovestar.load_default_tables()")
+    assert [m for m in added if m.startswith("movestar.")] == [
+        "movestar.errors", "movestar.model", "movestar.tables"]
+
+
+def test_streaming_lifecycle_loads_no_dataclasses_inspect_or_numpy():
+    added = added_modules(STREAMING)
+    assert "movestar.session" in added and "movestar.flatapi" in added
+    assert [m for m in added if m in ("dataclasses", "inspect")
+            or m.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize("name", ["EmissionSession", "session_create", "session_finalize",
+                                  "session_step"])
+def test_session_names_resolve_to_the_session_module(name):
+    from movestar import session
+    assert getattr(movestar, name) is getattr(session, name)
+    assert name in movestar.__all__ and name in dir(movestar)

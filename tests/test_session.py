@@ -536,3 +536,55 @@ class TestFlatApi:
         flatapi.destroy(b)
         flatapi.destroy(c)
         assert flatapi.stats()[:2] == (live, steps + 4)
+
+    # True == 1.0 == 1, but only an int code (or a token) names a vehicle.
+    @pytest.mark.parametrize("code", [True, False, 1.0], ids=["true", "false", "float"])
+    def test_vehicle_code_that_is_not_an_int_is_table_status(self, code, tables):
+        with pytest.raises(UnknownSourceType):
+            session_create(code, tables)
+        errors = flatapi.stats()[3]
+        assert flatapi.create(code) == (flatapi.ERR_TABLES, 0)
+        assert flatapi.stats()[3] == errors + 1
+
+    @pytest.mark.parametrize("code", [True, False])
+    def test_bool_code_names_no_source_type(self, code):
+        with pytest.raises(UnknownSourceType):
+            SourceType.from_code(code)
+
+    def test_each_tables_dir_loads_once(self, tables_dir, tmp_path, monkeypatch):
+        loads = []
+
+        def counted(directory):
+            loads.append(str(directory))
+            return load_tables_from_dir(directory)
+        monkeypatch.setattr(flatapi, "load_tables_from_dir", counted)
+        shutil.copytree(tables_dir, tmp_path / "copy")
+        shutil.copytree(tables_dir, tmp_path / "sub" / "copy")
+        handles = []
+
+        def create(where):
+            status, handle = flatapi.create(1, where)
+            assert status == flatapi.OK
+            handles.append(handle)
+            return flatapi._sessions[handle].rates
+        first = create(str(tables_dir))
+        assert create(tables_dir) is first and create(str(tables_dir)) is first
+        # Spellings of one directory share its set; a relative path means the
+        # directory it names from the working directory at the call.
+        copy = create(tmp_path / "copy")
+        assert copy is not first
+        monkeypatch.chdir(tmp_path)
+        assert create("copy") is create("copy/") is create("./copy") is copy
+        monkeypatch.chdir(tmp_path / "sub")
+        assert create("copy") is not copy
+        assert loads == [str(tables_dir), str(tmp_path / "copy"), str(tmp_path / "sub" / "copy")]
+        # A load that raised is not kept; the default set is kept on its own.
+        missing = str(tmp_path / "missing")
+        assert flatapi.create(1, missing) == flatapi.create(1, missing) == (flatapi.ERR_TABLES, 0)
+        handles += [flatapi.create(2)[1], flatapi.create(2)[1]]
+        assert loads[3:] == [missing, missing, str(tables_dir)]
+        flatapi.reset_shared_tables()
+        handles.append(flatapi.create(1, tables_dir)[1])
+        assert loads[6:] == [str(tables_dir)]
+        for handle in handles:
+            assert flatapi.destroy(handle) == flatapi.OK

@@ -2,7 +2,7 @@
 
 import pytest
 
-from movestar.core import SourceType, VALID_OPMODE_IDS
+from movestar.core import EmissionVector, RateTable, SourceType, VALID_OPMODE_IDS
 from movestar.errors import (
     IncompleteTable,
     SchemaError,
@@ -72,6 +72,53 @@ class TestRoundTrip:
         assert again.rates.entries == tables.rates.entries
         assert again.rates.units == tables.rates.units
         assert again.provenance == tables.provenance
+
+
+class TestRecords:
+    def test_tuple_records_keep_their_fields_and_repr(self, tables):
+        p = tables.params_for(SourceType.LDV)
+        assert repr(p) == ("VehicleParams(source_type=<SourceType.LDV: 'LDV'>, A=0.156461, "
+                           "B=0.00200193, C=0.000492646, M=1.4788, f=1.4788)")
+        assert p == tuple(p) == (SourceType.LDV, p.A, p.B, p.C, p.M, p.f)
+        vec = EmissionVector(1.0, 2.0, 3.0, 4.0, 5.0)
+        assert repr(vec) == "EmissionVector(energy=1.0, co=2.0, hc=3.0, nox=4.0, co2=5.0)"
+        assert vec == (1.0, 2.0, 3.0, 4.0, 5.0) and type(vec.as_tuple()) is tuple
+        params, rates, provenance = tables
+        assert tables.params_for(SourceType.LDT) is params[SourceType.LDT]
+        assert (rates, provenance) == (tables.rates, tables.provenance)
+
+    def test_tuple_records_still_take_the_dataclasses_functions(self, tables):
+        import dataclasses
+        vec = EmissionVector(1.0, 2.0, 3.0, 4.0, 5.0)
+        changed = dataclasses.replace(vec, co2=6.0)
+        assert type(changed) is EmissionVector and changed == (1.0, 2.0, 3.0, 4.0, 6.0)
+        assert [f.name for f in dataclasses.fields(vec)] == list(EmissionVector._fields)
+        assert dataclasses.asdict(vec) == vec._asdict()
+        p = tables.params_for(SourceType.LDV)
+        assert dataclasses.replace(p, M=2.0) == p._replace(M=2.0)
+        assert dataclasses.replace(tables, provenance="x") == tables._replace(provenance="x")
+        assert all(map(dataclasses.is_dataclass, (vec, p, tables, EmissionVector)))
+
+    def test_rate_table_is_read_only_and_equal_by_value(self, tables):
+        rates = RateTable(entries=dict(tables.rates.entries), units=dict(tables.rates.units))
+        with pytest.raises(AttributeError):
+            rates.units = {}
+        with pytest.raises(AttributeError):
+            del rates.entries
+        assert rates == tables.rates and rates is not tables.rates
+        assert rates != RateTable(entries=rates.entries, units={})
+        assert rates != (rates.entries, rates.units)
+        assert repr(RateTable({}, {"CO": "g/h"})) == "RateTable(entries={}, units={'CO': 'g/h'})"
+        assert rates.per_second is rates.per_second and rates.grams is rates.grams
+
+    def test_incomplete_rate_table_raises_on_first_use(self, tables):
+        entries = dict(tables.rates.entries)
+        del entries[(SourceType.LDT, 40)]
+        rates = RateTable(entries, tables.rates.units)
+        assert rates.missing() == [("LDT", 40)]
+        for _ in range(2):
+            with pytest.raises(IncompleteTable):
+                rates.per_second
 
 
 class TestCorruptedTables:
