@@ -94,27 +94,29 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
         data = path.read_bytes()
     except OSError as exc:
         raise TraceFileError(exc.errno, exc.strerror, exc.filename) from None
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
-    start = next((i for i, line in enumerate(lines)
-                  if not (_is_skipped(line) or _is_header(line))), len(lines))
-    if start == len(lines):
-        raise EmptyTrace(f"{path}: no data rows")
-    rows = lines[start:]
-    linenos = None
-    # Blank and comment lines between data rows are rare; they are looked
-    # for row by row only when the whole-list scans say they are there.
-    if "" in rows or any(map(str.isspace, rows)) or "#" in "".join(rows):
-        linenos = [i for i, line in enumerate(lines[start:], start + 1) if not _is_skipped(line)]
-        rows = [lines[i - 1] for i in linenos]
-    try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except ValueError:
-        raise _first_bad_line(lines, start, unit) from None
-    if table.shape[1] > 2:
-        raise _first_bad_line(lines, start, unit)
+    lines = linenos = None
+    start, table = _plain_table(path, data)
+    if table is None:
+        try:
+            lines = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
+        start = next((i for i, line in enumerate(lines)
+                      if not (_is_skipped(line) or _is_header(line))), len(lines))
+        if start == len(lines):
+            raise EmptyTrace(f"{path}: no data rows")
+        rows = lines[start:]
+        # Blank and comment lines between data rows are rare; they are looked
+        # for row by row only when the whole-list scans say they are there.
+        if "" in rows or any(map(str.isspace, rows)) or "#" in "".join(rows):
+            linenos = [i for i, line in enumerate(lines[start:], start + 1) if not _is_skipped(line)]
+            rows = [lines[i - 1] for i in linenos]
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            raise _first_bad_line(lines, start, unit) from None
+        if table.shape[1] > 2:
+            raise _first_bad_line(lines, start, unit)
     if table.shape[1] == 1:
         t, v = np.arange(len(table), dtype=float), table[:, 0]
     else:
@@ -124,9 +126,59 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
     bad[1:] |= np.diff(t) < 0.0
     if bad.any():
         i = int(bad.argmax())
+        if lines is None:
+            lines = data.decode("ascii").splitlines()
         raise _first_bad_line(lines, start, unit,
                               stop=i + start + 1 if linenos is None else linenos[i])
     return RawTrace(t=t, v=v, unit=unit)
+
+
+# Bytes after which `str.splitlines` and numpy's reader split lines
+# differently.
+_NOT_PLAIN = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+# Suffixes after which numpy reads a path through a decompressor.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _plain_table(path: Path, data: bytes) -> tuple[int, np.ndarray | None]:
+    """(leading lines, table) of a plain file: ASCII, LF or CRLF line breaks,
+    and after the leading header, comment and blank lines, every line up to
+    any trailing empty ones a row with no `#`. `table` is None for any other
+    file, for any file numpy rejects, and for a name numpy would decompress;
+    those take the line path, which names the error."""
+    if (path.suffix in _COMPRESSED or not data.isascii() or any(b in data for b in _NOT_PLAIN)
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return 0, None
+    start = pos = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos) + 1 or len(data)
+        line = data[pos:end].decode("ascii")
+        if not (_is_skipped(line) or _is_header(line)):
+            break
+        start, pos = start + 1, end
+    if pos == len(data) or data.find(b"#", pos) != -1:
+        return 0, None
+    # numpy skips empty lines. Trailing ones leave each row's line number as
+    # it is, so they are not counted; `rstrip` would copy the buffer.
+    end = len(data)
+    while data[end - 1] in b"\r\n":
+        end -= 1
+    nrows = data.count(b"\n", pos, end) + 1
+    # numpy opens the file a second time: given a `str` path it reads the
+    # file in C chunks, where a list of lines is iterated in Python. If the
+    # file is replaced between the two reads, what is kept is still an array
+    # that passes every value check of `parse_trace`; if it is gone, the line
+    # path reads the bytes already read.
+    try:
+        table = np.loadtxt(str(path), delimiter=",", comments=None, dtype=float,
+                           skiprows=start, ndmin=2, encoding="utf-8")
+    except (ValueError, OSError):
+        return 0, None
+    # A row count short of the line count means numpy skipped an empty line
+    # between rows, and the line path must number the rows.
+    if table.shape[0] != nrows or table.shape[1] > 2:
+        return 0, None
+    return start, table
 
 
 def _first_bad_line(lines: list[str], start: int, unit: str,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -256,8 +255,8 @@ def serialize_table_set(tables: TableSet, params_path: str | Path,
 
 
 def default_tables_dir() -> Path:
-    """Directory holding the packaged default assets."""
-    return Path(str(resources.files("movestar") / "data"))
+    """Directory holding the packaged default assets, which ship as files."""
+    return Path(__file__).parent / "data"
 
 
 def resolve_tables_dir(cli_value: str | None = None) -> Path:

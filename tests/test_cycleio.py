@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from movestar import cycleio
 from movestar.core import MPS_PER_MPH, mph_to_mps
 from movestar.cycleio import (
     MAX_GAP_S,
@@ -139,28 +140,40 @@ CELLS = (SPEEDS * 2 + LIMIT_CELLS + ["-1", "-0.5", "-0", "nan", "inf", "-inf", "
          + NARROWED_CELLS)
 
 
+# Line breaks that `str.splitlines` splits on but numpy's reader does not,
+# CR and LF to mix with the other endings, and NUL, which splits nothing.
+OTHER_BREAKS = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\x00"]
+
+
 @st.composite
 def trace_texts(draw):
     """Trace text from headers, comments, blank lines, 1-3 column rows with
-    mostly rising timestamps, and the three line endings."""
+    mostly rising timestamps, and the three line endings, now and then mixed
+    with each other and with the other breaks of `str.splitlines`."""
     ncols = draw(st.sampled_from([1, 2, 2, 2]))
     lines, t = [], 0
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "header"]))
         if kind == "comment":
-            lines.append(draw(st.sampled_from(["# note", "  # unit: v=m/s", "#"])))
+            lines.append(draw(st.sampled_from(["# note", "  # unit: v=m/s", "#", "# \xb5"])))
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
         elif kind == "header":
-            lines.append(draw(st.sampled_from(["t,v", "time,speed", "T", " Time , v "])))
+            lines.append(draw(st.sampled_from(["t,v", "time,speed", "T", " Time , v ",
+                                               "t,v_\xe9"])))
         else:
             t += draw(st.sampled_from([0, 1, 1, 2, -1]))
             n = draw(st.sampled_from([ncols] * 20 + [1, 2, 3]))
             cells = [str(t) if draw(st.integers(0, 4)) else draw(st.sampled_from(CELLS))]
             cells += [draw(st.sampled_from(CELLS)) for _ in range(n - 1)]
             lines.append(",".join(cells[-n:]) + draw(st.sampled_from([""] * 24 + [","])))
-    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+    ending = draw(st.sampled_from(["\n", "\r\n"] * 2 + ["\r"]))
+    others = OTHER_BREAKS if draw(st.integers(0, 3)) == 0 else []
+    breaks = [draw(st.sampled_from([ending] * 4 + others)) for _ in lines]
+    text = "".join(map(str.__add__, lines, breaks))
+    if lines and draw(st.booleans()):   # no break after the last line
+        text = text.removesuffix(breaks[-1])
+    return text
 
 
 def outcome(parse, path, unit):
@@ -180,6 +193,7 @@ def narrowed_lines(text):
     """Line numbers of data rows holding a cell only float() reads."""
     return {n for n, line in enumerate(text.splitlines(), start=1)
             if not line.strip().startswith("#")
+            and line.split(",", 1)[0].strip().lower() not in ("t", "time")
             and any(not c.strip().isascii() or "_" in c for c in line.split(","))}
 
 
@@ -197,6 +211,23 @@ class TestParseTraceMatchesReference:
     @example(text="0,361\nx\n", unit="km/h")
     @example(text="0,1\n0.5,nan\n1,2\n", unit="m/s")
     @example(text="nan\n-1\n", unit="mph")
+    @example(text="t,v\r\n0,1\r\n1,2\r\n", unit="m/s")
+    @example(text="t,v\r\n0,1\r\n1,-2\r\n", unit="m/s")
+    @example(text="t,v\n0,1\r1,2\n0,3\n", unit="m/s")
+    @example(text="0,1\v1,2\n", unit="m/s")
+    @example(text="0,1\n1,2\f0,3\n", unit="m/s")
+    @example(text="0,1\x1c1,2\x1d2,3\x1e1,4\n", unit="m/s")
+    @example(text="0,1\x851,2\n", unit="m/s")
+    @example(text="0,1\u20281,2\n", unit="m/s")
+    @example(text="0,1\x00\n1,2\n", unit="m/s")
+    @example(text="0,1\n1,\xa02\n", unit="m/s")
+    @example(text="\n0,1\n1,2\n", unit="m/s")
+    @example(text="  \nt,v\n0,1\n1,2\n", unit="m/s")
+    @example(text="# c\n0,1\n1,2\n", unit="m/s")
+    @example(text="0,1\n1,2", unit="m/s")
+    @example(text="0,1\n1,2\n\n", unit="m/s")
+    @example(text="t,v\n0,1\n1,-2\n\n\r\n", unit="m/s")
+    @example(text="t,v_\xe9\n1_000\n", unit="m/s")
     def test_same_columns_or_same_error(self, tmp_path_factory, text, unit):
         path = tmp_path_factory.getbasetemp() / "prop.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -205,6 +236,50 @@ class TestParseTraceMatchesReference:
         if got != want:  # allowed only on the first row with a narrowed cell
             assert got[0] is ParseError and got[1].startswith(("bad speed", "bad timestamp"))
             assert got[2] == min(narrowed_lines(text), default=None)
+
+
+class TestReadRoute:
+    """Plain files reach `np.loadtxt` as a path, read in C; any other file, or
+    one numpy rejects or reads short, as the list of its data lines."""
+
+    @pytest.mark.parametrize("text,route", [
+        ("t,v\n0,1\n1,2.5\n", [("path", 1)]),
+        ("0,1\r\n1,2.5\r\n", [("path", 0)]),
+        ("\n  \r\ntime,v\r\n0,1\r\n1,2.5", [("path", 3)]),
+        ("1\n2.5\n", [("path", 0)]),
+        ("# unit: v=m/s\nt,v\n0,1\n1,2.5\n", [("path", 2)]),
+        ("t,v\n0,1\n# c\n1,2.5\n", [("list", 0)]),
+        ("t,v\n0,1\n1,2.5\n\n\r\n", [("path", 1)]),
+        ("t,v\n0,1\n\n1,2.5\n", [("path", 1), ("list", 0)]),
+        ("t,v\r\n0,1\r\n\r\n1,2.5\r\n", [("path", 1), ("list", 0)]),
+        ("t,v\n0,1\n \n1,2.5\n", [("path", 1), ("list", 0)]),
+        ("t,v\n0,1\n1,\xa02.5\n", [("list", 0)]),
+        ("t,v\r0,1\r1,2.5\r", [("list", 0)]),
+        ("t,v\n0,1\r1,2.5\n", [("list", 0)]),
+    ])
+    def test_route(self, tmp_path, monkeypatch, text, route):
+        assert self.route(tmp_path / "trace.csv", text, monkeypatch) == route
+
+    # numpy would read these names through a decompressor.
+    @pytest.mark.parametrize("name", ["trace.gz", "trace.bz2", "trace.xz", "trace.lzma"])
+    def test_compressed_suffix_takes_the_line_path(self, tmp_path, monkeypatch, name):
+        assert self.route(tmp_path / name, "t,v\n0,1\n1,2.5\n", monkeypatch) == [("list", 0)]
+
+    @staticmethod
+    def route(path, text, monkeypatch):
+        """What `parse_trace` hands `np.loadtxt`: ("path" or its type, skiprows) per call."""
+        path.write_text(text, encoding="utf-8", newline="")
+        calls, loadtxt = [], np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            calls.append(("path" if fname == str(path) else type(fname).__name__,
+                          kwargs.get("skiprows", 0)))
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(cycleio.np, "loadtxt", spy)
+        raw = parse_trace(path, "m/s")
+        assert (raw.times, raw.v.tolist()) == ((0.0, 1.0), [1.0, 2.5])
+        return calls
 
 
 class TestResample:

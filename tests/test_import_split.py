@@ -1,6 +1,7 @@
 """The streaming path never loads numpy; the kernel's names load on first use."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,9 +35,13 @@ assert session.running_totals.energy > 0.0
 """
 
 
-def run_child(code: str) -> str:
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": str(SRC)}, timeout=60)
+def run_child(code: str, *flags: str) -> str:
+    # The caller's environment, so that PYTHONDONTWRITEBYTECODE still holds,
+    # without a table directory that would override the packaged one.
+    env = {k: v for k, v in os.environ.items() if k != "MOVESTAR_TABLES"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -87,8 +92,8 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def added_modules(body: str) -> list[str]:
-    return json.loads(run_child(RECORDED.format(body=body)))
+def added_modules(body: str, *flags: str) -> list[str]:
+    return json.loads(run_child(RECORDED.format(body=body), *flags))
 
 
 def test_package_import_and_table_load_load_only_the_model():
@@ -102,6 +107,13 @@ def test_streaming_lifecycle_loads_no_dataclasses_inspect_or_numpy():
     assert "movestar.session" in added and "movestar.flatapi" in added
     assert [m for m in added if m in ("dataclasses", "inspect")
             or m.split(".")[0] == "numpy"] == []
+
+
+def test_streaming_lifecycle_loads_no_resource_machinery_without_site():
+    # `python -S`: no `.pth` file has loaded `importlib.resources` already.
+    added = added_modules(STREAMING, "-S")
+    assert "movestar.flatapi" in added
+    assert [m for m in added if m in ("importlib.resources", "zipfile", "tempfile")] == []
 
 
 @pytest.mark.parametrize("name", ["EmissionSession", "session_create", "session_finalize",
