@@ -8,6 +8,7 @@ be declared in m/s, mph or km/h and are converted to m/s before modeling.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -85,7 +86,8 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
 
     Negative speeds, speeds over MAX_SPEED_MPS once converted to m/s, and non-finite or
     backwards timestamps are hard errors. Single-column files get implicit timestamps
-    0, 1, 2, ... An unreadable file raises TraceFileError.
+    0, 1, 2, ... An unreadable file raises TraceFileError. numpy reads the file by
+    path if `_skiprows` allows it and it accepts it, and otherwise as a list of lines.
     """
     if unit not in SUPPORTED_UNITS:
         raise ParseError(f"unsupported unit flag {unit!r}; expected one of {SUPPORTED_UNITS}")
@@ -94,8 +96,17 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
         data = path.read_bytes()
     except OSError as exc:
         raise TraceFileError(exc.errno, exc.strerror, exc.filename) from None
-    lines = linenos = None
-    start, table = _plain_table(path, data)
+    lines = table = None
+    start = _skiprows(path, data)
+    if start is not None:
+        # numpy opens the file a second time. If it is gone by then, the lines
+        # of the bytes already read are the source; if it was replaced, the new
+        # values still pass every check below. A file numpy rejects, such as
+        # one with a whitespace-only line, is read as lines too.
+        try:
+            table = _read(str(path), start)
+        except (ValueError, OSError):
+            pass
     if table is None:
         try:
             lines = data.decode("utf-8").splitlines()
@@ -106,89 +117,76 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
         if start == len(lines):
             raise EmptyTrace(f"{path}: no data rows")
         rows = lines[start:]
-        # Blank and comment lines between data rows are rare; they are looked
-        # for row by row only when the whole-list scans say they are there.
-        if "" in rows or any(map(str.isspace, rows)) or "#" in "".join(rows):
-            linenos = [i for i, line in enumerate(lines[start:], start + 1) if not _is_skipped(line)]
-            rows = [lines[i - 1] for i in linenos]
+        # numpy rejects whitespace-only lines and indented comments, and would
+        # strip a `#` after other text, which is an error.
+        if any(map(str.isspace, rows)) or "#" in "".join(rows):
+            rows = [line for line in rows if not _is_skipped(line)]
+            if "#" in "".join(rows):
+                raise _first_bad_line(lines, start, unit)
         try:
-            table = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+            table = _read(rows, 0)
         except ValueError:
             raise _first_bad_line(lines, start, unit) from None
-        if table.shape[1] > 2:
-            raise _first_bad_line(lines, start, unit)
-    if table.shape[1] == 1:
-        t, v = np.arange(len(table), dtype=float), table[:, 0]
-    else:
-        t, v = table[:, 0], table[:, 1]
-    # NaN fails `<=`, so a NaN speed is named by its line like an over-limit one.
-    bad = ~np.isfinite(t) | (v < 0.0) | ~(_to_mps(v, unit) <= MAX_SPEED_MPS)
-    bad[1:] |= np.diff(t) < 0.0
-    if bad.any():
-        i = int(bad.argmax())
-        if lines is None:
-            lines = data.decode("ascii").splitlines()
-        raise _first_bad_line(lines, start, unit,
-                              stop=i + start + 1 if linenos is None else linenos[i])
-    return RawTrace(t=t, v=v, unit=unit)
+    if table.shape[1] <= 2:
+        t = table[:, 0] if table.shape[1] == 2 else np.arange(len(table), dtype=float)
+        v = table[:, -1]
+        # NaN fails `<=`, so a NaN speed is named by its line like an over-limit one.
+        bad = ~np.isfinite(t) | (v < 0.0) | ~(_to_mps(v, unit) <= MAX_SPEED_MPS)
+        bad[1:] |= np.diff(t) < 0.0
+        if not bad.any():
+            return RawTrace(t=t, v=v, unit=unit)
+    # The rows numpy read are the lines `_first_bad_line` checks, so the first
+    # bad line is the first row rejected here.
+    raise _first_bad_line(lines or data.decode("ascii").splitlines(), start, unit)
 
 
-# Bytes after which `str.splitlines` and numpy's reader split lines
-# differently.
-_NOT_PLAIN = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+# Bytes at which `str.splitlines` breaks a line and numpy's reader does not.
+_OTHER_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 # Suffixes after which numpy reads a path through a decompressor.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# One line of ASCII text and its break, as universal newlines end it.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)?")
 
 
-def _plain_table(path: Path, data: bytes) -> tuple[int, np.ndarray | None]:
-    """(leading lines, table) of a plain file: ASCII, LF or CRLF line breaks,
-    and after the leading header, comment and blank lines, every line up to
-    any trailing empty ones a row with no `#`. `table` is None for any other
-    file, for any file numpy rejects, and for a name numpy would decompress;
-    those take the line path, which names the error."""
-    if (path.suffix in _COMPRESSED or not data.isascii() or any(b in data for b in _NOT_PLAIN)
-            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
-        return 0, None
+def _skiprows(path: Path, data: bytes) -> int | None:
+    """The number of leading header, comment and blank lines of a file that numpy
+    reads from its path as `str.splitlines` splits it, or None for any other
+    file: one that is not ASCII, has the other breaks of `str.splitlines` or a
+    name numpy would decompress, has no data line, or has a `#` after other text
+    on a line past the leading ones, which numpy would strip as a comment."""
+    if path.suffix in _COMPRESSED or not data.isascii() or any(b in data for b in _OTHER_BREAKS):
+        return None
     start = pos = 0
     while pos < len(data):
-        end = data.find(b"\n", pos) + 1 or len(data)
-        line = data[pos:end].decode("ascii")
+        line = _LINE.match(data, pos).group().decode("ascii")
         if not (_is_skipped(line) or _is_header(line)):
             break
-        start, pos = start + 1, end
-    if pos == len(data) or data.find(b"#", pos) != -1:
-        return 0, None
-    # numpy skips empty lines. Trailing ones leave each row's line number as
-    # it is, so they are not counted; `rstrip` would copy the buffer.
-    end = len(data)
-    while data[end - 1] in b"\r\n":
-        end -= 1
-    nrows = data.count(b"\n", pos, end) + 1
-    # numpy opens the file a second time: given a `str` path it reads the
-    # file in C chunks, where a list of lines is iterated in Python. If the
-    # file is replaced between the two reads, what is kept is still an array
-    # that passes every value check of `parse_trace`; if it is gone, the line
-    # path reads the bytes already read.
-    try:
-        table = np.loadtxt(str(path), delimiter=",", comments=None, dtype=float,
-                           skiprows=start, ndmin=2, encoding="utf-8")
-    except (ValueError, OSError):
-        return 0, None
-    # A row count short of the line count means numpy skipped an empty line
-    # between rows, and the line path must number the rows.
-    if table.shape[0] != nrows or table.shape[1] > 2:
-        return 0, None
-    return start, table
+        start, pos = start + 1, pos + len(line)
+    else:
+        return None
+    i = data.find(b"#", pos)
+    while i != -1:
+        if data[i - 1] not in b"\r\n":
+            return None
+        i = data.find(b"#", i + 1)
+    return start
 
 
-def _first_bad_line(lines: list[str], start: int, unit: str,
-                    stop: int | None = None) -> CycleError:
-    """The error of the first bad line among `lines[start:stop]` of a trace in
-    `unit`, found with per-line checks; runs only on a file the array checks
-    have rejected."""
+def _read(source: str | list[str], skiprows: int) -> np.ndarray:
+    """The comma-separated floats of a path, which numpy reads in C chunks with
+    universal newlines, or of a list of lines; numpy skips the first `skiprows`
+    lines, then every empty line and every line that starts with `#`."""
+    return np.loadtxt(source, delimiter=",", comments="#", dtype=float,
+                      skiprows=skiprows, ndmin=2, encoding="utf-8")
+
+
+def _first_bad_line(lines: list[str], start: int, unit: str) -> CycleError:
+    """The error of the first bad line from `lines[start]` on of a trace in
+    `unit`, found with per-line checks; runs only on a file numpy or the
+    array checks have rejected."""
     ncols: int | None = None
     t_prev: float | None = None
-    for lineno, raw in enumerate(lines[start:stop], start=start + 1):
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
         if _is_skipped(raw):
             continue
         cells = [c.strip() for c in raw.strip().split(",")]

@@ -228,6 +228,11 @@ class TestParseTraceMatchesReference:
     @example(text="0,1\n1,2\n\n", unit="m/s")
     @example(text="t,v\n0,1\n1,-2\n\n\r\n", unit="m/s")
     @example(text="t,v_\xe9\n1_000\n", unit="m/s")
+    @example(text="t,v\n0,1\n1,2#x\n", unit="m/s")
+    @example(text="t,v\r0,1\r# c\r1,2\r", unit="m/s")
+    @example(text="  # lead\nt,v\n0,1\n# c\n1,2\n", unit="m/s")
+    @example(text="t,v\n0,1\n  # c\n1,2\n", unit="m/s")
+    @example(text="t,v\n0,1\n\t\n1,2\n", unit="m/s")
     def test_same_columns_or_same_error(self, tmp_path_factory, text, unit):
         path = tmp_path_factory.getbasetemp() / "prop.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -239,8 +244,9 @@ class TestParseTraceMatchesReference:
 
 
 class TestReadRoute:
-    """Plain files reach `np.loadtxt` as a path, read in C; any other file, or
-    one numpy rejects or reads short, as the list of its data lines."""
+    """An ASCII file reaches `np.loadtxt` as a path, read in C; any other file,
+    one numpy rejects, or one with a `#` after other text, as the list of its
+    data lines."""
 
     @pytest.mark.parametrize("text,route", [
         ("t,v\n0,1\n1,2.5\n", [("path", 1)]),
@@ -248,26 +254,62 @@ class TestReadRoute:
         ("\n  \r\ntime,v\r\n0,1\r\n1,2.5", [("path", 3)]),
         ("1\n2.5\n", [("path", 0)]),
         ("# unit: v=m/s\nt,v\n0,1\n1,2.5\n", [("path", 2)]),
-        ("t,v\n0,1\n# c\n1,2.5\n", [("list", 0)]),
+        ("t,v\n0,1\n# c\n1,2.5\n", [("path", 1)]),
         ("t,v\n0,1\n1,2.5\n\n\r\n", [("path", 1)]),
-        ("t,v\n0,1\n\n1,2.5\n", [("path", 1), ("list", 0)]),
-        ("t,v\r\n0,1\r\n\r\n1,2.5\r\n", [("path", 1), ("list", 0)]),
+        ("t,v\n0,1\n\n1,2.5\n", [("path", 1)]),
+        ("t,v\r\n0,1\r\n\r\n1,2.5\r\n", [("path", 1)]),
         ("t,v\n0,1\n \n1,2.5\n", [("path", 1), ("list", 0)]),
         ("t,v\n0,1\n1,\xa02.5\n", [("list", 0)]),
-        ("t,v\r0,1\r1,2.5\r", [("list", 0)]),
-        ("t,v\n0,1\r1,2.5\n", [("list", 0)]),
+        ("t,v\r0,1\r1,2.5\r", [("path", 1)]),
+        ("t,v\n0,1\r1,2.5\n", [("path", 1)]),
+        ("t,v\n0,1\n  # c\n1,2.5\n", [("list", 0)]),
+        ("t,v\n0,1\n\t\n1,2.5\n", [("path", 1), ("list", 0)]),
     ])
     def test_route(self, tmp_path, monkeypatch, text, route):
         assert self.route(tmp_path / "trace.csv", text, monkeypatch) == route
+
+    # numpy would strip `# x` as a comment and keep the row.
+    def test_hash_after_a_value_is_an_error_at_its_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        calls = self.spy(path, "t,v\n0,1\n1,2 # x\n", monkeypatch)
+        with pytest.raises(ParseError, match="bad speed '2 # x'") as exc:
+            parse_trace(path, "m/s")
+        assert (exc.value.line, calls) == (3, [])
 
     # numpy would read these names through a decompressor.
     @pytest.mark.parametrize("name", ["trace.gz", "trace.bz2", "trace.xz", "trace.lzma"])
     def test_compressed_suffix_takes_the_line_path(self, tmp_path, monkeypatch, name):
         assert self.route(tmp_path / name, "t,v\n0,1\n1,2.5\n", monkeypatch) == [("list", 0)]
 
+    # numpy opens the file again after `read_bytes`; if it is gone by then,
+    # the values come from the bytes already read.
+    def test_file_gone_before_numpy_reads_it(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,v\n0,1\n1,2.5\n", encoding="utf-8")
+        loadtxt = np.loadtxt
+
+        def vanish(fname, *args, **kwargs):
+            if fname == str(path):
+                path.unlink()
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(cycleio.np, "loadtxt", vanish)
+        raw = parse_trace(path, "m/s")
+        assert (raw.t.tolist(), raw.v.tolist()) == ([0.0, 1.0], [1.0, 2.5])
+        assert not path.exists()
+
+    @classmethod
+    def route(cls, path, text, monkeypatch):
+        """What `parse_trace` hands `np.loadtxt` for a file that parses."""
+        calls = cls.spy(path, text, monkeypatch)
+        raw = parse_trace(path, "m/s")
+        assert (raw.t.tolist(), raw.v.tolist()) == ([0.0, 1.0], [1.0, 2.5])
+        return calls
+
     @staticmethod
-    def route(path, text, monkeypatch):
-        """What `parse_trace` hands `np.loadtxt`: ("path" or its type, skiprows) per call."""
+    def spy(path, text, monkeypatch):
+        """Write `text` to `path`; the list that collects what `parse_trace`
+        hands `np.loadtxt`: ("path" or its type, skiprows) per call."""
         path.write_text(text, encoding="utf-8", newline="")
         calls, loadtxt = [], np.loadtxt
 
@@ -277,8 +319,6 @@ class TestReadRoute:
             return loadtxt(fname, *args, **kwargs)
 
         monkeypatch.setattr(cycleio.np, "loadtxt", spy)
-        raw = parse_trace(path, "m/s")
-        assert (raw.times, raw.v.tolist()) == ((0.0, 1.0), [1.0, 2.5])
         return calls
 
 
