@@ -21,13 +21,15 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import CycleResult, SourceType, SPECIES_NAMES, aggregate_cycle
-from .cycleio import SUPPORTED_UNITS, load_cycle, parse_trace, resample_to_1hz, write_cycle_csv
 from .errors import CycleError, TableError
+from .model import SPECIES_NAMES, SUPPORTED_UNITS, SourceType
 from .tables import TableSet, load_tables_from_dir, resolve_tables_dir
+
+# `core`, `cycleio` and numpy load in the commands that use them: `validate-tables` needs none.
+if TYPE_CHECKING:
+    from .core import CycleResult
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -44,6 +46,8 @@ def _load_tables(args) -> TableSet:
 
 def _evaluate(args) -> tuple[TableSet, SourceType, CycleResult]:
     """Tables, source type and result for the cycle of `run` and `factors`."""
+    from .core import aggregate_cycle
+    from .cycleio import load_cycle
     tables = _load_tables(args)
     cycle = load_cycle(args.cycle, args.unit)
     st = SourceType.from_code(args.veh)
@@ -65,6 +69,7 @@ def _unit(tables: TableSet, species: str) -> str:
 def write_er_csv(result: CycleResult, tables: TableSet, path: Path) -> None:
     """Per-second rows, then totals. A second's grams depend only on its
     mode, so each mode's row is formatted once and reused."""
+    import numpy as np
     lines = _header_lines(tables)
     lines.append("t,opmode," + ",".join(SPECIES_NAMES))
     modes, first = np.unique(result.modes, return_index=True)
@@ -127,6 +132,7 @@ def cmd_validate_tables(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from .cycleio import parse_trace, resample_to_1hz, write_cycle_csv
     raw = parse_trace(args.infile, args.unit)
     cycle = resample_to_1hz(raw)
     write_cycle_csv(cycle, args.outfile)

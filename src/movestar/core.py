@@ -19,40 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import model
 from .errors import EmptyCycle, InvalidSample, NegativeSpeed
-# The scalar model, re-exported: every name below is also `core.<name>`.
-from .model import (
-    _HARD_DECEL_MPS2,
-    _MODE_GRID,
-    _SOFT_DECEL_MPS2,
-    _SPEED_CLASS_EDGES_MPH,
-    _SPEED_CLASS_EDGES_MPS,
-    _VSP_BIN_EDGES,
-    BRAKE_DECEL_MPHPS,
-    BRAKE_SOFT_DECEL_MPHPS,
-    BRAKE_SOFT_RUN_S,
-    IDLE_MAX_MPH,
-    LOW_SPEED_MAX_MPH,
-    MAX_SPEED_MPS,
-    MID_SPEED_MAX_MPH,
-    MPS_PER_MPH,
-    SECONDS_PER_HOUR,
-    SPECIES_NAMES,
-    VALID_OPMODE_IDS,
-    EmissionVector,
-    ModeRows,
-    OpMode,
-    RateTable,
-    SourceType,
-    VehicleParams,
-    _over_speed_limit,
-    is_soft_decel,
-    kmh_to_mps,
-    mph_to_mps,
-    per_km,
-    per_second_emissions,
-    specific_power,
-)
+# The scalar model, republished: every name in `model.__all__` is also
+# `core.<name>`. The private thresholds and grid are the ones the kernel reads.
+from .model import *  # noqa: F403
+from .model import (_HARD_DECEL_MPS2, _MODE_GRID, _SOFT_DECEL_MPS2, _SPEED_CLASS_EDGES_MPS,
+                    _VSP_BIN_EDGES, _over_speed_limit)
 
 _MODE_GRID_IDS = np.array(_MODE_GRID, dtype=np.int64)
 # The edges as arrays for ndarray.searchsorted, called as a method: np.searchsorted
@@ -189,13 +162,5 @@ def aggregate_cycle(cycle: DriveCycle, params: VehicleParams,
                            float(np.add.accumulate(v)[-1]))
 
 
-__all__ = [
-    "MPS_PER_MPH", "MAX_SPEED_MPS", "SECONDS_PER_HOUR",
-    "IDLE_MAX_MPH", "LOW_SPEED_MAX_MPH", "MID_SPEED_MAX_MPH",
-    "BRAKE_DECEL_MPHPS", "BRAKE_SOFT_DECEL_MPHPS", "BRAKE_SOFT_RUN_S",
-    "SourceType", "OpMode", "VALID_OPMODE_IDS", "SPECIES_NAMES",
-    "VehicleParams", "EmissionVector", "RateTable",
-    "DriveCycle", "CycleResult", "ModeRows",
-    "specific_power", "is_soft_decel", "classify_opmode_array", "per_second_emissions",
-    "per_km", "assemble_result", "aggregate_cycle", "mph_to_mps", "kmh_to_mps",
-]
+__all__ = [*model.__all__, "DriveCycle", "CycleResult", "classify_opmode_array",
+           "assemble_result", "aggregate_cycle"]

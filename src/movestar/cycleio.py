@@ -15,13 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_SPEED_MPS, DriveCycle, _readonly, kmh_to_mps, mph_to_mps
+from .core import DriveCycle, _readonly
 from .errors import (
-    CycleError, EmptyTrace, GapTooLarge, NegativeSpeed, NonMonotonicTime, ParseError,
-    TraceFileError,
+    CycleError, EmptyTrace, GapTooLarge, InvalidSample, NegativeSpeed, NonMonotonicTime,
+    ParseError, TraceFileError,
 )
-
-SUPPORTED_UNITS = ("m/s", "mph", "km/h")
+from .model import _TO_MPS, MAX_SPEED_MPS, SUPPORTED_UNITS
 
 # Longest tolerated run of empty 1 s windows; longer gaps would fabricate
 # kinematics if interpolated.
@@ -30,16 +29,32 @@ MAX_GAP_S = 5
 
 @dataclass(frozen=True, eq=False)
 class RawTrace:
-    """A parsed speed trace in its declared unit: read-only float64 arrays `t`
-    (timestamps, s) and `v` (speeds)."""
+    """A speed trace in its declared unit, checked once: read-only float64
+    arrays `t` (timestamps, s) and `v` (speeds) of one length."""
 
     t: np.ndarray
     v: np.ndarray
     unit: str
 
     def __post_init__(self):
-        for name in ("t", "v"):
-            object.__setattr__(self, name, _readonly(np.array(getattr(self, name), dtype=float)))
+        """Check the given arrays, then copy each once: a known unit, one or more
+        samples, finite non-decreasing timestamps of a finite span, and speeds
+        from 0 to MAX_SPEED_MPS in m/s. Reductions accept a good trace (a NaN fails
+        them; the conversion is monotone, so it converts only the largest speed)."""
+        if self.unit not in SUPPORTED_UNITS:
+            raise ParseError(f"unsupported unit {self.unit!r}; expected one of {SUPPORTED_UNITS}")
+        t, v = np.asarray(self.t, dtype=float), np.asarray(self.v, dtype=float)
+        if t.ndim != 1 or t.shape != v.shape:
+            raise InvalidSample(f"timestamps {t.shape}, speeds {v.shape}: not 1-D of one length")
+        if t.size == 0:
+            raise EmptyTrace("trace has no samples")
+        if not (np.minimum.reduce(v) >= 0.0
+                and _TO_MPS[self.unit](np.maximum.reduce(v)) <= MAX_SPEED_MPS
+                and math.isfinite(float(t[-1]) - float(t[0]))
+                and np.less_equal(t[:-1], t[1:]).all()):
+            raise _first_bad_sample(t, v, self.unit)
+        object.__setattr__(self, "t", _readonly(np.array(t)))
+        object.__setattr__(self, "v", _readonly(np.array(v)))
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -49,17 +64,24 @@ class RawTrace:
         return self.t.size
 
     def speeds_mps(self) -> list[float]:
-        return _to_mps(self.v, self.unit).tolist()
+        return _TO_MPS[self.unit](self.v).tolist()
 
 
-def _to_mps(v: np.ndarray, unit: str) -> np.ndarray:
-    if unit == "m/s":
-        return v
-    if unit == "mph":
-        return mph_to_mps(v)
-    if unit == "km/h":
-        return kmh_to_mps(v)
-    raise ParseError(f"unsupported unit {unit!r}")
+def _first_bad_sample(t: np.ndarray, v: np.ndarray, unit: str) -> CycleError:
+    """The error of the first bad sample of a trace `RawTrace` rejected."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(t - t[0]) | ~(v >= 0.0) | ~(_TO_MPS[unit](v) <= MAX_SPEED_MPS)
+    bad[1:] |= t[1:] < t[:-1]
+    i = int(bad.argmax())
+    ti, vi = float(t[i]), float(v[i])
+    if not math.isfinite(ti - float(t[0])):
+        return InvalidSample(f"timestamp {ti!r} at sample {i} is not finite or far from the first")
+    if i and ti < t[i - 1]:
+        return InvalidSample(f"timestamp decreases at sample {i}")
+    if vi < 0.0:
+        return NegativeSpeed(vi)
+    return InvalidSample(f"speed {vi!r} {unit} at sample {i} is not finite or is over the "
+                         f"{MAX_SPEED_MPS!r} m/s limit")
 
 
 def _is_skipped(line: str) -> bool:
@@ -129,14 +151,12 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
             raise _first_bad_line(lines, start, unit) from None
     if table.shape[1] <= 2:
         t = table[:, 0] if table.shape[1] == 2 else np.arange(len(table), dtype=float)
-        v = table[:, -1]
-        # NaN fails `<=`, so a NaN speed is named by its line like an over-limit one.
-        bad = ~np.isfinite(t) | (v < 0.0) | ~(_to_mps(v, unit) <= MAX_SPEED_MPS)
-        bad[1:] |= np.diff(t) < 0.0
-        if not bad.any():
-            return RawTrace(t=t, v=v, unit=unit)
+        try:
+            return RawTrace(t=t, v=table[:, -1], unit=unit)
+        except CycleError:
+            pass
     # The rows numpy read are the lines `_first_bad_line` checks, so the first
-    # bad line is the first row rejected here.
+    # bad line is the first row `RawTrace` rejects.
     raise _first_bad_line(lines or data.decode("ascii").splitlines(), start, unit)
 
 
@@ -185,7 +205,7 @@ def _first_bad_line(lines: list[str], start: int, unit: str) -> CycleError:
     `unit`, found with per-line checks; runs only on a file numpy or the
     array checks have rejected."""
     ncols: int | None = None
-    t_prev: float | None = None
+    t_first = t_prev = None
     for lineno, raw in enumerate(lines[start:], start=start + 1):
         if _is_skipped(raw):
             continue
@@ -209,7 +229,7 @@ def _first_bad_line(lines: list[str], start: int, unit: str) -> CycleError:
             return ParseError(f"bad speed {cells[-1]!r}", line=lineno)
         if v < 0.0:
             return NegativeSpeed(v, line=lineno)
-        if _to_mps(v, unit) > MAX_SPEED_MPS:
+        if _TO_MPS[unit](v) > MAX_SPEED_MPS:
             return ParseError(f"speed {v!r} {unit} is over the {MAX_SPEED_MPS!r} m/s limit",
                               line=lineno)
         if not math.isfinite(v):        # NaN: the tests above pass it
@@ -217,6 +237,9 @@ def _first_bad_line(lines: list[str], start: int, unit: str) -> CycleError:
         if len(cells) == 2:
             if t_prev is not None and t < t_prev:
                 return NonMonotonicTime(lineno)
+            t_first = t if t_first is None else t_first
+            if not math.isfinite(t - t_first):
+                return ParseError(f"timestamp {cells[0]!r} is too far from the first", line=lineno)
             t_prev = t
     return ParseError("the array reader rejected rows that every line check accepts")
 
@@ -229,15 +252,12 @@ def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) 
     interior windows are filled by linear interpolation between neighboring
     window means; runs longer than MAX_GAP_S raise instead.
     """
-    return _window_means(times, speeds_mps).tolist()
+    return _window_means(RawTrace(times, speeds_mps, "m/s")).tolist()
 
 
-def _window_means(times: Sequence[float], speeds_mps: Sequence[float]) -> np.ndarray:
-    """`resample_speeds_to_1hz` as an array."""
-    if len(times) == 0:
-        raise EmptyTrace("cannot resample an empty trace")
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(speeds_mps, dtype=float)
+def _window_means(raw: RawTrace) -> np.ndarray:
+    """`resample_speeds_to_1hz` of a checked trace, in m/s, as an array."""
+    t, v = raw.t, _TO_MPS[raw.unit](raw.v)
     w = np.floor(t - np.floor(t[0]))
     # Gaps are checked on the window indices, before allocating a slot per window.
     empty = np.diff(w) - 1.0
@@ -246,23 +266,19 @@ def _window_means(times: Sequence[float], speeds_mps: Sequence[float]) -> np.nda
         i = too_long[0]
         raise GapTooLarge(start_window=int(w[i]) + 1, length=int(empty[i]), limit=MAX_GAP_S)
     idx = w.astype(int)
-    n_windows = int(idx[-1]) + 1
-
-    sums = np.bincount(idx, weights=v, minlength=n_windows)
-    counts = np.bincount(idx, minlength=n_windows)
+    sums, counts = np.bincount(idx, weights=v), np.bincount(idx)
     filled = counts > 0
-
-    means = np.zeros(n_windows, dtype=float)
+    means = np.zeros(sums.size)
     means[filled] = sums[filled] / counts[filled]
     if not filled.all():
-        windows = np.arange(n_windows, dtype=float)
+        windows = np.arange(sums.size, dtype=float)
         means[~filled] = np.interp(windows[~filled], windows[filled], means[filled])
     return means
 
 
 def resample_to_1hz(raw: RawTrace) -> DriveCycle:
     """Convert a raw trace to a validated 1 Hz drive cycle in m/s."""
-    return DriveCycle.from_speeds(_window_means(raw.t, _to_mps(raw.v, raw.unit)))
+    return DriveCycle.from_speeds(_window_means(raw))
 
 
 def load_cycle(path: str | Path, unit: str = "m/s") -> DriveCycle:

@@ -21,8 +21,9 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .core import CycleResult, DriveCycle, SourceType, SPECIES_NAMES, aggregate_cycle
+from .core import CycleResult, DriveCycle, aggregate_cycle
 from .errors import InfeasibleScenario
+from .model import SPECIES_NAMES, SourceType
 from .tables import TableSet
 
 DEPARTURE_TARGET_M = 250.0   # nominal post-intersection segment

@@ -187,8 +187,7 @@ class VehicleParams(NamedTuple):
 
     def violations(self) -> list[str]:
         out = []
-        for name in ("A", "B", "C", "M", "f"):
-            value = getattr(self, name)
+        for name, value in zip(self._fields[1:], self[1:]):
             if not math.isfinite(value):
                 out.append(f"params[{self.source_type.value}]: {name} = {value} is not finite")
             elif name in ("M", "f") and not value > 0.0:
@@ -347,6 +346,11 @@ def kmh_to_mps(v: float) -> float:
     return v / 3.6
 
 
+# Each speed unit a trace may declare, and its conversion to m/s (floats or arrays).
+_TO_MPS = {"m/s": lambda v: v, "mph": mph_to_mps, "km/h": kmh_to_mps}
+SUPPORTED_UNITS = tuple(_TO_MPS)
+
+
 __all__ = [
     "MPS_PER_MPH", "MAX_SPEED_MPS", "SECONDS_PER_HOUR",
     "IDLE_MAX_MPH", "LOW_SPEED_MAX_MPH", "MID_SPEED_MAX_MPH",
@@ -354,5 +358,5 @@ __all__ = [
     "SourceType", "OpMode", "VALID_OPMODE_IDS", "SPECIES_NAMES",
     "VehicleParams", "EmissionVector", "RateTable", "ModeRows",
     "specific_power", "is_soft_decel", "per_second_emissions",
-    "per_km", "mph_to_mps", "kmh_to_mps",
+    "per_km", "mph_to_mps", "kmh_to_mps", "SUPPORTED_UNITS",
 ]

@@ -47,13 +47,15 @@ _BRAKING = int(OpMode.BRAKING)
 
 
 class EmissionSession:
-    """Incremental pipeline state for one simulated vehicle; one byte per step.
+    """Incremental pipeline state for one simulated vehicle.
 
     Built from `params` and `rates` alone; the running state starts empty.
-    Building it raises IncompleteTable if `rates` lacks an operating mode."""
+    Building it raises IncompleteTable if `rates` lacks an operating mode.
+    Stepped through its API, a session always records: `step` keeps each
+    second's mode, one byte, for `finalize`. `flatapi` steps keep none."""
 
     __slots__ = ("params", "rates", "prev_speed", "distance_m", "_totals", "_soft_run",
-                 "_modes", "_rows", "_coefficients")
+                 "_steps", "_modes", "_rows", "_coefficients")
 
     def __init__(self, params: VehicleParams, rates: RateTable):
         self.params = params
@@ -65,12 +67,13 @@ class EmissionSession:
         self.distance_m = -0.0
         self._totals = (-0.0,) * 5
         self._soft_run = 0          # trailing seconds of soft deceleration
-        self._modes = array("b")
+        self._steps = 0
+        self._modes = array("b")    # each second's mode, recorded by `step`
 
     @property
     def step_count(self) -> int:
         """Seconds stepped so far."""
-        return len(self._modes)
+        return self._steps
 
     @property
     def running_totals(self) -> EmissionVector:
@@ -82,7 +85,9 @@ class EmissionSession:
         The caller contract is a fixed 1 s cadence; the session does not
         resample. On an error the session is left unchanged.
         """
-        return self._rows.pairs[self._advance(speed_mps)[1]]
+        mode = self._advance(speed_mps)[1]
+        self._modes.append(mode)
+        return self._rows.pairs[mode]
 
     def _advance(self, speed_mps: float) -> tuple[int, int, float, float, float, float, float]:
         """One second of `step` in straight-line code; returns the table's flat
@@ -92,13 +97,14 @@ class EmissionSession:
         braking rules, then the cell of the shared mode grid, each mph
         threshold compared as its exact m/s threshold. VSP keeps
         `specific_power`'s operation order, so the mode is bit for bit the
-        batch kernel's. State changes only after the last check has passed."""
+        batch kernel's. No mode is recorded, and state changes only after the
+        last check has passed."""
         if not 0.0 <= speed_mps <= MAX_SPEED_MPS:
             if speed_mps < 0.0:
                 raise NegativeSpeed(speed_mps)
             if not math.isfinite(speed_mps):
                 raise InvalidSample(f"non-finite speed {speed_mps!r}")
-            raise _over_speed_limit(float(speed_mps), len(self._modes))
+            raise _over_speed_limit(float(speed_mps), self._steps)
         v = float(speed_mps)
         prev = self.prev_speed
         a = 0.0 if prev is None else v - prev
@@ -114,7 +120,7 @@ class EmissionSession:
         _, _, e, co, hc, nox, co2 = result
         t0, t1, t2, t3, t4 = self._totals
         self._totals = (t0 + e, t1 + co, t2 + hc, t3 + nox, t4 + co2)
-        self._modes.append(mode)
+        self._steps += 1
         self._soft_run = self._soft_run + 1 if soft else 0
         self.distance_m += v
         self.prev_speed = v

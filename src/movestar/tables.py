@@ -27,8 +27,9 @@ from .errors import (IncompleteTable, SchemaError, TableFileError, TableParseErr
 
 RECOGNIZED_UNITS = frozenset({"g/h", "kJ/h", "mph", "m/s", "metric_ton"})
 
-PARAMS_HEADER = ["source_type", "A", "B", "C", "M", "f"]
-RATES_HEADER = ["source_type", "opmode", "energy", "CO", "HC", "NOx", "CO2"]
+# Each params row is a VehicleParams record; each rates row, a mode's rate per species.
+PARAMS_HEADER = list(VehicleParams._fields)
+RATES_HEADER = ["source_type", "opmode", *SPECIES_NAMES]
 
 ENV_TABLES_DIR = "MOVESTAR_TABLES"
 
@@ -236,7 +237,7 @@ def serialize_table_set(tables: TableSet, params_path: str | Path,
     for st in SourceType:
         if st in tables.params:
             p = tables.params[st]
-            plines.append(",".join([st.value] + [repr(x) for x in (p.A, p.B, p.C, p.M, p.f)]))
+            plines.append(",".join([st.value] + [repr(x) for x in p[1:]]))
     params_path.write_text("\n".join(plines) + "\n", encoding="utf-8")
 
     rlines = []

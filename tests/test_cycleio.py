@@ -1,5 +1,6 @@
 """Trace parsing and 1 Hz resampling tests."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from movestar.core import MPS_PER_MPH, mph_to_mps
 from movestar.cycleio import (
     MAX_GAP_S,
     SUPPORTED_UNITS,
+    RawTrace,
     parse_trace,
     resample_speeds_to_1hz,
     resample_to_1hz,
@@ -20,6 +22,7 @@ from movestar.errors import (
     CycleError,
     EmptyTrace,
     GapTooLarge,
+    InvalidSample,
     NegativeSpeed,
     NonMonotonicTime,
     ParseError,
@@ -58,6 +61,12 @@ class TestParseTrace:
     def test_non_monotonic_time(self, tmp_path):
         with pytest.raises(NonMonotonicTime):
             parse_trace(write(tmp_path, "0,1.0\n2,1.0\n1,1.0\n"), "m/s")
+
+    def test_timestamps_past_float_range_apart_are_an_error_at_their_line(self, tmp_path):
+        # Their windows would overflow; the resampler used to raise OverflowError.
+        with pytest.raises(ParseError) as info:
+            parse_trace(write(tmp_path, "t,v\n-1e308,1\n1e308,2\n"), "m/s")
+        assert str(info.value) == "timestamp '1e308' is too far from the first at line 3"
 
     def test_bad_cell(self, tmp_path):
         with pytest.raises(ParseError):
@@ -401,3 +410,56 @@ class TestResample:
         cycle = resample_to_1hz(parse_trace(path, "m/s"))
         assert cycle.v.tolist() == [3.0, 7.0]
         assert cycle.a[1] == 4.0
+
+
+# Hand-built traces that `RawTrace` rejects: (times, speeds in m/s, error, message).
+HOSTILE_TRACES = [
+    pytest.param([5.0, 0.0], [1.0, 1.0], InvalidSample, "timestamp decreases at sample 1",
+                 id="decreasing"),
+    pytest.param([0.0, math.nan], [1.0, 1.0], InvalidSample, "timestamp nan at sample 1",
+                 id="nan_time"),
+    pytest.param([0.0, math.inf], [1.0, 1.0], InvalidSample, "timestamp inf at sample 1",
+                 id="inf_time"),
+    pytest.param([-1e308, 1e308], [1.0, 1.0], InvalidSample,
+                 "timestamp 1e[+]308 at sample 1 is not finite or far from the first", id="span"),
+    pytest.param([0.0, 1.0, 2.0], [1.0, 2.0], InvalidSample,
+                 r"timestamps \(3,\), speeds \(2,\): not 1-D", id="lengths"),
+    pytest.param([[0.0, 1.0]], [[1.0, 2.0]], InvalidSample,
+                 r"timestamps \(1, 2\), speeds \(1, 2\): not 1-D", id="2d"),
+    pytest.param([0.0, 0.5], [1e308, 1e308], InvalidSample,
+                 r"speed 1e\+308 m/s at sample 0 is not finite or is over the 100.0 m/s limit",
+                 id="over_limit"),
+    pytest.param([0.0, 1.0], [1.0, math.nan], InvalidSample, "speed nan m/s at sample 1",
+                 id="nan_speed"),
+    pytest.param([0.0, 1.0], [1.0, -1.0], NegativeSpeed, "negative speed -1.0", id="negative"),
+    pytest.param([], [], EmptyTrace, "trace has no samples", id="empty"),
+]
+
+
+class TestRawTraceChecks:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("resample", [
+        lambda t, v: resample_to_1hz(RawTrace(t, v, "m/s")), resample_speeds_to_1hz,
+    ], ids=["RawTrace", "resample_speeds_to_1hz"])
+    @pytest.mark.parametrize("times,speeds,error,message", HOSTILE_TRACES)
+    def test_hostile_trace_is_a_cycle_error(self, resample, times, speeds, error, message):
+        with pytest.raises(CycleError, match=message) as info:
+            resample(times, speeds)
+        assert type(info.value) is error
+
+    def test_speed_limit_applies_in_the_declared_unit(self):
+        assert RawTrace([0.0], [223.69362920544023], "mph").v.tolist() == [223.69362920544023]
+        with pytest.raises(InvalidSample, match="speed 360.00000000000006 km/h at sample 1"):
+            RawTrace([0.0, 1.0], [360.0, 360.00000000000006], "km/h")
+
+    def test_unknown_unit(self):
+        with pytest.raises(ParseError, match="unsupported unit 'furlong/s'"):
+            RawTrace([0.0], [1.0], "furlong/s")
+
+    def test_checked_arrays_are_read_only_copies(self):
+        t, v = np.array([0.0, 0.5]), np.array([1.0, 2.0])
+        raw = RawTrace(t, v, "m/s")
+        assert raw.t is not t and raw.v is not v
+        assert not (raw.t.flags.writeable or raw.v.flags.writeable)
+        t[0] = 9.0
+        assert (raw.t.tolist(), raw.v.tolist()) == ([0.0, 0.5], [1.0, 2.0])

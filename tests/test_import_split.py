@@ -122,3 +122,12 @@ def test_session_names_resolve_to_the_session_module(name):
     from movestar import session
     assert getattr(movestar, name) is getattr(session, name)
     assert name in movestar.__all__ and name in dir(movestar)
+
+
+def test_validate_tables_loads_no_numpy_kernel_or_trace_io():
+    added = added_modules("import contextlib, io\nfrom movestar import cli\n"
+                          "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                          "    assert cli.main(['validate-tables']) == cli.EXIT_OK\n"
+                          "assert out.getvalue().startswith('tables OK: ')")
+    assert [m for m in added if m.split(".")[0] == "numpy"
+            or m in ("movestar.core", "movestar.cycleio", "movestar.demo")] == []

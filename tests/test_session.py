@@ -3,6 +3,7 @@
 import math
 import shutil
 import struct
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from movestar import flatapi
 from movestar.core import (
     _HARD_DECEL_MPS2,
     _SOFT_DECEL_MPS2,
-    _SPEED_CLASS_EDGES_MPH,
     _SPEED_CLASS_EDGES_MPS,
     BRAKE_DECEL_MPHPS,
     BRAKE_SOFT_DECEL_MPHPS,
@@ -32,6 +32,7 @@ from movestar.core import (
     specific_power,
 )
 from movestar.errors import EmptySession, IncompleteTable, NegativeSpeed, UnknownSourceType
+from movestar.model import _SPEED_CLASS_EDGES_MPH
 from movestar.session import EmissionSession, session_create, session_finalize, session_step
 from movestar.tables import load_tables_from_dir
 
@@ -128,6 +129,12 @@ class TestSessionBasics:
             EmissionSession(params=tables.params_for(SourceType.LDV), rates=rates)
         assert info.value.missing == [("LDV", 12)]
         assert str(info.value) == "rate table incomplete; missing entries: (LDV, 12)"
+
+    def test_step_records_the_modes_finalize_reads(self, tables):
+        s = session_create(SourceType.LDV, tables)
+        modes = [int(session_step(s, v)[0]) for v in (0.0, 5.0, 9.0, 2.0)]
+        assert (s.step_count, list(s._modes)) == (4, modes)
+        assert session_finalize(s).modes.tolist() == modes
 
     def test_finalize_before_step(self, tables):
         s = session_create(SourceType.LDV, tables)
@@ -307,6 +314,26 @@ class TestExactThresholds:
 class TestFlatApi:
     def setup_method(self):
         flatapi.reset_shared_tables()
+
+    def test_a_stepped_vehicle_keeps_constant_state(self):
+        _, handle = flatapi.create(1)
+        speeds = [0.0, 4.0, 9.5, 17.0, 26.0, 22.0, 12.0, 3.0]
+        for i in range(1000):
+            flatapi.step(handle, speeds[i % 8])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(10**5):
+                flatapi.step(handle, speeds[i % 8])
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # One byte per step would retain about 100 kB here.
+        assert retained < 1000
+        session = flatapi._sessions[handle]
+        assert (session.step_count, len(session._modes)) == (101_000, 0)
+        assert flatapi.finalize(handle)[0] == flatapi.OK
+        flatapi.destroy(handle)
 
     def test_lifecycle(self, tables_dir):
         status, handle = flatapi.create(1, str(tables_dir))

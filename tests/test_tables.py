@@ -121,7 +121,57 @@ class TestRecords:
                 rates.per_second
 
 
+def _without(prefix):
+    """An edit of the rates text that drops its lines starting with `prefix`."""
+    def edit(params, rates):
+        return params, "".join(ln for ln in rates.splitlines(True) if not ln.startswith(prefix))
+    return edit
+
+
+NO_RATE_UNITS = "; ".join(f"rates: no unit declared for column {name}"
+                          for name in ("energy", "CO", "HC", "NOx", "CO2"))
+
+# Broken table files: (edit of the params and rates text, error class, message, in
+# which "{params}" and "{rates}" stand for the two paths).
+CORRUPTIONS = [
+    pytest.param(lambda p, r: ("# provenance: no rows\n\n", r), SchemaError,
+                 "{params}: file has no header row", id="no_header_row"),
+    pytest.param(lambda p, r: (p.replace("source_type,A,B,C,M,f", "source_type,B,A,C,M,f"), r),
+                 SchemaError, "{params}: header ['source_type', 'B', 'A', 'C', 'M', 'f'] != "
+                 "expected ['source_type', 'A', 'B', 'C', 'M', 'f']", id="column_order"),
+    pytest.param(lambda p, r: ("".join(ln for ln in p.splitlines(True)
+                                       if not ln.startswith("LDT,")), r),
+                 SchemaError, "table validation failed: params: missing source type LDT",
+                 id="no_ldt_params"),
+    pytest.param(lambda p, r: (p, r + "LDV,2,1.0,1.0,1.0,1.0,1.0\n"), SchemaError,
+                 "table validation failed: rates: (LDV, 2) is not a valid operating mode",
+                 id="opmode_2"),
+    pytest.param(_without("# unit:"), SchemaError, "table validation failed: " + NO_RATE_UNITS,
+                 id="no_unit_line"),
+    pytest.param(lambda p, r: (p, r.replace("energy=g/h", "energy=mph")), SchemaError,
+                 "table validation failed: rates: energy unit 'mph' must be g/h or kJ/h",
+                 id="energy_mph"),
+]
+
+
 class TestCorruptedTables:
+    @pytest.mark.parametrize("edit,error,message", CORRUPTIONS)
+    def test_corruption_is_named(self, tmp_path, params_path, rates_path, edit, error, message):
+        p, r = _copy_assets(tmp_path, params_path, rates_path, edit)
+        with pytest.raises(TableError) as info:
+            load_table_set(p, r)
+        assert type(info.value) is error
+        assert str(info.value) == message.format(params=p, rates=r)
+
+    def test_cli_reports_a_corrupted_table_on_one_line(self, tmp_path, params_path, rates_path,
+                                                      capsys):
+        from movestar.cli import EXIT_TABLES, main
+        _copy_assets(tmp_path, params_path, rates_path, _without("# unit:"))
+        assert main(["validate-tables", "--tables", str(tmp_path)]) == EXIT_TABLES
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tables: table validation failed: {NO_RATE_UNITS}\n"
+
     def test_missing_mode_row(self, tmp_path, params_path, rates_path):
         def drop_mode_33(params, rates):
             lines = [ln for ln in rates.splitlines() if not ln.startswith("LDV,33,")]
