@@ -24,8 +24,8 @@ from .errors import EmptyCycle, InvalidSample, NegativeSpeed
 # The scalar model, republished: every name in `model.__all__` is also
 # `core.<name>`. The private thresholds and grid are the ones the kernel reads.
 from .model import *  # noqa: F403
-from .model import (_HARD_DECEL_MPS2, _MODE_GRID, _SOFT_DECEL_MPS2, _SPEED_CLASS_EDGES_MPS,
-                    _VSP_BIN_EDGES, _over_speed_limit)
+from .model import (_HARD_DECEL_MPS2, _MODE_GRID, _SPEED_CLASS_EDGES_MPS, _VSP_BIN_EDGES,
+                    _over_speed_limit)
 
 _MODE_GRID_IDS = np.array(_MODE_GRID, dtype=np.int64)
 # The edges as arrays for ndarray.searchsorted, called as a method: np.searchsorted
@@ -57,7 +57,8 @@ class DriveCycle:
         if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) <= MAX_SPEED_MPS):
             negative = v < 0.0
             if negative.any():
-                raise NegativeSpeed(float(v[negative.argmax()]))
+                second = int(negative.argmax())
+                raise NegativeSpeed(float(v[second]), at=f"second {second}")
             finite = np.isfinite(v)
             if not finite.all():
                 raise InvalidSample(f"non-finite speed or acceleration at second {finite.argmin()}")
@@ -112,20 +113,24 @@ def _readonly(x: np.ndarray) -> np.ndarray:
 # Operations
 # ---------------------------------------------------------------------------
 
-def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray | float = 0.0,
-                          soft_history: np.ndarray | bool = False) -> np.ndarray:
-    """Operating mode of each second: braking if `a_mps2` is at or under
-    BRAKE_DECEL_MPHPS, or under BRAKE_SOFT_DECEL_MPHPS where `soft_history`
-    (the previous BRAKE_SOFT_RUN_S - 1 seconds were all soft decelerations,
-    `is_soft_decel`); otherwise the speed-class / VSP-bin cell of the mode
-    grid. Accelerations default to zero and the history to none. Each mph
-    threshold is applied as its exact m/s threshold."""
-    braking = np.less(a_mps2, _SOFT_DECEL_MPS2)
-    braking &= soft_history
-    braking |= np.less_equal(a_mps2, _HARD_DECEL_MPS2)
+def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray) -> np.ndarray:
+    """Operating mode of each second of one cycle, given in second order:
+    braking if `a_mps2` is at or under BRAKE_DECEL_MPHPS, or if it and the
+    BRAKE_SOFT_RUN_S - 1 seconds before it are all soft decelerations
+    (`is_soft_decel`); otherwise the speed-class / VSP-bin cell of the mode
+    grid. Each mph threshold is applied as its exact m/s threshold."""
+    soft = is_soft_decel(a_mps2)
+    braking = np.less_equal(a_mps2, _HARD_DECEL_MPS2)
+    n, run = soft.size, BRAKE_SOFT_RUN_S - 1
+    if n > run:
+        tail = soft[run:]         # second t >= run: soft[t - k] for k = 0 .. run
+        for k in range(1, run + 1):
+            tail = tail & soft[run - k:n - k]
+        braking[run:] |= tail
     speed_class = _SPEED_CLASS_EDGES_ARRAY.searchsorted(v_mps, "right")
-    cells = _MODE_GRID_IDS[speed_class, _VSP_BIN_EDGES_ARRAY.searchsorted(vsp, "right")]
-    return np.where(braking, int(OpMode.BRAKING), cells)
+    modes = _MODE_GRID_IDS[speed_class, _VSP_BIN_EDGES_ARRAY.searchsorted(vsp, "right")]
+    modes[braking] = int(OpMode.BRAKING)
+    return modes
 
 
 def assemble_result(modes: np.ndarray, grams: np.ndarray, distance_m: float) -> CycleResult:
@@ -142,22 +147,10 @@ def assemble_result(modes: np.ndarray, grams: np.ndarray, distance_m: float) -> 
 
 def aggregate_cycle(cycle: DriveCycle, params: VehicleParams,
                     rates: RateTable) -> CycleResult:
-    """Run the full pipeline over a cycle and aggregate.
-
-    A second's soft-deceleration history is the AND of the previous
-    BRAKE_SOFT_RUN_S - 1 seconds' flags. Distance uses the rectangle rule,
-    sum(v * 1 s), consistent with per-second attribution.
-    """
+    """Run the full pipeline over a cycle and aggregate. Distance uses the
+    rectangle rule, sum(v * 1 s), consistent with per-second attribution."""
     v, a = cycle.v, cycle.a
-    n, run = v.size, BRAKE_SOFT_RUN_S - 1
-    soft = is_soft_decel(a)
-    history = np.zeros(n, dtype=bool)
-    if n > run:
-        tail = history[run:]      # second t >= run: soft[t - k] for k = 1 .. run
-        tail[...] = soft[run - 1:n - 1]
-        for k in range(2, run + 1):
-            tail &= soft[run - k:n - k]
-    modes = classify_opmode_array(v, specific_power(params, v, a), a, history)
+    modes = classify_opmode_array(v, specific_power(params, v, a), a)
     return assemble_result(modes, rates.grams[params.source_type],
                            float(np.add.accumulate(v)[-1]))
 

@@ -79,7 +79,7 @@ def _first_bad_sample(t: np.ndarray, v: np.ndarray, unit: str) -> CycleError:
     if i and ti < t[i - 1]:
         return InvalidSample(f"timestamp decreases at sample {i}")
     if vi < 0.0:
-        return NegativeSpeed(vi)
+        return NegativeSpeed(vi, at=f"sample {i}")
     return InvalidSample(f"speed {vi!r} {unit} at sample {i} is not finite or is over the "
                          f"{MAX_SPEED_MPS!r} m/s limit")
 

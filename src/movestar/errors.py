@@ -35,13 +35,13 @@ class InvalidSample(CycleError):
 
 
 class NegativeSpeed(CycleError):
-    """A speed value below zero was encountered."""
+    """A speed below zero, at a file's `line` or where `at` says ("sample 3")."""
 
-    def __init__(self, value: float, line: int | None = None):
+    def __init__(self, value: float, line: int | None = None, *, at: str | None = None):
         self.value = value
         self.line = line
-        where = f" at line {line}" if line is not None else ""
-        super().__init__(f"negative speed {value!r}{where}")
+        at = f"line {line}" if line is not None else at
+        super().__init__(f"negative speed {value!r}" + (f" at {at}" if at else ""))
 
 
 class NonMonotonicTime(CycleError):
@@ -62,14 +62,15 @@ class ParseError(CycleError):
 
 
 class GapTooLarge(CycleError):
-    """A raw trace left more than the tolerated run of empty 1 s windows."""
+    """A raw trace left more than the tolerated run of empty 1 s windows; the
+    message gives the length exactly below 1e15 s, in scientific notation above."""
 
     def __init__(self, start_window: int, length: int, limit: int):
         self.start_window = start_window
         self.length = length
         self.limit = limit
         super().__init__(
-            f"gap of {length} empty seconds starting at second {start_window} "
+            f"gap of {length:.15g} empty seconds starting at second {start_window} "
             f"exceeds the {limit} s limit"
         )
 

@@ -319,8 +319,9 @@ def specific_power(params: VehicleParams, v, a):
 
 
 def is_soft_decel(a_mps2):
-    """Whether a(t), float or array, counts towards the consecutive-decel rule:
-    a / MPS_PER_MPH < BRAKE_SOFT_DECEL_MPHPS."""
+    """Whether a(t), float or array, is a soft deceleration, a / MPS_PER_MPH <
+    BRAKE_SOFT_DECEL_MPHPS; BRAKE_SOFT_RUN_S of them in a row brake (the array
+    kernel finds the runs in a cycle's accelerations, a session counts them)."""
     return a_mps2 < _SOFT_DECEL_MPS2
 
 

@@ -93,15 +93,15 @@ class EmissionSession:
         """One second of `step` in straight-line code; returns the table's flat
         result for the mode, `ModeRows.results[mode]`.
 
-        The decision is `classify_opmode_array`'s for one second: the
-        braking rules, then the cell of the shared mode grid, each mph
-        threshold compared as its exact m/s threshold. VSP keeps
-        `specific_power`'s operation order, so the mode is bit for bit the
-        batch kernel's. No mode is recorded, and state changes only after the
-        last check has passed."""
+        The decision is `classify_opmode_array`'s for the newest second, with
+        the soft-braking run counted in `_soft_run`: the braking rules, then
+        the cell of the shared mode grid, each mph threshold compared as its
+        exact m/s threshold. VSP keeps `specific_power`'s operation order, so
+        the mode is bit for bit the batch kernel's. No mode is recorded, and
+        state changes only after the last check has passed."""
         if not 0.0 <= speed_mps <= MAX_SPEED_MPS:
             if speed_mps < 0.0:
-                raise NegativeSpeed(speed_mps)
+                raise NegativeSpeed(speed_mps, at=f"second {self._steps}")
             if not math.isfinite(speed_mps):
                 raise InvalidSample(f"non-finite speed {speed_mps!r}")
             raise _over_speed_limit(float(speed_mps), self._steps)

@@ -125,7 +125,7 @@ def test_criterion_2_bin_partition():
         vs = v_grid[i:i + chunk]
         vv = np.repeat(vs, len(vsp_grid))
         pp = np.tile(vsp_grid, len(vs))
-        got = classify_opmode_array(vv, pp).reshape(len(vs), len(vsp_grid))
+        got = classify_opmode_array(vv, pp, np.zeros_like(vv)).reshape(len(vs), len(vsp_grid))
         want = np.vstack([class_maps[class_of_v[i + j]] for j in range(len(vs))])
         assert np.array_equal(got, want)
 

@@ -267,12 +267,16 @@ class TestNonFiniteInput:
 
 
 class TestInputBoundary:
-    @pytest.mark.parametrize("body", ["0,1\n1e18,1\n", "-1e18,1\n1e18,1\n"])
+    @pytest.mark.parametrize("body", ["0,1\n1e18,1\n", "-1e18,1\n1e18,1\n", "0,1\n1e300,2\n"])
     def test_absurd_timestamp_span_is_input_error(self, tmp_path, capsys, body):
+        """Each gap is one short error line, however long: its length
+        prints in scientific notation from 1e15 s on."""
         path = tmp_path / "span.csv"
         path.write_text(body)
         assert run_cli("factors", "--cycle", path, "--veh", "1") == 1
-        assert capsys.readouterr().err.startswith("error: cycle: gap of")
+        err = capsys.readouterr().err
+        assert err.startswith("error: cycle: gap of")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
         assert run_cli("convert", "--in", path, "--out", tmp_path / "out.csv") == 1
         assert capsys.readouterr().err.startswith("error: trace: gap of")
 

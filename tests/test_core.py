@@ -59,10 +59,10 @@ class TestDriveCycleContract:
 
     @pytest.mark.parametrize("speeds, error, message", [
         # a negative speed is reported before an earlier non-finite value
-        ([math.nan, 1.0, -2.0], NegativeSpeed, "negative speed -2.0"),
+        ([math.nan, 1.0, -2.0], NegativeSpeed, "negative speed -2.0 at second 2"),
         ([0.0, 1.0, math.inf], InvalidSample, "non-finite speed or acceleration at second 2"),
         ([1.0, math.nan, 2.0], InvalidSample, "non-finite speed or acceleration at second 1"),
-        ([2.0, -math.inf], NegativeSpeed, "negative speed -inf"),
+        ([2.0, -math.inf], NegativeSpeed, "negative speed -inf at second 1"),
         ([], EmptyCycle, "drive cycle has no samples"),
         ([[1.0, 2.0]], InvalidSample, "speeds of shape (1, 2) are not one-dimensional"),
         (5.0, InvalidSample, "speeds of shape () are not one-dimensional"),
@@ -71,7 +71,7 @@ class TestDriveCycleContract:
          "speed 100.00000000000001 at second 2 is over the 100.0 m/s limit"),
         ([1.0, 1e300, 200.0], InvalidSample,
          "speed 1e+300 at second 1 is over the 100.0 m/s limit"),
-        ([200.0, math.nan, -1.0], NegativeSpeed, "negative speed -1.0"),
+        ([200.0, math.nan, -1.0], NegativeSpeed, "negative speed -1.0 at second 2"),
         ([200.0, 1.0, math.inf], InvalidSample, "non-finite speed or acceleration at second 2"),
     ])
     def test_from_speeds_rejects(self, speeds, error, message):
@@ -165,7 +165,7 @@ class TestClassifyOpmode:
     def test_grid_against_independent_transcription(self):
         v_mph, vsp = (g.ravel() for g in np.meshgrid(np.arange(0.0, 90.0, 0.7),
                                                      np.arange(-38.0, 42.0, 0.9)))
-        got = classify_opmode_array(v_mph * MPH, vsp)
+        got = classify_opmode_array(v_mph * MPH, vsp, np.zeros_like(vsp))
         for i in range(v_mph.size):
             assert got[i] == opmode_from_mph(float(v_mph[i]), 0.0, [], float(vsp[i]))
 
@@ -183,8 +183,11 @@ class TestClassifyOpmode:
         v, vsp = v[rng.permutation(v.size)], rng.choice(vsp, v.size)
         a = rng.choice([-1.0, -0.6, -0.2, 0.0, 0.5], v.size) * rng.uniform(0.5, 1.5, v.size)
         soft_history = rng.random(v.size) < 0.5
-        got = classify_opmode_array(v, vsp, a, soft_history)
-        # a history of two soft decelerations (-1.5 mph/s) where soft_history is set
+        # Each probe is third in a triple whose two lead seconds are soft
+        # decelerations (-1.5 mph/s) where soft_history is set, and 0 elsewhere.
+        lead = np.where(soft_history, -1.5 * MPH, 0.0)
+        got = classify_opmode_array(np.repeat(v, 3), np.repeat(vsp, 3),
+                                    np.column_stack((lead, lead, a)).ravel())[2::3]
         for i in range(v.size):
             prev2 = [-1.5, -1.5] if soft_history[i] else []
             assert got[i] == opmode_from_mph(float(v[i]) / MPH, float(a[i]) / MPH, prev2,

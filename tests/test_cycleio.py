@@ -431,7 +431,8 @@ HOSTILE_TRACES = [
                  id="over_limit"),
     pytest.param([0.0, 1.0], [1.0, math.nan], InvalidSample, "speed nan m/s at sample 1",
                  id="nan_speed"),
-    pytest.param([0.0, 1.0], [1.0, -1.0], NegativeSpeed, "negative speed -1.0", id="negative"),
+    pytest.param([0.0, 1.0], [1.0, -1.0], NegativeSpeed, "negative speed -1.0 at sample 1",
+                 id="negative"),
     pytest.param([], [], EmptyTrace, "trace has no samples", id="empty"),
 ]
 

@@ -14,15 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, rule
 
 from movestar import flatapi
-from movestar.core import (
-    _HARD_DECEL_MPS2,
-    _SOFT_DECEL_MPS2,
-    _SPEED_CLASS_EDGES_MPS,
-    MAX_SPEED_MPS,
-    DriveCycle,
-    SourceType,
-    aggregate_cycle,
-)
+from movestar.core import MAX_SPEED_MPS, DriveCycle, SourceType, aggregate_cycle
+from movestar.model import _HARD_DECEL_MPS2, _SOFT_DECEL_MPS2, _SPEED_CLASS_EDGES_MPS
 from movestar.tables import load_default_tables
 
 TABLES = load_default_tables()

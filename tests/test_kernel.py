@@ -15,12 +15,14 @@ from movestar.core import (
     DriveCycle,
     SourceType,
     aggregate_cycle,
+    classify_opmode_array,
+    specific_power,
 )
 from movestar.errors import InvalidSample, NegativeSpeed
 from movestar.session import session_create, session_finalize, session_step
 
 from conftest import FIXTURE_CYCLES
-from reference_pipeline import run_reference
+from reference_pipeline import MPH, opmode_from_mph, run_reference
 
 GENTLE_DECEL = (-0.89, -0.45)    # m/s^2: between -2 and -1 mph/s
 OVER_LIMIT = math.nextafter(MAX_SPEED_MPS, math.inf)
@@ -90,6 +92,26 @@ class TestKernelMatchesReference:
         assert result.modes.tolist()[3:] == [0, 0]
 
 
+class TestClassifierMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(speeds=walks(), veh=st.sampled_from(list(SourceType)))
+    @example(speeds=[10.0], veh=SourceType.LDV)
+    @example(speeds=[10.0, 7.0], veh=SourceType.LDV)
+    @example(speeds=[10.0, 9.4, 8.8], veh=SourceType.LDT)
+    @example(speeds=[10.0, 10.0, 9.4, 8.8, 8.2, 9.0, 8.4], veh=SourceType.LDV)
+    def test_braking_history_from_the_accelerations(self, speeds, veh, tables):
+        """The classifier's modes are the oracle's, second by second, each
+        decided with the two accelerations before it once there are two."""
+        cycle = DriveCycle(speeds)
+        v, a = cycle.v, cycle.a
+        vsp = specific_power(tables.params_for(veh), v, a)
+        want = []
+        for i in range(v.size):
+            prev2 = [x / MPH for x in a[i - 2:i].tolist()] if i >= 2 else []
+            want.append(opmode_from_mph(v[i] / MPH, a[i] / MPH, prev2, vsp[i]))
+        assert classify_opmode_array(v, vsp, a).tolist() == want
+
+
 class TestErWriter:
     @pytest.mark.parametrize("veh", list(SourceType))
     def test_matches_naive_formatter(self, veh, tables, tmp_path):
@@ -118,9 +140,15 @@ class TestRecordsOnDemand:
                 assert result.grams.tolist() == grams
 
     def test_arrays_are_read_only(self, tables):
-        cycle = DriveCycle.from_speeds([0.0, 3.0, 5.0])
+        speeds = [0.0, 3.0, 5.0]
+        cycle = DriveCycle.from_speeds(speeds)
         result = aggregate_cycle(cycle, tables.params_for(SourceType.LDV), tables.rates)
-        for arr in (cycle.v, cycle.a, result.modes, result.grams):
+        s = session_create(SourceType.LDV, tables)
+        for v in speeds:
+            session_step(s, v)
+        finalized = session_finalize(s)
+        for arr in (cycle.v, cycle.a, result.modes, result.grams, finalized.modes,
+                    finalized.grams):
             with pytest.raises(ValueError):
                 arr[0] = 1
 

@@ -14,9 +14,6 @@ from hypothesis import strategies as st
 
 from movestar import flatapi
 from movestar.core import (
-    _HARD_DECEL_MPS2,
-    _SOFT_DECEL_MPS2,
-    _SPEED_CLASS_EDGES_MPS,
     BRAKE_DECEL_MPHPS,
     BRAKE_SOFT_DECEL_MPHPS,
     MPS_PER_MPH,
@@ -32,7 +29,12 @@ from movestar.core import (
     specific_power,
 )
 from movestar.errors import EmptySession, IncompleteTable, NegativeSpeed, UnknownSourceType
-from movestar.model import _SPEED_CLASS_EDGES_MPH
+from movestar.model import (
+    _HARD_DECEL_MPS2,
+    _SOFT_DECEL_MPS2,
+    _SPEED_CLASS_EDGES_MPH,
+    _SPEED_CLASS_EDGES_MPS,
+)
 from movestar.session import EmissionSession, session_create, session_finalize, session_step
 from movestar.tables import load_tables_from_dir
 
@@ -117,7 +119,7 @@ class TestSessionBasics:
         s = session_create(SourceType.LDV, tables)
         session_step(s, 5.0)
         snapshot = (s.step_count, s.prev_speed, s.distance_m, s.running_totals)
-        with pytest.raises(NegativeSpeed):
+        with pytest.raises(NegativeSpeed, match="^negative speed -1.0 at second 1$"):
             session_step(s, -1.0)
         assert (s.step_count, s.prev_speed, s.distance_m, s.running_totals) == snapshot
 
@@ -229,7 +231,8 @@ class TestSharedClassifier:
         v, a = speeds[1], speeds[1] - speeds[0]
         assert repr(specific_power(p, v, a)) == vsp
         reordered = (p.C * v * v * v + p.B * v * v + p.A * v + p.M * a * v) / p.f
-        assert classify_opmode_array(np.array([v]), np.array([reordered]), a)[0] != mode
+        got = classify_opmode_array(np.array([v]), np.array([reordered]), np.array([a]))
+        assert got[0] != mode
         s = session_create(SourceType.LDV, tables)
         _, handle = flatapi.create(1)
         try:
@@ -263,7 +266,7 @@ class TestExactThresholds:
     def test_speed_class_edge(self, edge, tables, params_path, rates_path):
         mph, vs = _SPEED_CLASS_EDGES_MPH[edge], around(_SPEED_CLASS_EDGES_MPS[edge])
         assert [v / MPS_PER_MPH >= mph for v in vs] == [False, True, True]
-        got = classify_opmode_array(np.array(vs), np.zeros(3)).tolist()
+        got = classify_opmode_array(np.array(vs), np.zeros(3), np.zeros(3)).tolist()
         assert got == [opmode_from_mph(v / MPS_PER_MPH, 0.0, [], 0.0) for v in vs]
         first = [self.modes([v], tables, params_path, rates_path)[0] for v in vs]
         assert first[0] != first[1] == first[2]
@@ -279,11 +282,14 @@ class TestExactThresholds:
             decides = [a / MPS_PER_MPH < BRAKE_SOFT_DECEL_MPHPS for a in accels]
             assert decides == [True, False, False]
             assert is_soft_decel(np.array(accels)).tolist() == decides
+        # Each probe is third in a triple; the soft rule's two lead seconds
+        # are soft decelerations (-1.5 mph/s).
         history = [-1.5, -1.5] if rule == "soft" else []
-        got = classify_opmode_array(np.full(3, 10.0), np.zeros(3), np.array(accels),
-                                    rule == "soft").tolist()
-        assert got == [opmode_from_mph(10.0 / MPS_PER_MPH, a / MPS_PER_MPH, history, 0.0)
-                       for a in accels]
+        lead = [h * MPS_PER_MPH for h in history] or [0.0, 0.0]
+        got = classify_opmode_array(np.full(9, 10.0), np.zeros(9),
+                                    np.array([x for a in accels for x in (*lead, a)]))
+        assert got[2::3].tolist() == [
+            opmode_from_mph(10.0 / MPS_PER_MPH, a / MPS_PER_MPH, history, 0.0) for a in accels]
         # A last step of exactly `a`: -a - (-2 a) is exact. The soft rule
         # gets two soft seconds (-0.6 m/s^2, about -1.3 mph/s) before it.
         lead = [-2.0 * accels[1] + 1.2, -2.0 * accels[1] + 0.6] if rule == "soft" else []
