@@ -53,14 +53,10 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "CycleResult", "DriveCycle", "EmissionVector", "OpMode",
-    "RateTable", "SourceType", "VehicleParams",
-    "aggregate_cycle", "classify_opmode_array", "per_second_emissions",
-    "RawTrace", "load_cycle", "parse_trace", "resample_to_1hz",
-    "SignalScenario", "compare_scenarios", "gen_baseline_trajectory",
-    "gen_smoothed_trajectory",
-    "EmissionSession", "session_create", "session_finalize", "session_step",
+    "EmissionVector", "OpMode", "RateTable", "SourceType", "VehicleParams",
+    "per_second_emissions",
     "TableSet", "load_default_tables", "load_table_set", "load_tables_from_dir",
     "serialize_table_set", "validate_table_set",
     "__version__",
+    *_LAZY,
 ]

@@ -20,12 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from . import model
-from .errors import EmptyCycle, InvalidSample, NegativeSpeed
+from .errors import EmptyCycle, InvalidSample
 # The scalar model, republished: every name in `model.__all__` is also
 # `core.<name>`. The private thresholds and grid are the ones the kernel reads.
 from .model import *  # noqa: F403
 from .model import (_HARD_DECEL_MPS2, _MODE_GRID, _SPEED_CLASS_EDGES_MPS, _VSP_BIN_EDGES,
-                    _over_speed_limit)
+                    _speed_error)
 
 _MODE_GRID_IDS = np.array(_MODE_GRID, dtype=np.int64)
 # The edges as arrays for ndarray.searchsorted, called as a method: np.searchsorted
@@ -55,15 +55,10 @@ class DriveCycle:
         if v.size == 0:
             raise EmptyCycle("drive cycle has no samples")
         if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) <= MAX_SPEED_MPS):
-            negative = v < 0.0
-            if negative.any():
-                second = int(negative.argmax())
-                raise NegativeSpeed(float(v[second]), at=f"second {second}")
-            finite = np.isfinite(v)
-            if not finite.all():
-                raise InvalidSample(f"non-finite speed or acceleration at second {finite.argmin()}")
-            second = int((v > MAX_SPEED_MPS).argmax())
-            raise _over_speed_limit(float(v[second]), second)
+            for bad in (v < 0.0, ~np.isfinite(v), v > MAX_SPEED_MPS):
+                if bad.any():
+                    second = int(bad.argmax())
+                    raise _speed_error(v[second], second)
         a = np.zeros(v.size)
         np.subtract(v[1:], v[:-1], out=a[1:])
         object.__setattr__(self, "v", _readonly(v))

@@ -18,7 +18,7 @@ import math
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .errors import IncompleteTable, InvalidSample, UnknownSourceType
+from .errors import CycleError, IncompleteTable, InvalidSample, NegativeSpeed, UnknownSourceType
 
 # Exact statute conversion; all mph thresholds below are converted with it.
 MPS_PER_MPH = 0.44704
@@ -300,8 +300,14 @@ class RateTable:
         return out
 
 
-def _over_speed_limit(speed: float, second: int) -> InvalidSample:
-    """The error for a finite `speed` over MAX_SPEED_MPS at `second`."""
+def _speed_error(speed: float, second: int) -> CycleError:
+    """The error for a `speed` outside [0, MAX_SPEED_MPS] at `second`, printed
+    as a float: negative, else non-finite, else over the limit."""
+    speed = float(speed)
+    if speed < 0.0:
+        return NegativeSpeed(speed, at=f"second {second}")
+    if not math.isfinite(speed):
+        return InvalidSample(f"non-finite speed {speed!r} at second {second}")
     return InvalidSample(
         f"speed {speed!r} at second {second} is over the {MAX_SPEED_MPS!r} m/s limit")
 

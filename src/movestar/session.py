@@ -13,12 +13,11 @@ against one shared TableSet, which is immutable after load.
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_right
 from typing import TYPE_CHECKING
 
-from .errors import EmptySession, InvalidSample, NegativeSpeed, UnknownSourceType
+from .errors import EmptySession, UnknownSourceType
 from .model import (
     _HARD_DECEL_MPS2,
     _MODE_GRID,
@@ -33,7 +32,7 @@ from .model import (
     RateTable,
     SourceType,
     VehicleParams,
-    _over_speed_limit,
+    _speed_error,
 )
 from .tables import TableSet
 
@@ -100,11 +99,7 @@ class EmissionSession:
         the mode is bit for bit the batch kernel's. No mode is recorded, and
         state changes only after the last check has passed."""
         if not 0.0 <= speed_mps <= MAX_SPEED_MPS:
-            if speed_mps < 0.0:
-                raise NegativeSpeed(speed_mps, at=f"second {self._steps}")
-            if not math.isfinite(speed_mps):
-                raise InvalidSample(f"non-finite speed {speed_mps!r}")
-            raise _over_speed_limit(float(speed_mps), self._steps)
+            raise _speed_error(speed_mps, self._steps)
         v = float(speed_mps)
         prev = self.prev_speed
         a = 0.0 if prev is None else v - prev

@@ -2,8 +2,9 @@
 
 Both files are plain UTF-8 CSV with `#` comment lines. Lines of the form
 `# unit: col=token ...` declare units against a closed token set; any other
-token is a hard error, never a warning. All invariants are checked eagerly
-at load time so that rate lookups can never miss at run time.
+token is a hard error, never a warning. Each file is read in one pass that
+stops at its first faulty line, and all invariants are checked eagerly at
+load time so that rate lookups can never miss at run time.
 """
 
 from __future__ import annotations
@@ -47,42 +48,6 @@ class TableSet(NamedTuple):
         return self.params[source_type]
 
 
-def _read_rows(path: Path) -> tuple[list[tuple[int, list[str]]], list[str], dict[str, str]]:
-    """Split a table file into (numbered data rows, comment lines, units)."""
-    rows: list[tuple[int, list[str]]] = []
-    comments: list[str] = []
-    units: dict[str, str] = {}
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise TableFileError(exc.errno, exc.strerror, exc.filename) from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TableParseError(str(path), data.count(b"\n", 0, exc.start) + 1,
-                              "not UTF-8 text") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("unit:"):
-                for decl in body[len("unit:"):].split():
-                    if "=" not in decl:
-                        raise TableParseError(str(path), lineno,
-                                              f"malformed unit declaration {decl!r}")
-                    col, token = decl.split("=", 1)
-                    if token not in RECOGNIZED_UNITS:
-                        raise UnitError(token)
-                    units[col] = token
-            else:
-                comments.append(line)
-            continue
-        rows.append((lineno, [cell.strip() for cell in line.split(",")]))
-    return rows, comments, units
-
-
 def _parse_float(path: Path, lineno: int, name: str, cell: str) -> float:
     try:
         value = float(cell)
@@ -94,31 +59,55 @@ def _parse_float(path: Path, lineno: int, name: str, cell: str) -> float:
     return value
 
 
-def _parse_int(path: Path, lineno: int, name: str, cell: str) -> int:
+def _read_table(path: Path, header: list[str], row, comments: list[str],
+                units: dict[str, str]) -> dict:
+    """Read one table file in one pass and return its records by key.
+
+    Each line is handled as it comes, and the first faulty one raises: a
+    comment line is appended to `comments`, a `# unit:` line is checked into
+    `units`, the first other line must be `header`, and each later one is a
+    data row of `len(header)` cells with a known source type.
+    `row(path, lineno, st, cells)` types the cells after the source type and
+    returns the row's (key, record); a key seen before is a duplicate row.
+    """
     try:
-        return int(cell)
-    except ValueError:
-        raise TableParseError(str(path), lineno,
-                              f"column {name!r}: not an integer: {cell!r}") from None
-
-
-def _check_header(path: Path, rows, expected: list[str]):
-    if not rows:
-        raise SchemaError(f"{path}: file has no header row")
-    lineno, header = rows[0]
-    if header != expected:
-        missing = [c for c in expected if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing column(s) {missing} in header")
-        raise SchemaError(f"{path}: header {header} != expected {expected}")
-    return rows[1:]
-
-
-def _data_rows(path: Path, header: list[str]):
-    """(rows as (line number, source type, remaining cells), comments, units)."""
-    rows, comments, units = _read_rows(path)
-    out = []
-    for lineno, cells in _check_header(path, rows, header):
+        data = path.read_bytes()
+    except OSError as exc:
+        raise TableFileError(exc.errno, exc.strerror, exc.filename) from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TableParseError(str(path), data.count(b"\n", 0, exc.start) + 1,
+                              "not UTF-8 text") from None
+    table: dict = {}
+    expect_header = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if not body.startswith("unit:"):
+                comments.append(line)
+                continue
+            for decl in body[len("unit:"):].split():
+                if "=" not in decl:
+                    raise TableParseError(str(path), lineno,
+                                          f"malformed unit declaration {decl!r}")
+                col, token = decl.split("=", 1)
+                if token not in RECOGNIZED_UNITS:
+                    raise UnitError(token)
+                units[col] = token
+            continue
+        cells = [cell.strip() for cell in line.split(",")]
+        if expect_header:
+            if cells != header:
+                missing = [c for c in header if c not in cells]
+                if missing:
+                    raise SchemaError(f"{path}: missing column(s) {missing} in header")
+                raise SchemaError(f"{path}: header {cells} != expected {header}")
+            expect_header = False
+            continue
         if len(cells) != len(header):
             raise TableParseError(str(path), lineno,
                                   f"expected {len(header)} columns, got {len(cells)}")
@@ -127,37 +116,28 @@ def _data_rows(path: Path, header: list[str]):
         except UnknownSourceType:
             raise TableParseError(str(path), lineno,
                                   f"unknown source_type {cells[0]!r}") from None
-        out.append((lineno, st, cells[1:]))
-    return out, comments, units
+        key, record = row(path, lineno, st, cells[1:])
+        if key in table:
+            raise SchemaError(f"{path}:{lineno}: duplicate row: {line}")
+        table[key] = record
+    if expect_header:
+        raise SchemaError(f"{path}: file has no header row")
+    return table
 
 
-def _load_params(path: Path) -> tuple[dict[SourceType, VehicleParams], list[str], dict[str, str]]:
-    rows, comments, units = _data_rows(path, PARAMS_HEADER)
-    params: dict[SourceType, VehicleParams] = {}
-    duplicates: list[str] = []
-    for lineno, st, cells in rows:
-        values = [_parse_float(path, lineno, name, cell)
-                  for name, cell in zip(PARAMS_HEADER[1:], cells)]
-        if st in params:
-            duplicates.append(f"params: duplicate row for source type {st.value}")
-        params[st] = VehicleParams(st, *values)
-    if duplicates:
-        raise SchemaError("; ".join(duplicates))
-    return params, comments, units
+def _params_row(path: Path, lineno: int, st: SourceType, cells: list[str]):
+    return st, VehicleParams(st, *[_parse_float(path, lineno, name, cell)
+                                   for name, cell in zip(PARAMS_HEADER[1:], cells)])
 
 
-def _load_rates(path: Path) -> tuple[dict[tuple[SourceType, int], EmissionVector],
-                                     list[str], dict[str, str]]:
-    rows, comments, units = _data_rows(path, RATES_HEADER)
-    entries: dict[tuple[SourceType, int], EmissionVector] = {}
-    for lineno, st, cells in rows:
-        mode = _parse_int(path, lineno, "opmode", cells[0])
-        values = [_parse_float(path, lineno, name, cell)
-                  for name, cell in zip(RATES_HEADER[2:], cells[1:])]
-        if (st, mode) in entries:
-            raise SchemaError(f"{path}: duplicate rate row for ({st.value}, {mode})")
-        entries[(st, mode)] = EmissionVector(*values)
-    return entries, comments, units
+def _rates_row(path: Path, lineno: int, st: SourceType, cells: list[str]):
+    try:
+        mode = int(cells[0])
+    except ValueError:
+        raise TableParseError(str(path), lineno,
+                              f"column 'opmode': not an integer: {cells[0]!r}") from None
+    return (st, mode), EmissionVector(*[_parse_float(path, lineno, name, cell)
+                                        for name, cell in zip(SPECIES_NAMES, cells[1:])])
 
 
 def validate_table_set(tables: TableSet) -> list[str]:
@@ -195,19 +175,18 @@ def load_table_set(params_path: str | Path, rates_path: str | Path) -> TableSet:
     """Load and eagerly validate a coefficient/rate table pair.
 
     Raises TableFileError for unreadable files, TableParseError / SchemaError /
-    UnitError for malformed ones, IncompleteTable for a missing (source type,
-    opmode) entry and SchemaError listing every other invariant breach.
+    UnitError for malformed ones (naming the first faulty line, a duplicate
+    row included), IncompleteTable for a missing (source type, opmode) entry
+    and SchemaError listing every other invariant breach.
     """
     params_path, rates_path = Path(params_path), Path(rates_path)
-    params, params_comments, params_units = _load_params(params_path)
-    entries, rates_comments, rates_units = _load_rates(rates_path)
-
-    units = dict(params_units)
-    units.update(rates_units)
-    provenance = "\n".join(params_comments + rates_comments)
+    comments: list[str] = []
+    units: dict[str, str] = {}
+    params = _read_table(params_path, PARAMS_HEADER, _params_row, comments, units)
+    entries = _read_table(rates_path, RATES_HEADER, _rates_row, comments, units)
     tables = TableSet(params=params,
                       rates=RateTable(entries=entries, units=units),
-                      provenance=provenance)
+                      provenance="\n".join(comments))
 
     missing = tables.rates.missing()
     if missing:

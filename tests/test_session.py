@@ -28,7 +28,8 @@ from movestar.core import (
     per_second_emissions,
     specific_power,
 )
-from movestar.errors import EmptySession, IncompleteTable, NegativeSpeed, UnknownSourceType
+from movestar.errors import (EmptySession, IncompleteTable, InvalidSample, NegativeSpeed,
+                             UnknownSourceType)
 from movestar.model import (
     _HARD_DECEL_MPS2,
     _SOFT_DECEL_MPS2,
@@ -121,6 +122,23 @@ class TestSessionBasics:
         snapshot = (s.step_count, s.prev_speed, s.distance_m, s.running_totals)
         with pytest.raises(NegativeSpeed, match="^negative speed -1.0 at second 1$"):
             session_step(s, -1.0)
+        assert (s.step_count, s.prev_speed, s.distance_m, s.running_totals) == snapshot
+
+    @pytest.mark.parametrize("speed, error, message", [
+        (math.nan, InvalidSample, "non-finite speed nan at second 1"),
+        (math.inf, InvalidSample, "non-finite speed inf at second 1"),
+        (np.float64(math.nan), InvalidSample, "non-finite speed nan at second 1"),
+        (np.float64(-2.0), NegativeSpeed, "negative speed -2.0 at second 1"),
+        (np.float64(200.0), InvalidSample, "speed 200.0 at second 1 is over the 100.0 m/s limit"),
+    ])
+    def test_rejected_speed_names_its_second(self, tables, speed, error, message):
+        s = session_create(SourceType.LDV, tables)
+        session_step(s, 5.0)
+        snapshot = (s.step_count, s.prev_speed, s.distance_m, s.running_totals)
+        with pytest.raises(error) as info:
+            session_step(s, speed)
+        assert type(info.value) is error
+        assert str(info.value) == message
         assert (s.step_count, s.prev_speed, s.distance_m, s.running_totals) == snapshot
 
     def test_missing_entry_leaves_session_unchanged(self, tables):

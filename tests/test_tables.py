@@ -1,5 +1,7 @@
 """Table asset loading, validation and round-trip tests."""
 
+import tracemalloc
+
 import pytest
 
 from movestar.core import EmissionVector, RateTable, SourceType, VALID_OPMODE_IDS
@@ -128,6 +130,8 @@ def _without(prefix):
     return edit
 
 
+PARAMS_LINE = "source_type,A,B,C,M,f\n"
+RATES_LINE = "source_type,opmode,energy,CO,HC,NOx,CO2\n"
 NO_RATE_UNITS = "; ".join(f"rates: no unit declared for column {name}"
                           for name in ("energy", "CO", "HC", "NOx", "CO2"))
 
@@ -151,6 +155,21 @@ CORRUPTIONS = [
     pytest.param(lambda p, r: (p, r.replace("energy=g/h", "energy=mph")), SchemaError,
                  "table validation failed: rates: energy unit 'mph' must be g/h or kJ/h",
                  id="energy_mph"),
+    # A file is read line by line and its first faulty line raises, so a later
+    # bad unit token does not hide an earlier bad header or row.
+    pytest.param(lambda p, r: (p, r.replace(",NOx,CO2\n", ",NOx\n") + "# unit: CO=bogus\n"),
+                 SchemaError, "{rates}: missing column(s) ['CO2'] in header",
+                 id="bad_header_before_bad_unit"),
+    pytest.param(lambda p, r: (p, RATES_LINE + "LDV,1,x,1,1,1,1\n# unit: CO=bogus\n"),
+                 TableParseError, "{rates}:2: column 'energy': not a number: 'x'",
+                 id="bad_row_before_bad_unit"),
+    # A duplicate row is named by its line, whichever file it is in; keys are
+    # compared as typed values, not as text.
+    pytest.param(lambda p, r: (PARAMS_LINE + "LDV,1,1,1,1,1\nldv,2,2,2,2,2\n", r), SchemaError,
+                 "{params}:3: duplicate row: ldv,2,2,2,2,2", id="duplicate_params_row"),
+    pytest.param(lambda p, r: (p, RATES_LINE + "LDV,1,1,1,1,1,1\nLDV,01,2,2,2,2,2\n"),
+                 SchemaError, "{rates}:3: duplicate row: LDV,01,2,2,2,2,2",
+                 id="duplicate_rates_row"),
 ]
 
 
@@ -272,6 +291,21 @@ class TestCorruptedTables:
         p, r = _copy_assets(tmp_path, params_path, rates_path, bad_mode)
         with pytest.raises(IncompleteTable):
             load_table_set(p, r)
+
+    def test_bad_header_stops_the_read(self, tmp_path, params_path, rates_path):
+        """A header fault raises before the rows after it are split: reading
+        10^5 rows into cells would take several times this peak."""
+        rows = "LDV,1,320.0,2.2,0.22,0.18,1011.951\n" * 100_000
+        p, r = _copy_assets(tmp_path, params_path, rates_path,
+                            lambda p, r: (p, r.replace(",NOx,CO2\n", ",NOx\n") + rows))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match=r"missing column\(s\) \['CO2'\]"):
+                load_table_set(p, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45e6
 
     def test_missing_file(self, tmp_path, rates_path):
         with pytest.raises(OSError) as info:
