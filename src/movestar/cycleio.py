@@ -20,7 +20,7 @@ from .errors import (
     CycleError, EmptyTrace, GapTooLarge, InvalidSample, NegativeSpeed, NonMonotonicTime,
     ParseError, TraceFileError,
 )
-from .model import _TO_MPS, MAX_SPEED_MPS, SUPPORTED_UNITS
+from .model import _TO_MPS, MAX_SPEED_MPS, SUPPORTED_UNITS, _number
 
 # Longest tolerated run of empty 1 s windows; longer gaps would fabricate
 # kinematics if interpolated.
@@ -95,14 +95,6 @@ def _is_header(line: str) -> bool:
     return line.split(",", 1)[0].strip().lower() in ("t", "time")
 
 
-def _number(cell: str) -> float:
-    """One cell in the grammar of `np.loadtxt`: `float()` without its
-    digit-group underscores and non-ASCII digits."""
-    if not cell.isascii() or "_" in cell:
-        raise ValueError(cell)
-    return float(cell)
-
-
 def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
     """Read a trace file, rejecting malformed rows with their line numbers.
 
@@ -124,7 +116,8 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
         # numpy opens the file a second time. If it is gone by then, the lines
         # of the bytes already read are the source; if it was replaced, the new
         # values still pass every check below. A file numpy rejects, such as
-        # one with a whitespace-only line, is read as lines too.
+        # one with lone carriage returns and a whitespace-only line, is read
+        # as lines too.
         try:
             table = _read(str(path), start)
         except (ValueError, OSError):
@@ -166,14 +159,19 @@ _OTHER_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # One line of ASCII text and its break, as universal newlines end it.
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)?")
+# A line of spaces and tabs only, which numpy rejects, after a line feed: the
+# literal first byte keeps the search fast. A file with lone carriage returns
+# and such a line is read as lines after numpy rejects it.
+_BLANK = re.compile(rb"\n[ \t]+(?:[\r\n]|\Z)")
 
 
 def _skiprows(path: Path, data: bytes) -> int | None:
     """The number of leading header, comment and blank lines of a file that numpy
     reads from its path as `str.splitlines` splits it, or None for any other
     file: one that is not ASCII, has the other breaks of `str.splitlines` or a
-    name numpy would decompress, has no data line, or has a `#` after other text
-    on a line past the leading ones, which numpy would strip as a comment."""
+    name numpy would decompress, has no data line, or has past the leading
+    lines a `#` after other text, which numpy would strip as a comment, or a
+    whitespace-only line, which numpy rejects."""
     if path.suffix in _COMPRESSED or not data.isascii() or any(b in data for b in _OTHER_BREAKS):
         return None
     start = pos = 0
@@ -189,6 +187,10 @@ def _skiprows(path: Path, data: bytes) -> int | None:
         if data[i - 1] not in b"\r\n":
             return None
         i = data.find(b"#", i + 1)
+    # Most files have no space or tab past the leading lines, and so no
+    # whitespace-only line; the search for one runs only on the others.
+    if (data.find(b" ", pos) != -1 or data.find(b"\t", pos) != -1) and _BLANK.search(data, pos):
+        return None
     return start
 
 

@@ -207,18 +207,43 @@ def gen_smoothed_trajectory(sc: SignalScenario) -> GlideOutcome:
     decel_cap, accel_cap = GLIDE_DECEL_MAX + 1e-9, GLIDE_ACCEL_MAX + 1e-9
     early, late = onset - 1e-9, onset + sc.green_s
 
+    # Cap the glide speed of a glide that does not reach the bar early.
+    # A kept glide has u = v_c - v_g > 0, computed exactly (v_g > v_c / 2),
+    # and a ramp of k2 >= u / rate seconds, as its u / k2 passed decel_cap
+    # after rounding. With v_c = v_g + u its crossing time is
+    #   t_cross = bar_m / v_g - (k2 - 1) * u / (2 * v_g),
+    # which falls as k2 grows, and it is at least t_lo. Putting k2 = u / rate
+    # and multiplying by v_g gives h(u) <= 0 for the convex
+    #   h(u) = u^2 / (2 * rate) - b * u + c,  b = t_lo + 1/2,  c = t_lo * v_c - bar_m,
+    # so u lies between its roots, and v_g <= v_c - U for the smaller root
+    # U = 2c / (b + sqrt(disc)), which does not cancel. With no real root no
+    # glide is kept. The margins:
+    # - t_lo is onset less 1e-6 s: the loop keeps t_cross >= onset - 1e-9,
+    #   and t_cross errs by under 1e-9 s in cycles of at most MAX_CYCLE_S.
+    # - rate is decel_cap plus 1e-9, far above the 2^-52 relative rounding
+    #   of u / k2.
+    # - disc errs by under 4 * 2^-53 of disc_scale, so only a disc below
+    #   -1e-12 * disc_scale surely has no root; a higher one counts as >= 0.
+    # - Where v_c - U >= v_low >= 0.55 * v_c, U errs by under 1e-7 * v_c
+    #   near a double root (the square root of disc's error) and under 2e-10
+    #   elsewhere; the relative 1e-6 and absolute 1e-9 on the cap cover both.
+    t_lo = onset - 1e-6
+    rate = decel_cap + 1e-9
+    b = t_lo + 0.5
+    c = t_lo * v_c - bar_m
+    disc = b * b - 2.0 * c / rate
+    disc_scale = b * b + 2.0 * (t_lo * v_c + bar_m) / rate
+    v_cap = (v_c - 2.0 * c / (b + math.sqrt(max(disc, 0.0)))) * (1.0 + 1e-6) + 1e-9
+    if disc < -1e-12 * disc_scale or v_cap < v_low:
+        return GlideOutcome(cycle=gen_baseline_trajectory(sc), feasible=False)
+
     # Skip the probes that surely reach the bar before green onset:
-    # - A glide crosses the bar within bar_m / v_g s, as its deceleration
-    #   ramp averages at least v_g. So a glide that is not early has
-    #   v_g <= v_cap.
-    # - A kept glide speed is at least v_low.
+    # - A kept glide speed is at least v_low and at most v_cap.
     # - It lies at most v_c / (2 * denom) below its probe speed, as b2 is
     #   rounded to the nearest cruise second. Here denom >= 1 + hold, and
     #   hold >= n - k2, as the ramp covers at most k2 * v_c of bar_m = n * v_c.
-    # A probe whose every possible v_g exceeds v_cap is rejected, and the
-    # margins are far above rounding error. This bound falls as the probe
-    # index grows, so the skipped probes come first.
-    v_cap = bar_m / (onset - 1e-6) * (1.0 + 1e-6)
+    # A probe whose every possible v_g exceeds v_cap is rejected. This bound
+    # falls as the probe index grows, so the skipped probes come first.
 
     def may_meet_green(i: int) -> bool:
         v_probe = v_c - span * i / _SWEEP_STEPS

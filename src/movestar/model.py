@@ -353,6 +353,15 @@ def kmh_to_mps(v: float) -> float:
     return v / 3.6
 
 
+def _number(cell: str, kind=float):
+    """`kind(cell)` in the grammar of `np.loadtxt`, which trace and table
+    cells share: without the digit-group underscores and non-ASCII digits
+    that `float()` and `int()` accept."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return kind(cell)
+
+
 # Each speed unit a trace may declare, and its conversion to m/s (floats or arrays).
 _TO_MPS = {"m/s": lambda v: v, "mph": mph_to_mps, "km/h": kmh_to_mps}
 SUPPORTED_UNITS = tuple(_TO_MPS)

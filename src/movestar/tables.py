@@ -22,6 +22,7 @@ from .model import (
     VALID_OPMODE_IDS,
     VehicleParams,
     _DataclassFields,
+    _number,
 )
 from .errors import (IncompleteTable, SchemaError, TableFileError, TableParseError, UnitError,
                      UnknownSourceType)
@@ -50,7 +51,7 @@ class TableSet(NamedTuple):
 
 def _parse_float(path: Path, lineno: int, name: str, cell: str) -> float:
     try:
-        value = float(cell)
+        value = _number(cell)
     except ValueError:
         raise TableParseError(str(path), lineno,
                               f"column {name!r}: not a number: {cell!r}") from None
@@ -132,7 +133,7 @@ def _params_row(path: Path, lineno: int, st: SourceType, cells: list[str]):
 
 def _rates_row(path: Path, lineno: int, st: SourceType, cells: list[str]):
     try:
-        mode = int(cells[0])
+        mode = _number(cells[0], int)
     except ValueError:
         raise TableParseError(str(path), lineno,
                               f"column 'opmode': not an integer: {cells[0]!r}") from None

@@ -267,12 +267,20 @@ class TestReadRoute:
         ("t,v\n0,1\n1,2.5\n\n\r\n", [("path", 1)]),
         ("t,v\n0,1\n\n1,2.5\n", [("path", 1)]),
         ("t,v\r\n0,1\r\n\r\n1,2.5\r\n", [("path", 1)]),
-        ("t,v\n0,1\n \n1,2.5\n", [("path", 1), ("list", 0)]),
+        # numpy rejects a whitespace-only line: one read, of the lines, gives
+        # the trace without it.
+        ("t,v\n0,1\n \n1,2.5\n", [("list", 0)]),
         ("t,v\n0,1\n1,\xa02.5\n", [("list", 0)]),
         ("t,v\r0,1\r1,2.5\r", [("path", 1)]),
         ("t,v\n0,1\r1,2.5\n", [("path", 1)]),
         ("t,v\n0,1\n  # c\n1,2.5\n", [("list", 0)]),
-        ("t,v\n0,1\n\t\n1,2.5\n", [("path", 1), ("list", 0)]),
+        ("t,v\n0,1\n\t\n1,2.5\n", [("list", 0)]),
+        ("t,v\r\n0,1\r\n \t\r\n1,2.5\r\n", [("list", 0)]),
+        ("t,v\n0,1\n1,2.5\n  ", [("list", 0)]),
+        # The search for such a line looks after line feeds only.
+        ("t,v\r0,1\r \r1,2.5\r", [("path", 1), ("list", 0)]),
+        # Spaces and tabs beside values leave a file on the path.
+        ("t, v\n 0, 1\n1 ,\t2.5 \n", [("path", 1)]),
     ])
     def test_route(self, tmp_path, monkeypatch, text, route):
         assert self.route(tmp_path / "trace.csv", text, monkeypatch) == route

@@ -11,6 +11,8 @@ from movestar import demo
 from movestar.core import MAX_SPEED_MPS, OpMode, SourceType, aggregate_cycle
 from movestar.demo import (
     GLIDE_DECEL_MAX,
+    GLIDE_FLOOR_MPS,
+    GLIDE_MIN_FRACTION,
     MAX_CYCLE_S,
     RESTART_ACCEL_MAX,
     STOP_DECEL_MAX,
@@ -202,6 +204,28 @@ WIDE_SCENARIOS = st.builds(
     green_s=st.floats(1e-3, 3e4), red_s=st.floats(1e-3, 3e4), offset_s=st.floats(-1e4, 1e4))
 
 
+def _frontier_scenario(v_c, n, shift, green_s, extra_red_s):
+    """A red arrival whose green onset is `shift` (relative) from the one that
+    a glide at the floor speed meets when its ramp decelerates at
+    GLIDE_DECEL_MAX: where the planner's ramp-aware cap on the glide speed
+    crosses the floor, so scenarios on either side of it return without a
+    probe or sweep the probes."""
+    v_floor = max(GLIDE_FLOOR_MPS, GLIDE_MIN_FRACTION * v_c)
+    u = v_c - v_floor
+    gap = (n * v_c + u / 2 - u * u / (2 * GLIDE_DECEL_MAX)) / v_floor * (1.0 + shift) - n
+    if not gap > 0.0:
+        return None
+    period = green_s + gap + extra_red_s
+    return _scenario_or_none(approach_m=n * v_c, cruise_mps=v_c, green_s=green_s,
+                             red_s=gap + extra_red_s, offset_s=(period - gap - n) % period)
+
+
+FRONTIER_SCENARIOS = st.builds(
+    _frontier_scenario, v_c=st.floats(2.5, 40.0), n=st.integers(1, 60),
+    shift=st.one_of(st.floats(-0.02, 0.002), st.floats(-1e-8, 1e-8)),
+    green_s=st.floats(0.5, 60.0), extra_red_s=st.floats(0.0, 60.0))
+
+
 def _plan(planner, sc):
     """What a planner returns, as bytes where floats must match bit for bit,
     or the class and message of what it raises."""
@@ -220,7 +244,8 @@ class TestSmoothedMatchesReference:
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None)
-    @given(sc=st.one_of(CRITERION_8_SCENARIOS, WIDE_SCENARIOS).filter(lambda sc: sc is not None))
+    @given(sc=st.one_of(CRITERION_8_SCENARIOS, WIDE_SCENARIOS, FRONTIER_SCENARIOS)
+           .filter(lambda sc: sc is not None))
     @example(sc=green_arrival_scenario())
     @example(sc=red_arrival_scenario())
     @example(sc=red_arrival_scenario(green_s=5.0, red_s=200.0, offset_s=40.0))
@@ -236,6 +261,29 @@ class TestSmoothedMatchesReference:
     # alone would start past this one
     @example(sc=SignalScenario(approach_m=770.0, cruise_mps=5.7, green_s=39.0, red_s=55.0,
                                offset_s=43.0))
+    # green 6 s after the bar time of 10 s: the ramp-aware bound has no real
+    # root, so no glide is late enough, though probes from the 125th on pass
+    # the bound that ignores the ramp
+    @example(sc=SignalScenario(approach_m=120.0, cruise_mps=12.0, green_s=10.0, red_s=25.0,
+                               offset_s=19.0))
+    # onsets on either side of the bound's double root: the first bound's
+    # discriminant is below zero by rounding error only, the second's above it
+    @example(sc=SignalScenario(approach_m=108.0, cruise_mps=12.0, green_s=10.0, red_s=25.0,
+                               offset_s=23.665901105311768))
+    @example(sc=SignalScenario(approach_m=108.0, cruise_mps=12.0, green_s=10.0, red_s=25.0,
+                               offset_s=23.66590110531177))
+    # the glide is kept at the first probe the ramp-aware cap allows, one
+    # past the first that the bound ignoring the ramp allows
+    @example(sc=SignalScenario(approach_m=357.0, cruise_mps=17.0, green_s=27.0, red_s=28.0,
+                               offset_s=33.0))
+    # a glide 0.04 m/s under the ramp-aware cap, and 0.014 m/s over the
+    # floor: a bound that counted all k2 ramp seconds as slowing the
+    # crossing, not k2 - 1, would rule it out
+    @example(sc=SignalScenario(approach_m=152.0, cruise_mps=8.0, green_s=27.0, red_s=32.0,
+                               offset_s=28.0))
+    # green 5e-7 s after the bar time, closer than the bound's 1e-6 s margin
+    @example(sc=SignalScenario(approach_m=240.0, cruise_mps=12.0, green_s=25.0, red_s=30.0,
+                               offset_s=34.9999995))
     def test_same_outcome_bit_for_bit(self, sc):
         assert _plan(gen_smoothed_trajectory, sc) == _plan(reference_smoothed_trajectory, sc)
 

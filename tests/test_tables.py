@@ -170,6 +170,14 @@ CORRUPTIONS = [
     pytest.param(lambda p, r: (p, RATES_LINE + "LDV,1,1,1,1,1,1\nLDV,01,2,2,2,2,2\n"),
                  SchemaError, "{rates}:3: duplicate row: LDV,01,2,2,2,2,2",
                  id="duplicate_rates_row"),
+    # Cells are numbers in the grammar trace files use: no digit-group
+    # underscores and no non-ASCII digits, which float() and int() accept.
+    pytest.param(lambda p, r: (p, RATES_LINE + "LDV,1,4_50.000,1,1,1,1\n"), TableParseError,
+                 "{rates}:2: column 'energy': not a number: '4_50.000'", id="underscore_rate"),
+    pytest.param(lambda p, r: (p, RATES_LINE + "LDV,1_1,1,1,1,1,1\n"), TableParseError,
+                 "{rates}:2: column 'opmode': not an integer: '1_1'", id="underscore_opmode"),
+    pytest.param(lambda p, r: (PARAMS_LINE + "LDV,١.5,1,1,1,1\n", r), TableParseError,
+                 "{params}:2: column 'A': not a number: '١.5'", id="non_ascii_digit"),
 ]
 
 
