@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from dataclasses import dataclass
 
 from .core import CycleResult, DriveCycle, aggregate_cycle
@@ -145,11 +146,24 @@ def _odd_at_least(x: float) -> int:
     return n if n % 2 == 1 else n + 1
 
 
+_last_baseline = ()  # weak references to the last scenario and its cycle
+
+
 def gen_baseline_trajectory(sc: SignalScenario) -> DriveCycle:
     """Conventional-driver profile: stop on red, wait, relaunch.
 
     A green arrival produces a pure constant-speed cycle.
+
+    One entry is kept weakly: a call with the last scenario (`is`) returns
+    its cycle while that lives, so a glide's fallback is the caller's
+    baseline. A thread race costs at most a miss, as the entry is read once.
     """
+    global _last_baseline
+    last = _last_baseline
+    if last and last[0]() is sc:
+        cycle = last[1]()
+        if cycle is not None:
+            return cycle
     # Each derived property is read once, into a local; `arrives_on_red`
     # would derive n again.
     v_c = sc.cruise_mps
@@ -159,30 +173,32 @@ def gen_baseline_trajectory(sc: SignalScenario) -> DriveCycle:
     half_m = (m + 1) // 2
 
     if sc.is_green(float(n)):
-        return DriveCycle.from_speeds([v_c] * (n + half_m + b))
+        speeds = [v_c] * (n + half_m + b)
+    else:
+        k = sc.stop_ramp_steps
+        a = n - (k - 1) // 2
+        if a < 0:
+            raise InfeasibleScenario(
+                f"approach of {n} cruise seconds is too short to stop from {v_c} m/s")
+        t_stop = a + k
+        onset = sc.next_green_onset(float(n))
+        wait = max(0, math.ceil(onset - t_stop))
 
-    k = sc.stop_ramp_steps
-    a = n - (k - 1) // 2
-    if a < 0:
-        raise InfeasibleScenario(
-            f"approach of {n} cruise seconds is too short to stop from {v_c} m/s")
-    t_stop = a + k
-    onset = sc.next_green_onset(float(n))
-    wait = max(0, math.ceil(onset - t_stop))
-
-    speeds = [v_c] * a
-    speeds += [v_c * (k - i) / k for i in range(1, k + 1)]
-    speeds += [0.0] * wait
-    speeds += [v_c * j / m for j in range(1, m + 1)]
-    speeds += [v_c] * b
-    return DriveCycle.from_speeds(speeds)
+        speeds = [v_c] * a
+        speeds += [v_c * (k - i) / k for i in range(1, k + 1)]
+        speeds += [0.0] * wait
+        speeds += [v_c * j / m for j in range(1, m + 1)]
+        speeds += [v_c] * b
+    cycle = DriveCycle.from_speeds(speeds)
+    _last_baseline = (weakref.ref(sc), weakref.ref(cycle))
+    return cycle
 
 
 def gen_smoothed_trajectory(sc: SignalScenario) -> GlideOutcome:
     """Eco-glide profile: one early slowdown timed to the green onset.
 
-    Falls back to the baseline profile (flagged) when no glide speed within
-    the comfort bounds can meet the green window at the bar.
+    Falls back to the `gen_baseline_trajectory(sc)` cycle (flagged) when no
+    glide speed within the comfort bounds can meet the green window at the bar.
     """
     # Each derived property is read once, into a local: bar_m and total_m
     # are `effective_approach_m` and `total_distance_m` from n.

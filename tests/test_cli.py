@@ -1,12 +1,17 @@
 """CLI behavior: determinism, exit codes, output file formats."""
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import movestar
 from movestar.cli import main
 from movestar.tables import ENV_TABLES_DIR
 
@@ -390,3 +395,25 @@ class TestInputBoundary:
         assert self.exit_code("validate-tables", "--tables", directory) in (0, 2)
         assert self.exit_code("factors", "--cycle", trace, "--veh", "1",
                               "--tables", directory) in (0, 2)
+
+
+SMOKE_SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "cli_smoke.sh"
+
+
+def test_console_smoke_script(tmp_path):
+    """The smoke script CI runs on the installed console script, run here
+    with `python -m movestar.cli`: every check in it must pass. Its inline
+    checks call `python`, which the wrapper makes this interpreter."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    wrapper = bin_dir / "python"
+    wrapper.write_text(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n')
+    wrapper.chmod(0o755)
+    env = {k: v for k, v in os.environ.items() if k != ENV_TABLES_DIR}
+    env["PYTHONPATH"] = str(Path(movestar.__file__).resolve().parent.parent)
+    env["PATH"] = f"{bin_dir}{os.pathsep}{env.get('PATH', '')}"
+    work = tmp_path / "work"
+    work.mkdir()
+    done = subprocess.run(["bash", str(SMOKE_SCRIPT), "all", sys.executable, "-m", "movestar.cli"],
+                          cwd=work, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -29,6 +29,7 @@ from movestar.errors import (
     TraceFileError,
 )
 
+from reference_resample import reference_resample
 from reference_trace import reference_parse_trace
 
 
@@ -418,6 +419,46 @@ class TestResample:
         cycle = resample_to_1hz(parse_trace(path, "m/s"))
         assert cycle.v.tolist() == [3.0, 7.0]
         assert cycle.a[1] == 4.0
+
+
+@st.composite
+def jittered_traces(draw):
+    """(times, speeds, unit): samples a fixed sub-second period apart, each
+    moved by up to 0.45 periods, with dropouts of up to MAX_GAP_S + 3 s."""
+    unit = draw(st.sampled_from(SUPPORTED_UNITS))
+    period = draw(st.floats(0.05, 0.95))
+    nominal = draw(st.floats(-100.0, 100.0))
+    times, speeds = [], []
+    for _ in range(draw(st.integers(1, 40))):
+        if times and draw(st.integers(0, 5)) == 0:
+            nominal += draw(st.floats(1.0, MAX_GAP_S + 3.0))
+        times.append(nominal + draw(st.floats(-0.45, 0.45)) * period)
+        speeds.append(draw(st.floats(0.0, 90.0)))
+        nominal += period
+    return times, speeds, unit
+
+
+class TestResampleMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(trace=jittered_traces())
+    # a gap of exactly MAX_GAP_S empty windows, and one more
+    @example(trace=([0.3, MAX_GAP_S + 1.2], [1.0, 7.0], "mph"))
+    @example(trace=([0.3, MAX_GAP_S + 2.2], [1.0, 7.0], "km/h"))
+    # three samples in one window: a sum times 1/3 rounds differently
+    @example(trace=([0.0, 0.3, 0.6, 1.0], [0.1, 0.2, 0.4, 1.0], "m/s"))
+    # a first timestamp that rounds into window 1, leaving window 0 empty
+    @example(trace=([-1e-17, 0.5], [3.0, 4.0], "m/s"))
+    def test_same_cycle_or_same_gap(self, trace):
+        times, speeds, unit = trace
+        raw = RawTrace(times, speeds, unit)
+        try:
+            want = reference_resample(times, speeds, unit)
+        except GapTooLarge as gap:
+            with pytest.raises(GapTooLarge) as exc:
+                resample_to_1hz(raw)
+            assert (exc.value.start_window, exc.value.length) == (gap.start_window, gap.length)
+        else:
+            assert resample_to_1hz(raw).v.tolist() == want
 
 
 # Hand-built traces that `RawTrace` rejects: (times, speeds in m/s, error, message).

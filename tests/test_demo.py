@@ -1,6 +1,7 @@
 """Intersection demo: construction invariants and the directional claim."""
 
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from movestar.demo import (
 from movestar.errors import InfeasibleScenario, InvalidSample
 
 from reference_demo import reference_smoothed_trajectory
+from reference_pipeline import run_reference
 
 
 def red_arrival_scenario(**overrides):
@@ -343,6 +345,73 @@ class TestComparison:
         lines = compare_scenarios(red_arrival_scenario(), tables).csv_lines()
         assert lines[0] == "species,baseline_total,smoothed_total,delta_pct"
         assert len(lines) == 1 + 5 + 3
+
+
+def infeasible_red_scenario():
+    # a 200 s red that no glide can bridge: the glide falls back to the stop
+    return red_arrival_scenario(green_s=5.0, red_s=200.0, offset_s=40.0)
+
+
+class TestSweepReuse:
+    """Called in the sweep's order (baseline, then smoothed), a fallback glide
+    is the very baseline cycle, so `aggregate_cycle` computes it once."""
+
+    @pytest.mark.parametrize("scenario", [green_arrival_scenario, infeasible_red_scenario],
+                             ids=["green", "infeasible_red"])
+    def test_fallback_is_the_baseline_cycle(self, scenario):
+        sc = scenario()
+        base = gen_baseline_trajectory(sc)
+        outcome = gen_smoothed_trajectory(sc)
+        assert outcome.feasible is not sc.arrives_on_red
+        assert outcome.cycle is base
+
+    def test_feasible_glide_is_another_cycle(self):
+        sc = red_arrival_scenario()
+        base = gen_baseline_trajectory(sc)
+        outcome = gen_smoothed_trajectory(sc)
+        assert outcome.feasible
+        assert outcome.cycle is not base
+        assert outcome.cycle.v.tolist() != base.v.tolist()
+
+    def test_keeps_no_scenario_or_cycle_alive(self):
+        sc = infeasible_red_scenario()
+        base = gen_baseline_trajectory(sc)
+        refs = weakref.ref(sc), weakref.ref(base)
+        del sc, base
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_equal_scenario_gives_an_equal_cycle(self):
+        sc, twin = infeasible_red_scenario(), infeasible_red_scenario()
+        assert twin == sc and twin is not sc
+        assert gen_baseline_trajectory(twin).v.tolist() == gen_baseline_trajectory(sc).v.tolist()
+
+    def test_sweep_matches_the_reference(self, tables, params_path, rates_path):
+        """Baseline, smoothed and both aggregates per scenario, as the
+        signal_sweep workload calls them, on green, feasible and infeasible
+        arrivals of both source types."""
+        rng = np.random.default_rng(21)
+        kinds = set()
+        for i in range(60):
+            v_c = float(rng.uniform(8.0, 18.0))
+            sc = SignalScenario(approach_m=int(rng.integers(8, 22)) * v_c, cruise_mps=v_c,
+                                green_s=float(rng.uniform(10.0, 40.0)),
+                                red_s=float(rng.uniform(15.0, 60.0)),
+                                offset_s=float(rng.uniform(0.0, 60.0)),
+                                source_type=list(SourceType)[i % 2])
+            params = tables.params_for(sc.source_type)
+            base = gen_baseline_trajectory(sc)
+            outcome = gen_smoothed_trajectory(sc)
+            r_base = aggregate_cycle(base, params, tables.rates)
+            r_glide = aggregate_cycle(outcome.cycle, params, tables.rates)
+            assert (r_glide is r_base) is (outcome.cycle is base)
+            for cycle, result in ((base, r_base), (outcome.cycle, r_glide)):
+                ref = run_reference(cycle.v.tolist(), sc.source_type.value,
+                                    params_path, rates_path)
+                assert result.modes.tolist() == ref["modes"]
+                assert list(result.totals.as_tuple()) == ref["totals"]
+            kinds.add((sc.source_type, sc.arrives_on_red, outcome.feasible))
+        assert kinds == {(veh, red, feasible) for veh in SourceType
+                         for red, feasible in ((False, True), (True, True), (True, False))}
 
 
 def _modes(cycle, tables):

@@ -1,6 +1,10 @@
 """The columnar batch kernel against the oracle, the ER writer and the session path."""
 
 import math
+import shutil
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -20,8 +24,9 @@ from movestar.core import (
 )
 from movestar.errors import InvalidSample, NegativeSpeed
 from movestar.session import session_create, session_finalize, session_step
+from movestar.tables import load_tables_from_dir
 
-from conftest import FIXTURE_CYCLES
+from conftest import FIXTURE_CYCLES, scaled_rates
 from reference_pipeline import MPH, opmode_from_mph, run_reference
 
 GENTLE_DECEL = (-0.89, -0.45)    # m/s^2: between -2 and -1 mph/s
@@ -151,6 +156,95 @@ class TestRecordsOnDemand:
                     finalized.grams):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+
+def same_result(got, want):
+    """Bit-identical results: modes, per-second grams, totals, distance, EF."""
+    return (got.modes.tobytes() == want.modes.tobytes()
+            and got.grams.tobytes() == want.grams.tobytes()
+            and got.totals == want.totals and got.distance_m == want.distance_m
+            and got.ef == want.ef)
+
+
+class TestLastResultMemo:
+    """`aggregate_cycle` keeps its last cycle, params, rates and result, the
+    cycle and result weakly, and returns that result only for those very
+    three objects."""
+
+    def fresh(self, cycle, params, rates):
+        return aggregate_cycle(DriveCycle(cycle.v), params, rates)
+
+    def test_repeat_call_returns_the_same_result(self, tables):
+        cycle = DriveCycle(random_walk(1))
+        params = tables.params_for(SourceType.LDV)
+        first = aggregate_cycle(cycle, params, tables.rates)
+        assert aggregate_cycle(cycle, params, tables.rates) is first
+
+    def test_keeps_no_cycle_or_result_alive(self, tables):
+        cycle = DriveCycle(random_walk(5))
+        params = tables.params_for(SourceType.LDV)
+        result = aggregate_cycle(cycle, params, tables.rates)
+        result_ref, totals = weakref.ref(result), result.totals
+        del result
+        assert result_ref() is None
+        again = aggregate_cycle(cycle, params, tables.rates)
+        assert again.totals == totals
+        cycle_ref = weakref.ref(cycle)
+        del cycle, again
+        assert cycle_ref() is None
+
+    def test_each_source_type_gets_its_own_result(self, tables):
+        cycle = DriveCycle(random_walk(2))
+        ldv, ldt = tables.params_for(SourceType.LDV), tables.params_for(SourceType.LDT)
+        r_ldv = aggregate_cycle(cycle, ldv, tables.rates)
+        r_ldt = aggregate_cycle(cycle, ldt, tables.rates)
+        assert r_ldt.totals != r_ldv.totals
+        assert same_result(r_ldt, self.fresh(cycle, ldt, tables.rates))
+        assert same_result(r_ldv, self.fresh(cycle, ldv, tables.rates))
+
+    def test_another_rate_table_misses(self, tables, tables_dir, tmp_path):
+        cycle = DriveCycle(random_walk(3))
+        params = tables.params_for(SourceType.LDV)
+        first = aggregate_cycle(cycle, params, tables.rates)
+        copied = load_tables_from_dir(shutil.copytree(tables_dir, tmp_path / "tables")).rates
+        assert copied == tables.rates
+        again = aggregate_cycle(cycle, params, copied)
+        assert again is not first
+        assert same_result(again, first)
+        doubled = aggregate_cycle(cycle, params, scaled_rates(tables.rates, 2.0))
+        assert doubled.totals == tuple(2.0 * x for x in first.totals)
+
+    def test_interleaved_calls_equal_fresh_results(self, tables):
+        params = tables.params_for(SourceType.LDT)
+        a, b = DriveCycle(random_walk(4)), DriveCycle(FIXTURE_CYCLES["gentle_decel"])
+        for cycle in (a, b, a):
+            assert same_result(aggregate_cycle(cycle, params, tables.rates),
+                               self.fresh(cycle, params, tables.rates))
+
+    def test_threads_get_their_own_totals(self, tables):
+        """Threads on their own cycles race on the one entry; each result
+        must be its own cycle's, never the entry another thread wrote."""
+        params = tables.params_for(SourceType.LDV)
+        cycles = [DriveCycle(random_walk(seed, n=40 + seed)) for seed in range(4)]
+        want = [self.fresh(c, params, tables.rates).totals for c in cycles]
+        right = [0] * len(cycles)
+
+        def work(i):
+            for _ in range(200):
+                right[i] += aggregate_cycle(cycles[i], params, tables.rates).totals == want[i]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cycles))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert right == [200] * len(cycles)
 
 
 class TestDriveCycleBoundary:

@@ -1,0 +1,182 @@
+#!/usr/bin/env bash
+# Smoke checks of the movestar command line on README's examples and on
+# hostile inputs: exit codes, one-line errors with no traceback, the `demo`
+# last lines, line endings, and no numpy in the streaming lifecycle or in
+# `validate-tables`.
+#
+# Usage: tools/cli_smoke.sh PART COMMAND...
+#   PART     `console` (every check but line endings), `line-endings`, or `all`
+#   COMMAND  how to run movestar, e.g. `movestar` or `python -m movestar.cli`
+# It writes its files into the current directory. The inline checks run
+# `python`, which must import the same movestar. The line-endings part runs
+# on its own so that CI can repeat it after pinning another numpy.
+set -eu
+
+if [ "$#" -lt 2 ]; then
+  echo "usage: $0 {console|line-endings|all} COMMAND..." >&2
+  exit 2
+fi
+part=$1
+shift
+ms=("$@")
+
+console() {
+  printf 't,v\n0,0\n1,2.5\n2,5\n3,7.5\n4,7.5\n5,4\n6,0\n' > trip.csv
+  printf 't,v\n0,0\n0.5,1\n1,2\n1.5,3\n2,4\n2.5,5\n3,5\n' > subsecond.csv
+  "${ms[@]}" run --cycle trip.csv --unit m/s --veh 1 --out trip
+  mkdir od
+  "${ms[@]}" run --cycle trip.csv --veh 1 --out od/
+  test -f od/_ER.csv && test -f od/_EF.csv
+  "${ms[@]}" factors --cycle trip.csv --veh 2
+  "${ms[@]}" validate-tables
+  # A rate table without its `# unit:` line is one table error: exit 2.
+  defaults="$(python -c 'import movestar.tables as t; print(t.default_tables_dir())')"
+  mkdir bad
+  cp "$defaults"/*.csv bad/
+  grep -v '^# unit:' bad/rates.csv > rates.csv && mv rates.csv bad/rates.csv
+  status=0
+  "${ms[@]}" validate-tables --tables bad 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 2
+  test "$(wc -l < err.txt)" -eq 1
+  grep -q '^error: tables:' err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
+  # A rate table whose header lacks CO2, followed by its rows, is one
+  # error naming the missing column: the read stops at the header.
+  mkdir nocol
+  cp "$defaults"/*.csv nocol/
+  sed 's/,NOx,CO2$/,NOx/' "$defaults/rates.csv" > nocol/rates.csv
+  status=0
+  "${ms[@]}" validate-tables --tables nocol 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 2
+  test "$(wc -l < err.txt)" -eq 1
+  grep -q '^error: tables:' err.txt
+  grep -qF "missing column(s) ['CO2']" err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
+  "${ms[@]}" convert --in subsecond.csv --out onehz.csv --unit mph
+  # Both planner paths: README's red arrival glides, and a red of 200 s
+  # that no glide can bridge falls back to the stop profile.
+  "${ms[@]}" demo --distance 240 --cruise 12 --green 25 --red 30 --offset 28 --veh 1 \
+    > demo.csv
+  cat demo.csv
+  test "$(tail -n 1 demo.csv)" = "glide_used,1,8.081633,"
+  "${ms[@]}" demo --distance 240 --cruise 12 --green 5 --red 200 --offset 40 --veh 1 \
+    > demo.csv
+  cat demo.csv
+  test "$(tail -n 1 demo.csv)" = "glide_used,0,,"
+  status=0
+  "${ms[@]}" run --cycle trip.csv --veh 1 --out "$PWD/absent/x" 2> err.txt \
+    || status=$?
+  cat err.txt
+  test "$status" -eq 1
+  grep -q '^error: output:' err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
+  # A speed over the 100 m/s bound is an input error, not an overflow.
+  printf 't,v\n0,0\n1,1e300\n' > fast.csv
+  status=0
+  "${ms[@]}" factors --cycle fast.csv --veh 1 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 1
+  grep -q '^error: cycle:' err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
+  # A gap of 1e300 s is one short error line: its length prints in
+  # scientific notation, not as a 301-digit integer.
+  printf '0,1\n1e300,2\n' > gap.csv
+  status=0
+  "${ms[@]}" factors --cycle gap.csv --veh 1 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 1
+  test "$(wc -l < err.txt)" -eq 1
+  grep -q '^error: cycle: gap of' err.txt
+  test "$(wc -c < err.txt)" -lt 200
+  if grep -q Traceback err.txt; then exit 1; fi
+  # Raw speeds are bounded before resampling: two 1e308 samples in
+  # one window are one error naming line 1, not an overflow.
+  printf '0,1e308\n0.5,1e308\n' > overflow.csv
+  status=0
+  "${ms[@]}" factors --cycle overflow.csv --veh 1 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 1
+  test "$(wc -l < err.txt)" -eq 1
+  grep -q '^error: cycle: .* at line 1$' err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
+  # A NaN raw speed is named by its line, not by a second after
+  # resampling.
+  printf '0,1\n0.5,nan\n1,2\n' > nan.csv
+  status=0
+  "${ms[@]}" factors --cycle nan.csv --veh 1 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 1
+  test "$(wc -l < err.txt)" -eq 1
+  grep -q '^error: cycle: .* at line 2$' err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
+  # One flatapi round trip through the installed package; a speed of
+  # None is status 1 and an unhashable handle status 3, not an
+  # exception. The whole streaming lifecycle runs without numpy, and
+  # without the dataclasses and inspect modules.
+  python - <<'EOF'
+import sys
+before = set(sys.modules)
+from movestar import flatapi
+status, handle = flatapi.create(1)
+checks = [
+    (status, 0),
+    (flatapi.step(handle, 5.0)[:2], (0, 12)),
+    (flatapi.step(handle, None), (1, -1, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    (flatapi.totals(handle)[:2], (0, 5.0)),
+    (flatapi.step([1], 5.0)[0], 3),
+    (flatapi.finalize(handle)[:3], (0, 5.0, 1)),
+    (flatapi.destroy(handle), 0),
+    (flatapi.stats(), (0, 1, 1, 0, 1)),
+]
+for got, want in checks:
+    if got != want:
+        raise SystemExit(f"flatapi round trip: got {got!r}, want {want!r}")
+if "numpy" in sys.modules:
+    raise SystemExit("flatapi round trip: numpy was imported")
+added = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+if added:
+    raise SystemExit(f"flatapi round trip: {sorted(added)} imported")
+EOF
+  # `validate-tables` reads only the tables: numpy stays unloaded.
+  python - <<'EOF'
+import contextlib, io, sys
+from movestar import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["validate-tables"])
+if status != 0 or "numpy" in sys.modules:
+    raise SystemExit(f"validate-tables: status {status}, numpy {'numpy' in sys.modules}")
+EOF
+}
+
+# An ASCII file is read by numpy through its path, whatever its line ends
+# and with comment or empty lines between rows; one with an indented comment
+# or a whitespace-only line is read line by line. The conversions must be
+# identical, and a `#` after a value is an error at its line.
+line_endings() {
+  printf 't,v\n0,0\n0.5,1\n1,2\n1.5,3\n2,4\n2.5,5\n3,5\n' > lf.csv
+  sed 's/$/\r/' lf.csv > crlf.csv
+  tr '\n' '\r' < lf.csv > cr.csv
+  printf 't,v\n0,0\n0.5,1\n# note\n1,2\n\n1.5,3\n2,4\n2.5,5\n3,5\n' > lines.csv
+  printf 't,v\n0,0\n0.5,1\n  # note\n1,2\n \t\n1.5,3\n2,4\n2.5,5\n3,5\n' > spaces.csv
+  for f in lf crlf cr lines spaces; do
+    "${ms[@]}" convert --in "$f.csv" --out "$f.1hz.csv" --unit mph
+    cmp lf.1hz.csv "$f.1hz.csv"
+  done
+  printf 't,v\n0,0\n0.5,1\n1,2#x\n1.5,3\n' > hash.csv
+  status=0
+  "${ms[@]}" factors --cycle hash.csv --unit mph --veh 1 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 1
+  test "$(wc -l < err.txt)" -eq 1
+  grep -q '^error: cycle: .* at line 4$' err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
+}
+
+case "$part" in
+  console) console ;;
+  line-endings) line_endings ;;
+  all) console; line_endings ;;
+  *) echo "$0: unknown part '$part'" >&2; exit 2 ;;
+esac
