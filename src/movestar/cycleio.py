@@ -260,7 +260,10 @@ def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) 
 def _window_means(raw: RawTrace) -> np.ndarray:
     """`resample_speeds_to_1hz` of a checked trace, in m/s, as an array."""
     t, v = raw.t, _TO_MPS[raw.unit](raw.v)
-    w = np.floor(t - np.floor(t[0]))
+    # Window k is [floor(t0) + k, floor(t0) + k + 1). Both floors are exact, so
+    # no rounding moves a sample to a later window, as `t - floor(t0)` can
+    # (-1e-17 - -1.0 rounds to 1.0).
+    w = np.floor(t) - np.floor(t[0])
     # Gaps are checked on the window indices, before allocating a slot per window.
     empty = np.diff(w) - 1.0
     too_long = np.flatnonzero(empty > MAX_GAP_S)

@@ -103,7 +103,7 @@ def totals(handle: int) -> tuple[int, float, float, float, float, float, float]:
         session = _sessions[handle if type(handle) is int else None]
     except KeyError:
         return _error(ERR_HANDLE), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    return (OK, session.distance_m, *session._totals)
+    return OK, session.distance_m, session._e, session._co, session._hc, session._nox, session._co2
 
 
 def finalize(handle: int) -> tuple[int, float, int, float, float, float, float, float,

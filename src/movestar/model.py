@@ -285,6 +285,14 @@ class RateTable:
         return out
 
     @cached_property
+    def _step_grids(self) -> dict[SourceType, tuple[tuple[tuple, ...], ...]]:
+        """Each source type's `per_second` results laid out on the mode grid:
+        cell [i][j] is `results[_MODE_GRID[i][j]]`, the very tuple, so a
+        session step finds its result with two indexes. Built once per table."""
+        return {st: tuple(tuple(rows.results[m] for m in row) for row in _MODE_GRID)
+                for st, rows in self.per_second.items()}
+
+    @cached_property
     def grams(self) -> dict:
         """Each source type's per-second rows as a read-only (ids x 5) float64
         array for the batch kernel's gather: row `m` is `results[m][2:]`, NaN

@@ -20,14 +20,12 @@ from typing import TYPE_CHECKING
 from .errors import EmptySession, UnknownSourceType
 from .model import (
     _HARD_DECEL_MPS2,
-    _MODE_GRID,
     _SOFT_DECEL_MPS2,
     _SPEED_CLASS_EDGES_MPS,
     _VSP_BIN_EDGES,
     BRAKE_SOFT_RUN_S,
     MAX_SPEED_MPS,
     EmissionVector,
-    ModeRows,
     OpMode,
     RateTable,
     SourceType,
@@ -39,10 +37,10 @@ from .tables import TableSet
 if TYPE_CHECKING:
     from .core import CycleResult
 
-# A second is braking by the soft rule when it and the run of soft
-# decelerations before it make BRAKE_SOFT_RUN_S seconds.
-_SOFT_HISTORY_RUN = BRAKE_SOFT_RUN_S - 1
 _BRAKING = int(OpMode.BRAKING)
+# The speed-class edges, compared one by one in `_advance`: a speed's class
+# is the number of edges at or below it, as `bisect_right` counts them.
+_IDLE_MAX, _LOW_MAX, _MID_MAX = _SPEED_CLASS_EDGES_MPS
 
 
 class EmissionSession:
@@ -51,20 +49,30 @@ class EmissionSession:
     Built from `params` and `rates` alone; the running state starts empty.
     Building it raises IncompleteTable if `rates` lacks an operating mode.
     Stepped through its API, a session always records: `step` keeps each
-    second's mode, one byte, for `finalize`. `flatapi` steps keep none."""
+    second's mode, one byte, for `finalize`. `flatapi` steps keep none.
 
-    __slots__ = ("params", "rates", "prev_speed", "distance_m", "_totals", "_soft_run",
-                 "_steps", "_modes", "_rows", "_coefficients")
+    The state a step reads and writes is flat, one slot per number: the VSP
+    coefficients `_A`, `_B`, `_C`, `_M`, `_f`; the running sums `_e`, `_co`,
+    `_hc`, `_nox`, `_co2` (in-order `+=` from -0.0, as the batch path sums);
+    and the table's results on the mode grid (`_grid`) and for braking
+    (`_braking`), shared by every session of that table and source type."""
+
+    __slots__ = ("params", "rates", "prev_speed", "distance_m", "_e", "_co", "_hc", "_nox",
+                 "_co2", "_soft_run", "_steps", "_modes", "_pairs", "_grid", "_braking",
+                 "_A", "_B", "_C", "_M", "_f")
 
     def __init__(self, params: VehicleParams, rates: RateTable):
         self.params = params
         self.rates = rates
-        self._rows = rates.per_second[params.source_type]
-        self._coefficients = (params.A, params.B, params.C, params.M, params.f)
+        st = params.source_type
+        rows = rates.per_second[st]
+        self._pairs = rows.pairs
+        self._grid = rates._step_grids[st]
+        self._braking = rows.results[_BRAKING]
+        self._A, self._B, self._C, self._M, self._f = params[1:]
         self.prev_speed = None
         # Sums start at -0.0 (-0.0 + x == x for every x), as the batch path's do.
-        self.distance_m = -0.0
-        self._totals = (-0.0,) * 5
+        self.distance_m = self._e = self._co = self._hc = self._nox = self._co2 = -0.0
         self._soft_run = 0          # trailing seconds of soft deceleration
         self._steps = 0
         self._modes = array("b")    # each second's mode, recorded by `step`
@@ -76,7 +84,7 @@ class EmissionSession:
 
     @property
     def running_totals(self) -> EmissionVector:
-        return EmissionVector(*self._totals)
+        return EmissionVector(self._e, self._co, self._hc, self._nox, self._co2)
 
     def step(self, speed_mps: float) -> tuple[OpMode, EmissionVector]:
         """Advance one second; returns (mode, per-second emissions).
@@ -86,37 +94,41 @@ class EmissionSession:
         """
         mode = self._advance(speed_mps)[1]
         self._modes.append(mode)
-        return self._rows.pairs[mode]
+        return self._pairs[mode]
 
     def _advance(self, speed_mps: float) -> tuple[int, int, float, float, float, float, float]:
         """One second of `step` in straight-line code; returns the table's flat
         result for the mode, `ModeRows.results[mode]`.
 
         The decision is `classify_opmode_array`'s for the newest second, with
-        the soft-braking run counted in `_soft_run`: the braking rules, then
-        the cell of the shared mode grid, each mph threshold compared as its
-        exact m/s threshold. VSP keeps `specific_power`'s operation order, so
-        the mode is bit for bit the batch kernel's. No mode is recorded, and
-        state changes only after the last check has passed."""
+        the soft-braking run counted in `_soft_run`: braking is one test, a
+        soft deceleration that is hard or ends a run of BRAKE_SOFT_RUN_S (a
+        hard deceleration is a soft one too); else the cell of the shared mode
+        grid, each mph threshold compared as its exact m/s threshold. VSP keeps
+        `specific_power`'s operation order, so the mode is bit for bit the batch
+        kernel's. No mode is recorded, and state changes only after the last
+        check has passed."""
         if not 0.0 <= speed_mps <= MAX_SPEED_MPS:
             raise _speed_error(speed_mps, self._steps)
         v = float(speed_mps)
         prev = self.prev_speed
         a = 0.0 if prev is None else v - prev
-        soft = a < _SOFT_DECEL_MPS2
-        if a <= _HARD_DECEL_MPS2 or (soft and self._soft_run >= _SOFT_HISTORY_RUN):
-            mode = _BRAKING
+        run = self._soft_run + 1 if a < _SOFT_DECEL_MPS2 else 0
+        if run and (a <= _HARD_DECEL_MPS2 or run >= BRAKE_SOFT_RUN_S):
+            result = self._braking
         else:
-            A, B, C, M, f = self._coefficients
-            vsp = (A * v + B * v * v + C * v * v * v + M * a * v) / f
-            mode = _MODE_GRID[bisect_right(_SPEED_CLASS_EDGES_MPS, v)][
-                bisect_right(_VSP_BIN_EDGES, vsp)]
-        result = self._rows.results[mode]
+            vsp = (self._A * v + self._B * v * v + self._C * v * v * v
+                   + self._M * a * v) / self._f
+            speed_class = 0 if v < _IDLE_MAX else 1 if v < _LOW_MAX else 2 if v < _MID_MAX else 3
+            result = self._grid[speed_class][bisect_right(_VSP_BIN_EDGES, vsp)]
         _, _, e, co, hc, nox, co2 = result
-        t0, t1, t2, t3, t4 = self._totals
-        self._totals = (t0 + e, t1 + co, t2 + hc, t3 + nox, t4 + co2)
+        self._e += e
+        self._co += co
+        self._hc += hc
+        self._nox += nox
+        self._co2 += co2
         self._steps += 1
-        self._soft_run = self._soft_run + 1 if soft else 0
+        self._soft_run = run
         self.distance_m += v
         self.prev_speed = v
         return result

@@ -2,14 +2,13 @@
 Python, as the oracle for `tests/test_cycleio.py`.
 
 Second k of the output is the mean of the speeds (converted to m/s) whose
-timestamps fall in window k, [k, k+1) s after floor(first timestamp). Each
-window's sum is taken in trace order from 0.0 and divided by its count. A
-run of empty windows is filled linearly between the windows around it, as
-`numpy.interp` evaluates the line, unless it is longer than MAX_GAP_S
-windows: then the first such run is a `GapTooLarge` error. A first
-timestamp just under zero, such as -1e-17, rounds into window 1; the empty
-window 0 before it takes the first mean, as `numpy.interp` extends the end
-values, and no gap limit applies to it. The input is taken as `RawTrace`
+timestamps fall in window k, [k, k+1) s after floor(first timestamp): a
+sample at t is in window floor(t) - floor(first timestamp), counted in
+integers, so the first sample is always in window 0. Each window's sum is
+taken in trace order from 0.0 and divided by its count. A run of empty
+windows is filled linearly between the windows around it, as `numpy.interp`
+evaluates the line, unless it is longer than MAX_GAP_S windows: then the
+first such run is a `GapTooLarge` error. The input is taken as `RawTrace`
 accepts it: one or more samples, non-decreasing finite timestamps and
 speeds in range.
 """
@@ -28,7 +27,7 @@ MAX_GAP_S = 5
 def reference_resample(times, speeds, unit: str = "m/s") -> list[float]:
     """1 Hz window means in m/s of a raw trace in `unit`, or GapTooLarge."""
     t0 = math.floor(times[0])
-    windows = [math.floor(t - t0) for t in times]
+    windows = [math.floor(t) - t0 for t in times]
     for prev, k in zip(windows, windows[1:]):
         if k - prev - 1 > MAX_GAP_S:
             raise GapTooLarge(start_window=prev + 1, length=k - prev - 1, limit=MAX_GAP_S)
@@ -44,8 +43,6 @@ def reference_resample(times, speeds, unit: str = "m/s") -> list[float]:
     # Between filled windows a and b, window x gets slope * (x - a) + means[a]
     # with slope = (means[b] - means[a]) / (b - a): numpy.interp's order.
     filled = [k for k, c in enumerate(counts) if c]
-    for x in range(filled[0]):
-        means[x] = means[filled[0]]
     for a, b in zip(filled, filled[1:]):
         slope = (means[b] - means[a]) / (b - a)
         for x in range(a + 1, b):

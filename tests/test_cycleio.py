@@ -398,6 +398,18 @@ class TestResample:
         out = resample_speeds_to_1hz([2.5, 3.5, 4.5], [1.0, 2.0, 3.0])
         assert out == [1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("times, want", [
+        ([-1.1e-308], [3.0]),
+        ([-0.5, -1e-17], [3.5]),
+        ([-1e-17, 0.5], [3.0, 4.0]),
+        ([0.0, 0.5], [3.5]),
+    ])
+    def test_a_timestamp_just_under_a_whole_second_stays_in_its_window(self, times, want):
+        # t - floor(t0) rounds up to the next whole second for such a t; the
+        # window of t is floor(t) - floor(t0), so no second is made up.
+        got = resample_to_1hz(RawTrace(times, [3.0, 4.0][:len(times)], "m/s"))
+        assert got.v.tolist() == want
+
     def test_empty(self):
         with pytest.raises(EmptyTrace):
             resample_speeds_to_1hz([], [])
@@ -446,8 +458,8 @@ class TestResampleMatchesReference:
     @example(trace=([0.3, MAX_GAP_S + 2.2], [1.0, 7.0], "km/h"))
     # three samples in one window: a sum times 1/3 rounds differently
     @example(trace=([0.0, 0.3, 0.6, 1.0], [0.1, 0.2, 0.4, 1.0], "m/s"))
-    # a first timestamp that rounds into window 1, leaving window 0 empty
-    @example(trace=([-1e-17, 0.5], [3.0, 4.0], "m/s"))
+    # a timestamp just under a whole second, in the first sample's window: one second
+    @example(trace=([-0.5, -1e-17], [3.0, 4.0], "m/s"))
     def test_same_cycle_or_same_gap(self, trace):
         times, speeds, unit = trace
         raw = RawTrace(times, speeds, unit)

@@ -32,6 +32,7 @@ from movestar.errors import (EmptySession, IncompleteTable, InvalidSample, Negat
                              UnknownSourceType)
 from movestar.model import (
     _HARD_DECEL_MPS2,
+    _MODE_GRID,
     _SOFT_DECEL_MPS2,
     _SPEED_CLASS_EDGES_MPH,
     _SPEED_CLASS_EDGES_MPS,
@@ -169,6 +170,44 @@ class TestSessionBasics:
         assert result.ef is None
         idle = per_second_emissions(tables.rates.entries[(SourceType.LDV, 1)])
         assert result.totals == in_order_sum([idle] * 10)
+
+
+class TestStepGrid:
+    @pytest.mark.parametrize("st", list(SourceType))
+    def test_each_cell_is_its_modes_result(self, tables, st):
+        grid, results = tables.rates._step_grids[st], tables.rates.per_second[st].results
+        assert tables.rates._step_grids is tables.rates._step_grids
+        assert [len(row) for row in grid] == [len(row) for row in _MODE_GRID]
+        for i, row in enumerate(_MODE_GRID):
+            for j, mode in enumerate(row):
+                assert grid[i][j] is results[mode]
+
+    def test_sessions_of_two_tables_step_on_their_own_rows(self, tables, tables_dir, tmp_path):
+        # Same params and source types, every rate doubled: a grid kept per
+        # source type instead of per table would give both one table's rows.
+        copy = shutil.copytree(tables_dir, tmp_path / "doubled")
+        lines = (copy / "rates.csv").read_text().splitlines()
+        for i, line in enumerate(lines):
+            cells = line.split(",")
+            if cells[0] in ("LDV", "LDT"):
+                lines[i] = ",".join(cells[:2] + [repr(2 * float(x)) for x in cells[2:]])
+        (copy / "rates.csv").write_text("\n".join(lines) + "\n")
+        doubled = load_tables_from_dir(copy)
+        speeds = [0.0, 4.0, 9.5, 17.0, 26.0, 22.0, 12.0, 3.0, 30.0, 30.5, 31.0, 0.2]
+        for st in SourceType:
+            plain, twice = session_create(st, tables), session_create(st, doubled)
+            handles = [flatapi.create(st.code)[1], flatapi.create(st.code, str(copy))[1]]
+            try:
+                for v in speeds:
+                    got, want = plain._advance(v), twice._advance(v)
+                    assert got is tables.rates.per_second[st].results[got[1]]
+                    assert want is doubled.rates.per_second[st].results[got[1]]
+                    assert want[2:] == tuple(2 * x for x in got[2:])
+                    assert [flatapi.step(h, v) for h in handles] == [got, want]
+                assert twice.running_totals == tuple(2 * x for x in plain.running_totals)
+            finally:
+                for h in handles:
+                    flatapi.destroy(h)
 
 
 class TestStreamBatchEquivalence:
