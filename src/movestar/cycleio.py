@@ -101,7 +101,9 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
     Negative speeds, speeds over MAX_SPEED_MPS once converted to m/s, and non-finite or
     backwards timestamps are hard errors. Single-column files get implicit timestamps
     0, 1, 2, ... An unreadable file raises TraceFileError. numpy reads the file by
-    path if `_skiprows` allows it and it accepts it, and otherwise as a list of lines.
+    path if `_skiprows` allows it and the table it reads is a good trace; any other
+    file, and any file numpy or `RawTrace` rejects, is read one line at a time in
+    Python by `_read_lines`, with the same values and errors.
     """
     if unit not in SUPPORTED_UNITS:
         raise ParseError(f"unsupported unit flag {unit!r}; expected one of {SUPPORTED_UNITS}")
@@ -110,47 +112,22 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
         data = path.read_bytes()
     except OSError as exc:
         raise TraceFileError(exc.errno, exc.strerror, exc.filename) from None
-    lines = table = None
     start = _skiprows(path, data)
     if start is not None:
-        # numpy opens the file a second time. If it is gone by then, the lines
-        # of the bytes already read are the source; if it was replaced, the new
-        # values still pass every check below. A file numpy rejects, such as
-        # one with lone carriage returns and a whitespace-only line, is read
-        # as lines too.
+        # numpy reads the path in C chunks with universal newlines. It skips
+        # the first `start` lines, then every empty line and every line that
+        # starts with `#`. It opens the file a second time: if it is gone by
+        # then, the bytes already read are the source; if it was replaced, the
+        # new values still pass every check of `RawTrace`.
         try:
-            table = _read(str(path), start)
-        except (ValueError, OSError):
+            table = np.loadtxt(str(path), delimiter=",", comments="#", dtype=float,
+                               skiprows=start, ndmin=2, encoding="utf-8")
+            if table.shape[1] <= 2:
+                t = table[:, 0] if table.shape[1] == 2 else np.arange(len(table), dtype=float)
+                return RawTrace(t=t, v=table[:, -1], unit=unit)
+        except (ValueError, OSError, CycleError):
             pass
-    if table is None:
-        try:
-            lines = data.decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
-        start = next((i for i, line in enumerate(lines)
-                      if not (_is_skipped(line) or _is_header(line))), len(lines))
-        if start == len(lines):
-            raise EmptyTrace(f"{path}: no data rows")
-        rows = lines[start:]
-        # numpy rejects whitespace-only lines and indented comments, and would
-        # strip a `#` after other text, which is an error.
-        if any(map(str.isspace, rows)) or "#" in "".join(rows):
-            rows = [line for line in rows if not _is_skipped(line)]
-            if "#" in "".join(rows):
-                raise _first_bad_line(lines, start, unit)
-        try:
-            table = _read(rows, 0)
-        except ValueError:
-            raise _first_bad_line(lines, start, unit) from None
-    if table.shape[1] <= 2:
-        t = table[:, 0] if table.shape[1] == 2 else np.arange(len(table), dtype=float)
-        try:
-            return RawTrace(t=t, v=table[:, -1], unit=unit)
-        except CycleError:
-            pass
-    # The rows numpy read are the lines `_first_bad_line` checks, so the first
-    # bad line is the first row `RawTrace` rejects.
-    raise _first_bad_line(lines or data.decode("ascii").splitlines(), start, unit)
+    return _read_lines(path, data, unit)
 
 
 # Bytes at which `str.splitlines` breaks a line and numpy's reader does not.
@@ -194,56 +171,57 @@ def _skiprows(path: Path, data: bytes) -> int | None:
     return start
 
 
-def _read(source: str | list[str], skiprows: int) -> np.ndarray:
-    """The comma-separated floats of a path, which numpy reads in C chunks with
-    universal newlines, or of a list of lines; numpy skips the first `skiprows`
-    lines, then every empty line and every line that starts with `#`."""
-    return np.loadtxt(source, delimiter=",", comments="#", dtype=float,
-                      skiprows=skiprows, ndmin=2, encoding="utf-8")
-
-
-def _first_bad_line(lines: list[str], start: int, unit: str) -> CycleError:
-    """The error of the first bad line from `lines[start]` on of a trace in
-    `unit`, found with per-line checks; runs only on a file numpy or the
-    array checks have rejected."""
+def _read_lines(path: Path, data: bytes, unit: str) -> RawTrace:
+    """The trace in `unit` of a file's bytes `data`, read one line at a time,
+    or the error of its first bad line."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
+    times: list[float] = []
+    speeds: list[float] = []
     ncols: int | None = None
-    t_first = t_prev = None
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
-        if _is_skipped(raw):
+    for lineno, raw in enumerate(lines, start=1):
+        # Header lines count only before the first data line.
+        if _is_skipped(raw) or (ncols is None and _is_header(raw)):
             continue
         cells = [c.strip() for c in raw.strip().split(",")]
         if ncols is None:
             ncols = len(cells)
         elif len(cells) != ncols:
-            return ParseError(f"expected {ncols} column(s), got {len(cells)}", line=lineno)
+            raise ParseError(f"expected {ncols} column(s), got {len(cells)}", line=lineno)
         if len(cells) > 2:
-            return ParseError(f"expected 1 or 2 columns, got {len(cells)}", line=lineno)
+            raise ParseError(f"expected 1 or 2 columns, got {len(cells)}", line=lineno)
+        t = float(len(times))
         if len(cells) == 2:
             try:
                 t = _number(cells[0])
             except ValueError:
                 t = math.nan
             if not math.isfinite(t):
-                return ParseError(f"bad timestamp {cells[0]!r}", line=lineno)
+                raise ParseError(f"bad timestamp {cells[0]!r}", line=lineno)
         try:
             v = _number(cells[-1])
         except ValueError:
-            return ParseError(f"bad speed {cells[-1]!r}", line=lineno)
+            raise ParseError(f"bad speed {cells[-1]!r}", line=lineno) from None
         if v < 0.0:
-            return NegativeSpeed(v, line=lineno)
+            raise NegativeSpeed(v, line=lineno)
         if _TO_MPS[unit](v) > MAX_SPEED_MPS:
-            return ParseError(f"speed {v!r} {unit} is over the {MAX_SPEED_MPS!r} m/s limit",
-                              line=lineno)
+            raise ParseError(f"speed {v!r} {unit} is over the {MAX_SPEED_MPS!r} m/s limit",
+                             line=lineno)
         if not math.isfinite(v):        # NaN: the tests above pass it
-            return ParseError(f"bad speed {cells[-1]!r}", line=lineno)
-        if len(cells) == 2:
-            if t_prev is not None and t < t_prev:
-                return NonMonotonicTime(lineno)
-            t_first = t if t_first is None else t_first
-            if not math.isfinite(t - t_first):
-                return ParseError(f"timestamp {cells[0]!r} is too far from the first", line=lineno)
-            t_prev = t
-    return ParseError("the array reader rejected rows that every line check accepts")
+            raise ParseError(f"bad speed {cells[-1]!r}", line=lineno)
+        if len(cells) == 2 and times:
+            if t < times[-1]:
+                raise NonMonotonicTime(lineno)
+            if not math.isfinite(t - times[0]):
+                raise ParseError(f"timestamp {cells[0]!r} is too far from the first",
+                                 line=lineno)
+        times.append(t)
+        speeds.append(v)
+    if not times:
+        raise EmptyTrace(f"{path}: no data rows")
+    return RawTrace(t=times, v=speeds, unit=unit)
 
 
 def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) -> list[float]:

@@ -151,16 +151,18 @@ EOF
 }
 
 # An ASCII file is read by numpy through its path, whatever its line ends
-# and with comment or empty lines between rows; one with an indented comment
-# or a whitespace-only line is read line by line. The conversions must be
-# identical, and a `#` after a value is an error at its line.
+# and with comment or empty lines between rows; one with an indented comment,
+# a whitespace-only line or a non-ASCII byte is read one line at a time in
+# Python. The conversions must be identical, and a `#` after a value is an
+# error at its line.
 line_endings() {
   printf 't,v\n0,0\n0.5,1\n1,2\n1.5,3\n2,4\n2.5,5\n3,5\n' > lf.csv
   sed 's/$/\r/' lf.csv > crlf.csv
   tr '\n' '\r' < lf.csv > cr.csv
   printf 't,v\n0,0\n0.5,1\n# note\n1,2\n\n1.5,3\n2,4\n2.5,5\n3,5\n' > lines.csv
   printf 't,v\n0,0\n0.5,1\n  # note\n1,2\n \t\n1.5,3\n2,4\n2.5,5\n3,5\n' > spaces.csv
-  for f in lf crlf cr lines spaces; do
+  { printf '# \xc2\xb5\n'; cat lf.csv; } > utf8.csv
+  for f in lf crlf cr lines spaces utf8; do
     "${ms[@]}" convert --in "$f.csv" --out "$f.1hz.csv" --unit mph
     cmp lf.1hz.csv "$f.1hz.csv"
   done
