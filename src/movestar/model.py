@@ -185,17 +185,6 @@ class VehicleParams(NamedTuple):
 
     __dataclass_fields__ = _DataclassFields()
 
-    def violations(self) -> list[str]:
-        out = []
-        for name, value in zip(self._fields[1:], self[1:]):
-            if not math.isfinite(value):
-                out.append(f"params[{self.source_type.value}]: {name} = {value} is not finite")
-            elif name in ("M", "f") and not value > 0.0:
-                out.append(f"params[{self.source_type.value}]: {name} must be > 0")
-            elif not value >= 0.0:
-                out.append(f"params[{self.source_type.value}]: {name} must be >= 0")
-        return out
-
 
 class EmissionVector(NamedTuple):
     """One value per output species. Also used for per-hour base rates.
@@ -225,23 +214,34 @@ class ModeRows(NamedTuple):
     """Per-second emission mass of each mode id `m` of one source type: the
     session step result `pairs[m]`, `(OpMode(m), vector)`, and the flat step
     result `results[m]`, `(0, m, *vector)` with status 0 (OK). An
-    id that is not an operating mode has None in both."""
+    id that is not an operating mode has None in both. `grid[i][j]` is
+    `results[_MODE_GRID[i][j]]`, the very tuple, so a session step finds its
+    result with two indexes."""
 
     pairs: tuple[tuple[OpMode, EmissionVector] | None, ...]
     results: tuple[tuple[int, int, float, float, float, float, float] | None, ...]
+    grid: tuple[tuple[tuple[int, int, float, float, float, float, float], ...], ...]
 
 
 class RateTable:
     """Base emission/energy rates per (source type, operating mode), per hour.
 
-    Read-only once built, and equal to another table with equal `entries`
-    and `units`. The rows derived from it are built once, on first use."""
+    Complete by construction: building one without an entry for every
+    (source type, operating mode) pair raises IncompleteTable, listing the
+    missing pairs in source type then mode order, so every mode a cycle or
+    session can reach has a row. Read-only once built, and equal to another
+    table with equal `entries` and `units`. The rows derived from it are
+    built once, on first use."""
 
     entries: Mapping[tuple[SourceType, int], EmissionVector]
     units: Mapping[str, str]
 
     def __init__(self, entries: Mapping[tuple[SourceType, int], EmissionVector],
                  units: Mapping[str, str]):
+        missing = [(st.value, mode) for st in SourceType for mode in VALID_OPMODE_IDS
+                   if (st, mode) not in entries]
+        if missing:
+            raise IncompleteTable(missing)
         # `cached_property` stores into `__dict__` directly, as this does.
         self.__dict__.update(entries=entries, units=units)
 
@@ -259,21 +259,9 @@ class RateTable:
     def __repr__(self) -> str:
         return f"RateTable(entries={self.entries!r}, units={self.units!r})"
 
-    def missing(self) -> list[tuple[str, int]]:
-        """The (source type, operating mode) pairs without an entry, in
-        source type then mode order."""
-        return [(st.value, mode) for st in SourceType for mode in VALID_OPMODE_IDS
-                if (st, mode) not in self.entries]
-
     @cached_property
     def per_second(self) -> dict[SourceType, ModeRows]:
-        """Per-second rows of each source type, built once per table.
-
-        Raises IncompleteTable if any operating mode lacks an entry, so every
-        mode a cycle or session can reach has a row."""
-        missing = self.missing()
-        if missing:
-            raise IncompleteTable(missing)
+        """Per-second rows of each source type, built once per table."""
         out = {}
         for st in SourceType:
             vectors = [per_second_emissions(self.entries[(st, m)]) if m in VALID_OPMODE_IDS
@@ -281,16 +269,9 @@ class RateTable:
             pairs = tuple(None if v is None else (OpMode(m), v) for m, v in enumerate(vectors))
             results = tuple(None if v is None else (0, m) + v
                             for m, v in enumerate(vectors))
-            out[st] = ModeRows(pairs, results)
+            grid = tuple(tuple(results[m] for m in row) for row in _MODE_GRID)
+            out[st] = ModeRows(pairs, results, grid)
         return out
-
-    @cached_property
-    def _step_grids(self) -> dict[SourceType, tuple[tuple[tuple, ...], ...]]:
-        """Each source type's `per_second` results laid out on the mode grid:
-        cell [i][j] is `results[_MODE_GRID[i][j]]`, the very tuple, so a
-        session step finds its result with two indexes. Built once per table."""
-        return {st: tuple(tuple(rows.results[m] for m in row) for row in _MODE_GRID)
-                for st, rows in self.per_second.items()}
 
     @cached_property
     def grams(self) -> dict:

@@ -47,15 +47,15 @@ class EmissionSession:
     """Incremental pipeline state for one simulated vehicle.
 
     Built from `params` and `rates` alone; the running state starts empty.
-    Building it raises IncompleteTable if `rates` lacks an operating mode.
     Stepped through its API, a session always records: `step` keeps each
     second's mode, one byte, for `finalize`. `flatapi` steps keep none.
 
     The state a step reads and writes is flat, one slot per number: the VSP
     coefficients `_A`, `_B`, `_C`, `_M`, `_f`; the running sums `_e`, `_co`,
     `_hc`, `_nox`, `_co2` (in-order `+=` from -0.0, as the batch path sums);
-    and the table's results on the mode grid (`_grid`) and for braking
-    (`_braking`), shared by every session of that table and source type."""
+    and the table's results on the mode grid (`_grid`, `ModeRows.grid`) and
+    for braking (`_braking`), shared by every session of that table and
+    source type."""
 
     __slots__ = ("params", "rates", "prev_speed", "distance_m", "_e", "_co", "_hc", "_nox",
                  "_co2", "_soft_run", "_steps", "_modes", "_pairs", "_grid", "_braking",
@@ -66,9 +66,7 @@ class EmissionSession:
         self.rates = rates
         st = params.source_type
         rows = rates.per_second[st]
-        self._pairs = rows.pairs
-        self._grid = rates._step_grids[st]
-        self._braking = rows.results[_BRAKING]
+        self._pairs, self._grid, self._braking = rows.pairs, rows.grid, rows.results[_BRAKING]
         self._A, self._B, self._C, self._M, self._f = params[1:]
         self.prev_speed = None
         # Sums start at -0.0 (-0.0 + x == x for every x), as the batch path's do.

@@ -2,7 +2,8 @@
 
 Both files are plain UTF-8 CSV with `#` comment lines. Lines of the form
 `# unit: col=token ...` declare units against a closed token set; any other
-token is a hard error, never a warning. Each file is read in one pass that
+token is a hard error, never a warning, and so is a known token that its
+column cannot take (`_COLUMN_UNITS`). Each file is read in one pass that
 stops at its first faulty line, and all invariants are checked eagerly at
 load time so that rate lookups can never miss at run time.
 """
@@ -24,14 +25,17 @@ from .model import (
     _DataclassFields,
     _number,
 )
-from .errors import (IncompleteTable, SchemaError, TableFileError, TableParseError, UnitError,
-                     UnknownSourceType)
+from .errors import SchemaError, TableFileError, TableParseError, UnitError, UnknownSourceType
 
 RECOGNIZED_UNITS = frozenset({"g/h", "kJ/h", "mph", "m/s", "metric_ton"})
 
 # Each params row is a VehicleParams record; each rates row, a mode's rate per species.
 PARAMS_HEADER = list(VehicleParams._fields)
 RATES_HEADER = ["source_type", "opmode", *SPECIES_NAMES]
+
+# The unit tokens each column may declare: rates per hour, masses in metric tons.
+_COLUMN_UNITS = {"energy": ("g/h", "kJ/h"), **{name: ("g/h",) for name in SPECIES_NAMES[1:]},
+                 "M": ("metric_ton",), "f": ("metric_ton",)}
 
 ENV_TABLES_DIR = "MOVESTAR_TABLES"
 
@@ -142,18 +146,25 @@ def _rates_row(path: Path, lineno: int, st: SourceType, cells: list[str]):
 
 
 def validate_table_set(tables: TableSet) -> list[str]:
-    """Enumerate every invariant violation; an empty list means a clean set."""
+    """Enumerate every invariant violation; an empty list means a clean set.
+
+    The rate table is complete already: `RateTable` checks that when built."""
     report: list[str] = []
     for st in SourceType:
         if st not in tables.params:
             report.append(f"params: missing source type {st.value}")
     for st, p in tables.params.items():
+        where = f"params[{p.source_type.value}]"
         if p.source_type is not st:
             report.append(f"params: row keyed {st.value} carries {p.source_type.value}")
-        report.extend(p.violations())
+        for name, value in zip(PARAMS_HEADER[1:], p[1:]):
+            if not math.isfinite(value):
+                report.append(f"{where}: {name} = {value} is not finite")
+            elif name in ("M", "f") and not value > 0.0:
+                report.append(f"{where}: {name} must be > 0")
+            elif not value >= 0.0:
+                report.append(f"{where}: {name} must be >= 0")
 
-    for st_token, mode in tables.rates.missing():
-        report.append(f"rates: missing entry ({st_token}, {mode})")
     for (st, mode), vec in tables.rates.entries.items():
         if mode not in VALID_OPMODE_IDS:
             report.append(f"rates: ({st.value}, {mode}) is not a valid operating mode")
@@ -163,12 +174,15 @@ def validate_table_set(tables: TableSet) -> list[str]:
             elif value < 0.0:
                 report.append(f"rates: ({st.value}, {mode}) {name} = {value} is negative")
 
+    units = tables.rates.units
     for species in SPECIES_NAMES:
-        if species not in tables.rates.units:
+        if species not in units:
             report.append(f"rates: no unit declared for column {species}")
-    energy_unit = tables.rates.units.get("energy")
-    if energy_unit is not None and energy_unit not in ("g/h", "kJ/h"):
-        report.append(f"rates: energy unit {energy_unit!r} must be g/h or kJ/h")
+    for column, allowed in _COLUMN_UNITS.items():
+        unit = units.get(column)
+        if unit is not None and unit not in allowed:
+            table = "rates" if column in SPECIES_NAMES else "params"
+            report.append(f"{table}: {column} unit {unit!r} must be {' or '.join(allowed)}")
     return report
 
 
@@ -188,10 +202,6 @@ def load_table_set(params_path: str | Path, rates_path: str | Path) -> TableSet:
     tables = TableSet(params=params,
                       rates=RateTable(entries=entries, units=units),
                       provenance="\n".join(comments))
-
-    missing = tables.rates.missing()
-    if missing:
-        raise IncompleteTable(missing)
     report = validate_table_set(tables)
     if report:
         raise SchemaError("table validation failed: " + "; ".join(report))

@@ -37,7 +37,7 @@ from movestar.model import (
     _SPEED_CLASS_EDGES_MPH,
     _SPEED_CLASS_EDGES_MPS,
 )
-from movestar.session import EmissionSession, session_create, session_finalize, session_step
+from movestar.session import session_create, session_finalize, session_step
 from movestar.tables import load_tables_from_dir
 
 from conftest import FIXTURE_CYCLES, MPH, in_order_sum
@@ -145,9 +145,9 @@ class TestSessionBasics:
     def test_missing_entry_leaves_session_unchanged(self, tables):
         broken = dict(tables.rates.entries)
         broken.pop((SourceType.LDV, 12))
-        rates = RateTable(entries=broken, units=dict(tables.rates.units))
+        # The table fails when built, so no session is ever built on it.
         with pytest.raises(IncompleteTable) as info:
-            EmissionSession(params=tables.params_for(SourceType.LDV), rates=rates)
+            RateTable(entries=broken, units=dict(tables.rates.units))
         assert info.value.missing == [("LDV", 12)]
         assert str(info.value) == "rate table incomplete; missing entries: (LDV, 12)"
 
@@ -175,8 +175,8 @@ class TestSessionBasics:
 class TestStepGrid:
     @pytest.mark.parametrize("st", list(SourceType))
     def test_each_cell_is_its_modes_result(self, tables, st):
-        grid, results = tables.rates._step_grids[st], tables.rates.per_second[st].results
-        assert tables.rates._step_grids is tables.rates._step_grids
+        grid, results = tables.rates.per_second[st].grid, tables.rates.per_second[st].results
+        assert tables.rates.per_second is tables.rates.per_second
         assert [len(row) for row in grid] == [len(row) for row in _MODE_GRID]
         for i, row in enumerate(_MODE_GRID):
             for j, mode in enumerate(row):

@@ -1,6 +1,9 @@
 """Table asset loading, validation and round-trip tests."""
 
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +60,14 @@ class TestLoadShippedAssets:
     def test_provenance_nonempty(self, tables):
         assert "provenance" in tables.provenance
 
+    def test_assets_match_their_generator(self, tmp_path, tables_dir):
+        script = Path(__file__).resolve().parent.parent / "tools" / "make_default_tables.py"
+        subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
+                       capture_output=True)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["params.csv", "rates.csv"]
+        for name in ("params.csv", "rates.csv"):
+            assert (tmp_path / name).read_bytes() == (tables_dir / name).read_bytes(), name
+
     def test_deterministic_load(self, params_path, rates_path):
         a = load_table_set(params_path, rates_path)
         b = load_table_set(params_path, rates_path)
@@ -110,17 +121,18 @@ class TestRecords:
         assert rates == tables.rates and rates is not tables.rates
         assert rates != RateTable(entries=rates.entries, units={})
         assert rates != (rates.entries, rates.units)
-        assert repr(RateTable({}, {"CO": "g/h"})) == "RateTable(entries={}, units={'CO': 'g/h'})"
+        assert repr(rates) == f"RateTable(entries={rates.entries!r}, units={rates.units!r})"
         assert rates.per_second is rates.per_second and rates.grams is rates.grams
 
-    def test_incomplete_rate_table_raises_on_first_use(self, tables):
+    def test_incomplete_rate_table_raises_when_built(self, tables):
         entries = dict(tables.rates.entries)
-        del entries[(SourceType.LDT, 40)]
-        rates = RateTable(entries, tables.rates.units)
-        assert rates.missing() == [("LDT", 40)]
-        for _ in range(2):
-            with pytest.raises(IncompleteTable):
-                rates.per_second
+        for key in [(SourceType.LDT, 40), (SourceType.LDV, 33), (SourceType.LDV, 0)]:
+            del entries[key]
+        with pytest.raises(IncompleteTable) as info:
+            RateTable(entries, tables.rates.units)
+        assert info.value.missing == [("LDV", 0), ("LDV", 33), ("LDT", 40)]
+        assert str(info.value) == ("rate table incomplete; missing entries: "
+                                   "(LDV, 0), (LDV, 33), (LDT, 40)")
 
 
 def _without(prefix):
@@ -155,6 +167,14 @@ CORRUPTIONS = [
     pytest.param(lambda p, r: (p, r.replace("energy=g/h", "energy=mph")), SchemaError,
                  "table validation failed: rates: energy unit 'mph' must be g/h or kJ/h",
                  id="energy_mph"),
+    # Each column takes only its own units: a known token elsewhere is an error.
+    pytest.param(lambda p, r: (p, r.replace("CO=g/h", "CO=mph")), SchemaError,
+                 "table validation failed: rates: CO unit 'mph' must be g/h", id="co_mph"),
+    pytest.param(lambda p, r: (p, r.replace("CO2=g/h", "CO2=kJ/h")), SchemaError,
+                 "table validation failed: rates: CO2 unit 'kJ/h' must be g/h", id="co2_kj"),
+    pytest.param(lambda p, r: (p.replace("M=metric_ton", "M=g/h"), r), SchemaError,
+                 "table validation failed: params: M unit 'g/h' must be metric_ton",
+                 id="mass_g_per_h"),
     # A file is read line by line and its first faulty line raises, so a later
     # bad unit token does not hide an earlier bad header or row.
     pytest.param(lambda p, r: (p, r.replace(",NOx,CO2\n", ",NOx\n") + "# unit: CO=bogus\n"),
@@ -181,6 +201,11 @@ CORRUPTIONS = [
 ]
 
 
+# The corruptions whose only fault is a unit token its column cannot take.
+WRONG_COLUMN_UNITS = {case.id: case.values for case in CORRUPTIONS
+                      if case.id in ("co_mph", "co2_kj", "mass_g_per_h")}
+
+
 class TestCorruptedTables:
     @pytest.mark.parametrize("edit,error,message", CORRUPTIONS)
     def test_corruption_is_named(self, tmp_path, params_path, rates_path, edit, error, message):
@@ -199,6 +224,23 @@ class TestCorruptedTables:
         assert captured.out == ""
         assert captured.err == f"error: tables: table validation failed: {NO_RATE_UNITS}\n"
 
+    @pytest.mark.parametrize("case", sorted(WRONG_COLUMN_UNITS))
+    @pytest.mark.parametrize("command", ["validate-tables", "factors"])
+    def test_unit_on_a_wrong_column_exits_2(self, tmp_path, params_path, rates_path, capsys,
+                                            case, command):
+        """A known unit token on a column that cannot take it stops every
+        command that loads the tables, so `factors` never prints `mph/km`."""
+        from movestar.cli import EXIT_TABLES, main
+        edit, _, message = WRONG_COLUMN_UNITS[case]
+        _copy_assets(tmp_path, params_path, rates_path, edit)
+        (tmp_path / "cycle.csv").write_text("0\n5\n10\n")
+        cycle = ["--cycle", str(tmp_path / "cycle.csv"), "--veh", "1"]
+        args = [command, "--tables", str(tmp_path), *(cycle if command == "factors" else [])]
+        assert main(args) == EXIT_TABLES
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tables: {message}\n"
+
     def test_missing_mode_row(self, tmp_path, params_path, rates_path):
         def drop_mode_33(params, rates):
             lines = [ln for ln in rates.splitlines() if not ln.startswith("LDV,33,")]
@@ -207,6 +249,25 @@ class TestCorruptedTables:
         with pytest.raises(IncompleteTable) as exc:
             load_table_set(p, r)
         assert ("LDV", 33) in exc.value.missing
+
+    def test_load_errors_come_read_then_built_then_validated(self, tmp_path, params_path,
+                                                             rates_path):
+        """A file's first unparseable row raises first; then the rate table,
+        which checks its completeness when built; then `validate_table_set`,
+        which names a negative rate (and a missing params row: `no_ldt_params`)."""
+        def short_and_negative(params, rates):
+            rates = "".join(ln for ln in rates.splitlines(True) if not ln.startswith("LDV,33,"))
+            return params, rates.replace("LDV,1,450.000,4.000", "LDV,1,450.000,-4.000")
+        p, r = _copy_assets(tmp_path, params_path, rates_path, short_and_negative)
+        with pytest.raises(TableError) as info:
+            load_table_set(p, r)
+        assert type(info.value) is IncompleteTable and info.value.missing == [("LDV", 33)]
+
+        r.write_text(r.read_text() + "LDV,33,x,1,1,1,1\n")
+        with pytest.raises(TableError) as info:
+            load_table_set(p, r)
+        assert type(info.value) is TableParseError
+        assert str(info.value).endswith("column 'energy': not a number: 'x'")
 
     def test_zero_mass(self, tmp_path, params_path, rates_path):
         def zero_m(params, rates):
