@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import CycleError, TableError
 from .model import SPECIES_NAMES, SUPPORTED_UNITS, SourceType
-from .tables import TableSet, load_tables_from_dir, resolve_tables_dir
+from .tables import TableSet, _unit_lines, load_tables_from_dir, resolve_tables_dir
 
 # `core`, `cycleio` and numpy load in the commands that use them: `validate-tables` needs none.
 if TYPE_CHECKING:
@@ -55,15 +55,12 @@ def _evaluate(args) -> tuple[TableSet, SourceType, CycleResult]:
 
 
 def _header_lines(tables: TableSet) -> list[str]:
-    lines = [ln for ln in tables.provenance.splitlines() if ln]
-    units = tables.rates.units
-    declared = " ".join(f"{name}={units[name]}" for name in SPECIES_NAMES if name in units)
-    lines.append(f"# unit: {declared}")
-    return lines
+    return ([ln for ln in tables.provenance.splitlines() if ln]
+            + _unit_lines(tables.rates.units, SPECIES_NAMES))
 
 
 def _unit(tables: TableSet, species: str) -> str:
-    return tables.rates.units.get(species, "g/h").replace("/h", "")
+    return tables.rates.units[species].replace("/h", "")
 
 
 def write_er_csv(result: CycleResult, tables: TableSet, path: Path) -> None:

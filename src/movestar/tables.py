@@ -2,10 +2,12 @@
 
 Both files are plain UTF-8 CSV with `#` comment lines. Lines of the form
 `# unit: col=token ...` declare units against a closed token set; any other
-token is a hard error, never a warning, and so is a known token that its
-column cannot take (`_COLUMN_UNITS`). Each file is read in one pass that
-stops at its first faulty line, and all invariants are checked eagerly at
-load time so that rate lookups can never miss at run time.
+token is a hard error, never a warning. A file declares units only for its
+own columns after `source_type`, so the rate units live in `rates.csv` and
+the mass units in `params.csv`, and each declared column must take its token
+(`_COLUMN_UNITS`). Each file is read in one pass that stops at its first
+faulty line, and all invariants are checked eagerly at load time so that
+rate lookups can never miss at run time.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def _read_table(path: Path, header: list[str], row, comments: list[str],
 
     Each line is handled as it comes, and the first faulty one raises: a
     comment line is appended to `comments`, a `# unit:` line is checked into
-    `units`, the first other line must be `header`, and each later one is a
-    data row of `len(header)` cells with a known source type.
+    `units` (each of its columns one of `header[1:]`), the first other line
+    must be `header`, and each later one is a data row of `len(header)` cells
+    with a known source type.
     `row(path, lineno, st, cells)` types the cells after the source type and
     returns the row's (key, record); a key seen before is a duplicate row.
     """
@@ -102,6 +105,9 @@ def _read_table(path: Path, header: list[str], row, comments: list[str],
                 col, token = decl.split("=", 1)
                 if token not in RECOGNIZED_UNITS:
                     raise UnitError(token)
+                if col not in header[1:]:
+                    raise TableParseError(str(path), lineno,
+                                          f"unit declared for {col!r}, not a column of this file")
                 units[col] = token
             continue
         cells = [cell.strip() for cell in line.split(",")]
@@ -178,10 +184,12 @@ def validate_table_set(tables: TableSet) -> list[str]:
     for species in SPECIES_NAMES:
         if species not in units:
             report.append(f"rates: no unit declared for column {species}")
-    for column, allowed in _COLUMN_UNITS.items():
-        unit = units.get(column)
-        if unit is not None and unit not in allowed:
-            table = "rates" if column in SPECIES_NAMES else "params"
+    for column, unit in units.items():
+        allowed = _COLUMN_UNITS.get(column)
+        table = "params" if column in PARAMS_HEADER else "rates"
+        if allowed is None:
+            report.append(f"{table}: {column} takes no unit, got {unit!r}")
+        elif unit not in allowed:
             report.append(f"{table}: {column} unit {unit!r} must be {' or '.join(allowed)}")
     return report
 
@@ -208,41 +216,31 @@ def load_table_set(params_path: str | Path, rates_path: str | Path) -> TableSet:
     return tables
 
 
+def _unit_lines(units: Mapping[str, str], columns) -> list[str]:
+    """The `# unit:` line for the declared units of `columns`, in column order,
+    or no line when none of them is declared."""
+    declared = " ".join(f"{c}={units[c]}" for c in columns if c in units)
+    return [f"# unit: {declared}"] if declared else []
+
+
 def serialize_table_set(tables: TableSet, params_path: str | Path,
                         rates_path: str | Path) -> None:
     """Write a TableSet back to CSV files that reload to an equal structure.
 
-    Floats are written with repr so the round-trip is exact.
+    Non-unit provenance travels on the params file; each file declares the
+    units of its own columns. Floats are written with repr so the round-trip
+    is exact.
     """
-    params_path, rates_path = Path(params_path), Path(rates_path)
-    prov_lines = [ln for ln in tables.provenance.splitlines() if ln]
-
-    # Non-unit provenance travels on the params file; unit declarations are
-    # re-emitted canonically on each file. Loading concatenates them back.
-    plines = list(prov_lines)
-    param_units = {k: v for k, v in tables.rates.units.items() if k in ("M", "f")}
-    if param_units:
-        plines.append("# unit: " + " ".join(f"{k}={v}" for k, v in sorted(param_units.items())))
-    plines.append(",".join(PARAMS_HEADER))
-    for st in SourceType:
-        if st in tables.params:
-            p = tables.params[st]
-            plines.append(",".join([st.value] + [repr(x) for x in p[1:]]))
-    params_path.write_text("\n".join(plines) + "\n", encoding="utf-8")
-
-    rlines = []
-    rate_units = {k: v for k, v in tables.rates.units.items() if k in SPECIES_NAMES}
-    if rate_units:
-        rlines.append("# unit: " + " ".join(
-            f"{k}={rate_units[k]}" for k in SPECIES_NAMES if k in rate_units))
-    rlines.append(",".join(RATES_HEADER))
-    for st in SourceType:
-        for mode in VALID_OPMODE_IDS:
-            vec = tables.rates.entries.get((st, mode))
-            if vec is not None:
-                rlines.append(",".join([st.value, str(mode)]
-                                       + [repr(x) for x in vec]))
-    rates_path.write_text("\n".join(rlines) + "\n", encoding="utf-8")
+    params = [[st.value, *map(repr, tables.params[st][1:])]
+              for st in SourceType if st in tables.params]
+    rates = [[st.value, str(mode), *map(repr, tables.rates.entries[st, mode])]
+             for st in SourceType for mode in VALID_OPMODE_IDS]
+    provenance = [ln for ln in tables.provenance.splitlines() if ln]
+    for path, header, rows, head in ((params_path, PARAMS_HEADER, params, provenance),
+                                     (rates_path, RATES_HEADER, rates, [])):
+        lines = [*head, *_unit_lines(tables.rates.units, header), ",".join(header),
+                 *map(",".join, rows)]
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def default_tables_dir() -> Path:

@@ -86,6 +86,28 @@ class TestRoundTrip:
         assert again.rates.units == tables.rates.units
         assert again.provenance == tables.provenance
 
+    def test_each_file_writes_only_its_own_units(self, tmp_path, params_path, rates_path):
+        """Energy in kJ/h and a params file with no `# unit:` line: the
+        written params file declares nothing, and the reload is equal."""
+        def kj_and_no_mass_units(params, rates):
+            return ("".join(ln for ln in params.splitlines(True) if not ln.startswith("# unit:")),
+                    rates.replace("energy=g/h", "energy=kJ/h"))
+        tables = load_table_set(*_copy_assets(tmp_path, params_path, rates_path,
+                                              kj_and_no_mass_units))
+        assert tables.rates.units == {"energy": "kJ/h", "CO": "g/h", "HC": "g/h",
+                                      "NOx": "g/h", "CO2": "g/h"}
+        out = tmp_path / "out"
+        out.mkdir()
+        p, r = out / "params.csv", out / "rates.csv"
+        serialize_table_set(tables, p, r)
+        assert "# unit:" not in p.read_text()
+        assert r.read_text().startswith("# unit: energy=kJ/h CO=g/h HC=g/h NOx=g/h CO2=g/h\n")
+        again = load_table_set(p, r)
+        assert again.params == tables.params
+        assert again.rates.entries == tables.rates.entries
+        assert again.rates.units == tables.rates.units
+        assert again.provenance == tables.provenance
+
 
 class TestRecords:
     def test_tuple_records_keep_their_fields_and_repr(self, tables):
@@ -142,6 +164,13 @@ def _without(prefix):
     return edit
 
 
+def _rate_units_in_params(params, rates):
+    """An edit that moves the rates file's `# unit:` line into the params
+    file, just before the params file's own (its line 3)."""
+    line = next(ln for ln in rates.splitlines(True) if ln.startswith("# unit:"))
+    return params.replace("# unit:", line + "# unit:", 1), rates.replace(line, "")
+
+
 PARAMS_LINE = "source_type,A,B,C,M,f\n"
 RATES_LINE = "source_type,opmode,energy,CO,HC,NOx,CO2\n"
 NO_RATE_UNITS = "; ".join(f"rates: no unit declared for column {name}"
@@ -175,6 +204,17 @@ CORRUPTIONS = [
     pytest.param(lambda p, r: (p.replace("M=metric_ton", "M=g/h"), r), SchemaError,
                  "table validation failed: params: M unit 'g/h' must be metric_ton",
                  id="mass_g_per_h"),
+    # A file declares units only for its own columns, and a column that
+    # takes no unit (A is in kW*s/m) takes no declaration.
+    pytest.param(_rate_units_in_params, TableParseError,
+                 "{params}:3: unit declared for 'energy', not a column of this file",
+                 id="rates_units_in_params"),
+    pytest.param(lambda p, r: (p.replace("f=metric_ton", "f=metric_ton bogus=kJ/h"), r),
+                 TableParseError, "{params}:3: unit declared for 'bogus', not a column of this file",
+                 id="unknown_column_unit"),
+    pytest.param(lambda p, r: (p.replace("f=metric_ton", "f=metric_ton A=mph"), r), SchemaError,
+                 "table validation failed: params: A takes no unit, got 'mph'",
+                 id="unmapped_column_unit"),
     # A file is read line by line and its first faulty line raises, so a later
     # bad unit token does not hide an earlier bad header or row.
     pytest.param(lambda p, r: (p, r.replace(",NOx,CO2\n", ",NOx\n") + "# unit: CO=bogus\n"),
@@ -201,9 +241,12 @@ CORRUPTIONS = [
 ]
 
 
-# The corruptions whose only fault is a unit token its column cannot take.
+# The corruptions whose only fault is a unit declared for a column that
+# cannot take it: a known token of another column, a column that takes no
+# unit, or one that is not in the declaring file.
 WRONG_COLUMN_UNITS = {case.id: case.values for case in CORRUPTIONS
-                      if case.id in ("co_mph", "co2_kj", "mass_g_per_h")}
+                      if case.id in ("co_mph", "co2_kj", "mass_g_per_h", "rates_units_in_params",
+                                     "unknown_column_unit", "unmapped_column_unit")}
 
 
 class TestCorruptedTables:
@@ -239,7 +282,8 @@ class TestCorruptedTables:
         assert main(args) == EXIT_TABLES
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: tables: {message}\n"
+        paths = {"params": tmp_path / "params.csv", "rates": tmp_path / "rates.csv"}
+        assert captured.err == f"error: tables: {message.format(**paths)}\n"
 
     def test_missing_mode_row(self, tmp_path, params_path, rates_path):
         def drop_mode_33(params, rates):
@@ -407,3 +451,12 @@ class TestCorruptedTables:
         report = validate_table_set(bad)
         assert len(report) == 1
         assert "(LDV, 13) CO" in report[0]
+
+    def test_validation_reports_a_unit_on_an_unmapped_column(self, tables):
+        from movestar.core import RateTable
+        from movestar.tables import TableSet
+        units = {**tables.rates.units, "bogus": "kJ/h"}
+        bad = TableSet(params=tables.params,
+                       rates=RateTable(entries=tables.rates.entries, units=units),
+                       provenance=tables.provenance)
+        assert validate_table_set(bad) == ["rates: bogus takes no unit, got 'kJ/h'"]

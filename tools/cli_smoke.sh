@@ -41,6 +41,20 @@ console() {
   test "$(wc -l < err.txt)" -eq 1
   grep -q '^error: tables:' err.txt
   if grep -q Traceback err.txt; then exit 1; fi
+  # Each file declares units for its own columns only: the rate table's
+  # `# unit:` line moved to the top of params.csv is one error naming
+  # params.csv and its line 1.
+  mkdir moved
+  grep '^# unit:' "$defaults/rates.csv" > moved/params.csv
+  cat "$defaults/params.csv" >> moved/params.csv
+  grep -v '^# unit:' "$defaults/rates.csv" > moved/rates.csv
+  status=0
+  "${ms[@]}" validate-tables --tables moved 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 2
+  test "$(wc -l < err.txt)" -eq 1
+  grep -q '^error: tables: .*params\.csv:1: ' err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
   # A rate table whose header lacks CO2, followed by its rows, is one
   # error naming the missing column: the read stops at the header.
   mkdir nocol
