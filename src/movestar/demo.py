@@ -268,23 +268,35 @@ def gen_smoothed_trajectory(sc: SignalScenario) -> GlideOutcome:
         return max(v_low, v_g_min) <= v_cap
 
     first = bisect.bisect_left(range(_SWEEP_STEPS + 1), True, key=may_meet_green)
+    # Probes with the same ramp lengths k2 and m2, hold and cruise-out
+    # seconds b2 form one profile, tested once. A probe's speed matters only
+    # until its profile is known: every test after that, and the cycle,
+    # depend on the profile alone. Neighbouring probes share a profile in
+    # runs, so a probe whose profile equals the last one tested (and
+    # rejected) is skipped. A ramp length's terms are computed when it changes.
+    tested = None
+    k2_at = m2_at = 0
     for i in range(first, _SWEEP_STEPS + 1):
         v_probe = v_c - span * i / _SWEEP_STEPS
         if v_probe >= v_top:
             continue
         drop = v_c - v_probe
-        k2 = ceil(drop / GLIDE_DECEL_MAX)    # drop > 1e-9, so both are at least 1
-        m2 = ceil(drop / GLIDE_ACCEL_MAX)
-        alpha = (k2 + 1) / 2.0
-        dist_decel = k2 * v_c - drop * alpha
+        k2 = ceil(drop / GLIDE_DECEL_MAX)    # drop > 1e-9, so k2 and m2 are at least 1
+        if k2 != k2_at:
+            k2_at, k2_v, alpha = k2, k2 * v_c, (k2 + 1) / 2.0
+        dist_decel = k2_v - drop * alpha
         if dist_decel > bar_m:
             continue
-        hold = max(1, ceil((bar_m - dist_decel) / v_probe))
-        beta = (m2 + 1) / 2.0
-        dist_accel = m2 * v_probe + drop * beta
-        b2 = round((total_m - dist_decel - hold * v_probe - dist_accel) / v_c)
-        if b2 < 0:
+        m2 = ceil(drop / GLIDE_ACCEL_MAX)
+        if m2 != m2_at:
+            m2_at, beta = m2, (m2 + 1) / 2.0
+        # dist_decel <= bar_m here, so `or 1` is max(1, ceil(...)).
+        hold = ceil((bar_m - dist_decel) / v_probe) or 1
+        b2 = round((total_m - dist_decel - hold * v_probe - (m2 * v_probe + drop * beta)) / v_c)
+        profile = (k2, m2, hold, b2)
+        if b2 < 0 or profile == tested:
             continue
+        tested = profile
 
         # The glide speed that makes the profile cover exactly total_m;
         # denom >= 2, as alpha >= 1, hold >= 1 and m2 >= beta.
@@ -295,7 +307,7 @@ def gen_smoothed_trajectory(sc: SignalScenario) -> GlideOutcome:
         glide_drop = v_c - v_g
         if glide_drop / k2 > decel_cap or glide_drop / m2 > accel_cap:
             continue
-        dist_decel = k2 * v_c - glide_drop * alpha
+        dist_decel = k2_v - glide_drop * alpha
         if dist_decel > bar_m or bar_m > dist_decel + hold * v_g + 1e-9:
             continue
         t_cross = k2 + (bar_m - dist_decel) / v_g

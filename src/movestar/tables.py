@@ -4,7 +4,8 @@ Both files are plain UTF-8 CSV with `#` comment lines. Lines of the form
 `# unit: col=token ...` declare units against a closed token set; any other
 token is a hard error, never a warning. A file declares units only for its
 own columns after `source_type`, so the rate units live in `rates.csv` and
-the mass units in `params.csv`, and each declared column must take its token
+the mass units in `params.csv`; it declares each at most once, on unit lines
+before its header row, and each declared column must take its token
 (`_COLUMN_UNITS`). Each file is read in one pass that stops at its first
 faulty line, and all invariants are checked eagerly at load time so that
 rate lookups can never miss at run time.
@@ -71,10 +72,10 @@ def _read_table(path: Path, header: list[str], row, comments: list[str],
     """Read one table file in one pass and return its records by key.
 
     Each line is handled as it comes, and the first faulty one raises: a
-    comment line is appended to `comments`, a `# unit:` line is checked into
-    `units` (each of its columns one of `header[1:]`), the first other line
-    must be `header`, and each later one is a data row of `len(header)` cells
-    with a known source type.
+    comment line is appended to `comments`, a `# unit:` line before the header
+    row is checked into `units` (each of its columns one of `header[1:]` and
+    declared once), the first other line must be `header`, and each later one
+    is a data row of `len(header)` cells with a known source type.
     `row(path, lineno, st, cells)` types the cells after the source type and
     returns the row's (key, record); a key seen before is a duplicate row.
     """
@@ -98,6 +99,8 @@ def _read_table(path: Path, header: list[str], row, comments: list[str],
             if not body.startswith("unit:"):
                 comments.append(line)
                 continue
+            if not expect_header:
+                raise TableParseError(str(path), lineno, "unit line after the header row")
             for decl in body[len("unit:"):].split():
                 if "=" not in decl:
                     raise TableParseError(str(path), lineno,
@@ -108,6 +111,8 @@ def _read_table(path: Path, header: list[str], row, comments: list[str],
                 if col not in header[1:]:
                     raise TableParseError(str(path), lineno,
                                           f"unit declared for {col!r}, not a column of this file")
+                if col in units:
+                    raise TableParseError(str(path), lineno, f"unit declared twice for {col!r}")
                 units[col] = token
             continue
         cells = [cell.strip() for cell in line.split(",")]

@@ -379,7 +379,8 @@ class TestInputBoundary:
     @settings(max_examples=100, deadline=None)
     @given(in_params=st.booleans(), at=st.floats(0.0, 1.0), cut=st.integers(0, 12),
            insert=st.lists(st.sampled_from(TOKENS + [b"12.7", b"LDV", b"unit:", b"=",
-                                                     b"energy=", b"A=", b"bogus="]),
+                                                     b"energy=", b"A=", b"bogus=",
+                                                     b"# unit: energy=g/h\n"]),
                            max_size=4).map(b"".join))
     def test_any_table_edit_exits_0_or_2(self, tmp_path_factory, tables_dir,
                                         in_params, at, cut, insert):

@@ -173,6 +173,7 @@ def _rate_units_in_params(params, rates):
 
 PARAMS_LINE = "source_type,A,B,C,M,f\n"
 RATES_LINE = "source_type,opmode,energy,CO,HC,NOx,CO2\n"
+KJ_LINE = "# unit: energy=kJ/h\n"
 NO_RATE_UNITS = "; ".join(f"rates: no unit declared for column {name}"
                           for name in ("energy", "CO", "HC", "NOx", "CO2"))
 
@@ -215,6 +216,22 @@ CORRUPTIONS = [
     pytest.param(lambda p, r: (p.replace("f=metric_ton", "f=metric_ton A=mph"), r), SchemaError,
                  "table validation failed: params: A takes no unit, got 'mph'",
                  id="unmapped_column_unit"),
+    # A file declares each column's unit once, on unit lines before its header
+    # row: a later declaration does not silently replace an earlier one. The
+    # shipped rates.csv declares its units on line 4, its header on line 5,
+    # and ends on line 51.
+    pytest.param(lambda p, r: (p, r.replace(RATES_LINE, KJ_LINE + RATES_LINE)), TableParseError,
+                 "{rates}:5: unit declared twice for 'energy'", id="second_unit_line"),
+    pytest.param(lambda p, r: (p, r.replace(RATES_LINE, RATES_LINE + KJ_LINE)), TableParseError,
+                 "{rates}:6: unit line after the header row", id="unit_line_after_header"),
+    pytest.param(lambda p, r: (p, r + KJ_LINE), TableParseError,
+                 "{rates}:52: unit line after the header row", id="unit_line_last"),
+    pytest.param(lambda p, r: (p, r.replace("energy=g/h", "energy=kJ/h energy=g/h")),
+                 TableParseError, "{rates}:4: unit declared twice for 'energy'",
+                 id="unit_twice_on_one_line"),
+    pytest.param(lambda p, r: (p.replace("M=metric_ton", "M=metric_ton M=metric_ton"), r),
+                 TableParseError, "{params}:3: unit declared twice for 'M'",
+                 id="mass_unit_twice"),
     # A file is read line by line and its first faulty line raises, so a later
     # bad unit token does not hide an earlier bad header or row.
     pytest.param(lambda p, r: (p, r.replace(",NOx,CO2\n", ",NOx\n") + "# unit: CO=bogus\n"),

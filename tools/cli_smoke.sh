@@ -55,6 +55,19 @@ console() {
   test "$(wc -l < err.txt)" -eq 1
   grep -q '^error: tables: .*params\.csv:1: ' err.txt
   if grep -q Traceback err.txt; then exit 1; fi
+  # A file declares each column's unit once: a second `# unit:` line for
+  # energy in rates.csv, its line 5, is one error naming that line.
+  mkdir twice
+  cp "$defaults"/*.csv twice/
+  awk '{ print } /^# unit:/ { print "# unit: energy=kJ/h" }' "$defaults/rates.csv" \
+    > twice/rates.csv
+  status=0
+  "${ms[@]}" validate-tables --tables twice 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 2
+  test "$(wc -l < err.txt)" -eq 1
+  grep -q '^error: tables: .*rates\.csv:5: ' err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
   # A rate table whose header lacks CO2, followed by its rows, is one
   # error naming the missing column: the read stops at the header.
   mkdir nocol
