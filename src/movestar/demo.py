@@ -48,7 +48,12 @@ MAX_CYCLE_S = 86_400
 
 @dataclass(frozen=True)
 class SignalScenario:
-    """One approach to a fixed-time signal."""
+    """One approach to a fixed-time signal.
+
+    Its geometry (`period_s`, `longest_cycle_s`, `cruise_seconds_to_bar`,
+    the ramp and departure step counts, the effective distances and
+    `arrives_on_red`) is derived once, when the scenario is built. Only the
+    six arguments are fields, so `repr`, `==` and hash see them alone."""
 
     approach_m: float
     cruise_mps: float
@@ -66,23 +71,39 @@ class SignalScenario:
         if self.cruise_mps <= GLIDE_FLOOR_MPS:
             raise InfeasibleScenario(
                 f"cruise speed must exceed {GLIDE_FLOOR_MPS} m/s")
-        if self.longest_cycle_s > MAX_CYCLE_S:
+        # longest_cycle_s bounds the length of either generated cycle, in
+        # float arithmetic on the arguments alone. The baseline waits at most
+        # one signal period and its ramps last under cruise/2 s each; the
+        # glide covers the same distance and never drops below
+        # GLIDE_MIN_FRACTION of cruise speed. The constant absorbs rounding
+        # to whole seconds.
+        v_c = self.cruise_mps
+        period_s = self.green_s + self.red_s
+        longest_cycle_s = ((self.approach_m + DEPARTURE_TARGET_M) / (GLIDE_MIN_FRACTION * v_c)
+                           + v_c + period_s + 10.0)
+        if longest_cycle_s > MAX_CYCLE_S:
             raise InfeasibleScenario(
-                f"cycles of up to {self.longest_cycle_s:.6g} s exceed the {MAX_CYCLE_S} s limit")
-
-    @property
-    def longest_cycle_s(self) -> float:
-        """An upper bound on the length of either generated cycle, in float
-        arithmetic on the arguments alone. The baseline waits at most one
-        signal period and its ramps last under cruise/2 s each; the glide
-        covers the same distance and never drops below GLIDE_MIN_FRACTION
-        of cruise speed. The constant absorbs rounding to whole seconds."""
-        return ((self.approach_m + DEPARTURE_TARGET_M) / (GLIDE_MIN_FRACTION * self.cruise_mps)
-                + self.cruise_mps + self.period_s + 10.0)
-
-    @property
-    def period_s(self) -> float:
-        return self.green_s + self.red_s
+                f"cycles of up to {longest_cycle_s:.6g} s exceed the {MAX_CYCLE_S} s limit")
+        if not isinstance(self.source_type, SourceType):
+            raise InfeasibleScenario(
+                f"source type must be a SourceType, got {self.source_type!r}")
+        # The approach is quantized to whole cruise seconds and ramp step
+        # counts are forced odd so every phase distance is an exact multiple
+        # of the cruise speed; both generated cycles then close to the same total.
+        n = max(1, round(self.approach_m / v_c))
+        launch = _odd_at_least(v_c / RESTART_ACCEL_MAX)
+        half = (launch + 1) // 2
+        departure = max(1, round(DEPARTURE_TARGET_M / v_c) - half)
+        approach_m = n * v_c
+        departure_m = (half + departure) * v_c
+        # Frozen: set into `__dict__` directly, as `RateTable.__init__` does.
+        self.__dict__.update(
+            period_s=period_s, longest_cycle_s=longest_cycle_s,
+            cruise_seconds_to_bar=n, stop_ramp_steps=_odd_at_least(v_c / STOP_DECEL_MAX),
+            launch_ramp_steps=launch, departure_cruise_seconds=departure,
+            effective_approach_m=approach_m, effective_departure_m=departure_m,
+            total_distance_m=approach_m + departure_m)
+        self.__dict__["arrives_on_red"] = not self.is_green(float(n))
 
     def is_green(self, t: float) -> bool:
         return (t + self.offset_s) % self.period_s < self.green_s
@@ -93,45 +114,6 @@ class SignalScenario:
         if phase == 0.0:
             return t
         return t + (self.period_s - phase)
-
-    # -- snapped geometry -------------------------------------------------
-    # The approach is quantized to whole cruise seconds and ramp step counts
-    # are forced odd so every phase distance is an exact multiple of the
-    # cruise speed; both generated cycles then close to the same total.
-
-    @property
-    def cruise_seconds_to_bar(self) -> int:
-        return max(1, round(self.approach_m / self.cruise_mps))
-
-    @property
-    def stop_ramp_steps(self) -> int:
-        return _odd_at_least(self.cruise_mps / STOP_DECEL_MAX)
-
-    @property
-    def launch_ramp_steps(self) -> int:
-        return _odd_at_least(self.cruise_mps / RESTART_ACCEL_MAX)
-
-    @property
-    def departure_cruise_seconds(self) -> int:
-        half = (self.launch_ramp_steps + 1) // 2
-        return max(1, round(DEPARTURE_TARGET_M / self.cruise_mps) - half)
-
-    @property
-    def effective_approach_m(self) -> float:
-        return self.cruise_seconds_to_bar * self.cruise_mps
-
-    @property
-    def effective_departure_m(self) -> float:
-        half = (self.launch_ramp_steps + 1) // 2
-        return (half + self.departure_cruise_seconds) * self.cruise_mps
-
-    @property
-    def total_distance_m(self) -> float:
-        return self.effective_approach_m + self.effective_departure_m
-
-    @property
-    def arrives_on_red(self) -> bool:
-        return not self.is_green(float(self.cruise_seconds_to_bar))
 
 
 @dataclass(frozen=True)
@@ -164,16 +146,10 @@ def gen_baseline_trajectory(sc: SignalScenario) -> DriveCycle:
         cycle = last[1]()
         if cycle is not None:
             return cycle
-    # Each derived property is read once, into a local; `arrives_on_red`
-    # would derive n again.
-    v_c = sc.cruise_mps
-    n = sc.cruise_seconds_to_bar
-    m = sc.launch_ramp_steps
-    b = sc.departure_cruise_seconds
-    half_m = (m + 1) // 2
-
-    if sc.is_green(float(n)):
-        speeds = [v_c] * (n + half_m + b)
+    v_c, n = sc.cruise_mps, sc.cruise_seconds_to_bar
+    m, b = sc.launch_ramp_steps, sc.departure_cruise_seconds
+    if not sc.arrives_on_red:
+        speeds = [v_c] * (n + (m + 1) // 2 + b)
     else:
         k = sc.stop_ramp_steps
         a = n - (k - 1) // 2
@@ -200,16 +176,12 @@ def gen_smoothed_trajectory(sc: SignalScenario) -> GlideOutcome:
     Falls back to the `gen_baseline_trajectory(sc)` cycle (flagged) when no
     glide speed within the comfort bounds can meet the green window at the bar.
     """
-    # Each derived property is read once, into a local: bar_m and total_m
-    # are `effective_approach_m` and `total_distance_m` from n.
-    v_c = sc.cruise_mps
-    n = sc.cruise_seconds_to_bar
-    if sc.is_green(float(n)):
+    v_c, n = sc.cruise_mps, sc.cruise_seconds_to_bar
+    if not sc.arrives_on_red:
         return GlideOutcome(cycle=gen_baseline_trajectory(sc), feasible=True,
                             glide_speed_mps=v_c)
 
-    bar_m = n * v_c
-    total_m = bar_m + sc.effective_departure_m
+    bar_m, total_m = sc.effective_approach_m, sc.total_distance_m
     onset = sc.next_green_onset(float(n))
     v_floor = max(GLIDE_FLOOR_MPS, GLIDE_MIN_FRACTION * v_c)
 

@@ -230,8 +230,9 @@ class RateTable:
     (source type, operating mode) pair raises IncompleteTable, listing the
     missing pairs in source type then mode order, so every mode a cycle or
     session can reach has a row. Read-only once built, and equal to another
-    table with equal `entries` and `units`. The rows derived from it are
-    built once, on first use."""
+    table with equal `entries` and `units`. It keeps copies of the mappings
+    it is given, so a caller's later change to them cannot reach it. The
+    rows derived from it are built once, on first use."""
 
     entries: Mapping[tuple[SourceType, int], EmissionVector]
     units: Mapping[str, str]
@@ -243,7 +244,7 @@ class RateTable:
         if missing:
             raise IncompleteTable(missing)
         # `cached_property` stores into `__dict__` directly, as this does.
-        self.__dict__.update(entries=entries, units=units)
+        self.__dict__.update(entries=dict(entries), units=dict(units))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RateTable is read-only: cannot set {name!r}")

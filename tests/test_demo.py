@@ -1,5 +1,8 @@
 """Intersection demo: construction invariants and the directional claim."""
 
+import dataclasses
+import math
+import pickle
 import struct
 import weakref
 
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from movestar import demo
 from movestar.core import MAX_SPEED_MPS, OpMode, SourceType, aggregate_cycle
 from movestar.demo import (
+    DEPARTURE_TARGET_M,
     GLIDE_DECEL_MAX,
     GLIDE_FLOOR_MPS,
     GLIDE_MIN_FRACTION,
@@ -82,6 +86,13 @@ class TestScenario:
         with pytest.raises(InfeasibleScenario):
             SignalScenario(approach_m=100, cruise_mps=0.3, green_s=10, red_s=10,
                            offset_s=0)
+
+    @pytest.mark.parametrize("source_type", [1, "LDV", None])
+    def test_rejects_a_source_type_that_is_not_one(self, source_type):
+        with pytest.raises(InfeasibleScenario) as info:
+            SignalScenario(approach_m=240.0, cruise_mps=12.0, green_s=25.0, red_s=30.0,
+                           offset_s=28.0, source_type=source_type)
+        assert str(info.value) == f"source type must be a SourceType, got {source_type!r}"
 
     @settings(max_examples=60, deadline=None)
     @given(approach=st.floats(1e-3, 1e5), cruise=st.floats(2.001, 300.0),
@@ -226,6 +237,63 @@ FRONTIER_SCENARIOS = st.builds(
     _frontier_scenario, v_c=st.floats(2.5, 40.0), n=st.integers(1, 60),
     shift=st.one_of(st.floats(-0.02, 0.002), st.floats(-1e-8, 1e-8)),
     green_s=st.floats(0.5, 60.0), extra_red_s=st.floats(0.0, 60.0))
+
+
+GEOMETRY = ("period_s", "longest_cycle_s", "cruise_seconds_to_bar", "stop_ramp_steps",
+            "launch_ramp_steps", "departure_cruise_seconds", "effective_approach_m",
+            "effective_departure_m", "total_distance_m", "arrives_on_red")
+
+
+def _geometry(approach_m, cruise_mps, green_s, red_s, offset_s):
+    """Every derived attribute, written out again from the module constants."""
+    period = green_s + red_s
+    n = max(1, round(approach_m / cruise_mps))
+    launch = max(1, math.ceil(cruise_mps / RESTART_ACCEL_MAX)) | 1
+    half = (launch + 1) // 2
+    departure = max(1, round(DEPARTURE_TARGET_M / cruise_mps) - half)
+    return dict(
+        period_s=period,
+        longest_cycle_s=((approach_m + DEPARTURE_TARGET_M) / (GLIDE_MIN_FRACTION * cruise_mps)
+                         + cruise_mps + period + 10.0),
+        cruise_seconds_to_bar=n,
+        stop_ramp_steps=max(1, math.ceil(cruise_mps / STOP_DECEL_MAX)) | 1,
+        launch_ramp_steps=launch,
+        departure_cruise_seconds=departure,
+        effective_approach_m=n * cruise_mps,
+        effective_departure_m=(half + departure) * cruise_mps,
+        total_distance_m=n * cruise_mps + (half + departure) * cruise_mps,
+        arrives_on_red=(n + offset_s) % period >= green_s)
+
+
+def _arguments(sc):
+    return (sc.approach_m, sc.cruise_mps, sc.green_s, sc.red_s, sc.offset_s)
+
+
+class TestGeometry:
+    """The geometry a scenario derives when built, against an independent
+    statement of each formula."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sc=st.one_of(CRITERION_8_SCENARIOS, WIDE_SCENARIOS, FRONTIER_SCENARIOS)
+           .filter(lambda sc: sc is not None), offset_s=st.floats(-1e4, 1e4))
+    def test_attributes_match_their_formulas(self, sc, offset_s):
+        want = _geometry(*_arguments(sc))
+        assert {name: getattr(sc, name) for name in GEOMETRY} == want
+        assert [type(getattr(sc, name)) for name in GEOMETRY] == list(map(type, want.values()))
+
+        moved = dataclasses.replace(sc, offset_s=offset_s)
+        assert moved.arrives_on_red is _geometry(*_arguments(moved))["arrives_on_red"]
+
+        again = pickle.loads(pickle.dumps(sc))
+        assert again == sc and {name: getattr(again, name) for name in GEOMETRY} == want
+
+        args = _arguments(sc) + (sc.source_type,)
+        assert [f.name for f in dataclasses.fields(SignalScenario)] == [
+            "approach_m", "cruise_mps", "green_s", "red_s", "offset_s", "source_type"]
+        assert dataclasses.astuple(sc) == args
+        assert repr(sc) == ("SignalScenario(approach_m={!r}, cruise_mps={!r}, green_s={!r}, "
+                            "red_s={!r}, offset_s={!r}, source_type={!r})".format(*args))
+        assert sc == SignalScenario(*args) and hash(sc) == hash(args)
 
 
 def _plan(planner, sc):

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from movestar.core import EmissionVector, RateTable, SourceType, VALID_OPMODE_IDS
+from movestar.core import (
+    VALID_OPMODE_IDS,
+    DriveCycle,
+    EmissionVector,
+    RateTable,
+    SourceType,
+    aggregate_cycle,
+)
 from movestar.errors import (
     IncompleteTable,
     SchemaError,
@@ -15,13 +22,14 @@ from movestar.errors import (
     TableParseError,
     UnitError,
 )
+from movestar.session import EmissionSession
 from movestar.tables import (
     load_table_set,
     serialize_table_set,
     validate_table_set,
 )
 
-from conftest import scaled_rates
+from conftest import sawtooth_speeds, scaled_rates
 
 
 def _copy_assets(tmp_path, params_path, rates_path, edit=None):
@@ -145,6 +153,23 @@ class TestRecords:
         assert rates != (rates.entries, rates.units)
         assert repr(rates) == f"RateTable(entries={rates.entries!r}, units={rates.units!r})"
         assert rates.per_second is rates.per_second and rates.grams is rates.grams
+
+    def test_rate_table_keeps_copies_of_its_mappings(self, tables):
+        entries, units = dict(tables.rates.entries), dict(tables.rates.units)
+        rates = RateTable(entries=entries, units=units)
+        del entries[(SourceType.LDV, 0)]
+        units.clear()
+        assert rates == tables.rates
+        cycle = DriveCycle.from_speeds(sawtooth_speeds())
+        params = tables.params_for(SourceType.LDV)
+        got = aggregate_cycle(cycle, params, rates)
+        want = aggregate_cycle(cycle, params, tables.rates)
+        assert (got.totals, got.distance_m) == (want.totals, want.distance_m)
+        session = EmissionSession(params, rates)
+        for v in sawtooth_speeds():
+            session.step(v)
+        streamed = session.finalize()
+        assert (streamed.totals, streamed.distance_m) == (want.totals, want.distance_m)
 
     def test_incomplete_rate_table_raises_when_built(self, tables):
         entries = dict(tables.rates.entries)

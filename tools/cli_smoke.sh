@@ -82,8 +82,9 @@ console() {
   grep -qF "missing column(s) ['CO2']" err.txt
   if grep -q Traceback err.txt; then exit 1; fi
   "${ms[@]}" convert --in subsecond.csv --out onehz.csv --unit mph
-  # Both planner paths: README's red arrival glides, and a red of 200 s
-  # that no glide can bridge falls back to the stop profile.
+  # All three planner outcomes: README's red arrival glides, a red of 200 s
+  # that no glide can bridge falls back to the stop profile, and a green
+  # arrival cruises through at cruise speed.
   "${ms[@]}" demo --distance 240 --cruise 12 --green 25 --red 30 --offset 28 --veh 1 \
     > demo.csv
   cat demo.csv
@@ -92,6 +93,11 @@ console() {
     > demo.csv
   cat demo.csv
   test "$(tail -n 1 demo.csv)" = "glide_used,0,,"
+  "${ms[@]}" demo --distance 240 --cruise 12 --green 30 --red 30 --offset 0 --veh 2 \
+    > demo.csv
+  cat demo.csv
+  test "$(tail -n 2 demo.csv | head -n 1)" = "duration_s,41,41,"
+  test "$(tail -n 1 demo.csv)" = "glide_used,1,12.000000,"
   status=0
   "${ms[@]}" run --cycle trip.csv --veh 1 --out "$PWD/absent/x" 2> err.txt \
     || status=$?
