@@ -48,20 +48,17 @@ class DriveCycle:
 
     def __post_init__(self):
         """Copy the speeds once; two reductions accept them (a NaN fails
-        both), and only a rejected cycle is searched for the second to name:
-        the first negative speed wins, then the first non-finite one, then
-        the first over MAX_SPEED_MPS. A forward difference of speeds in range
-        is finite, so `a` needs no test."""
+        both), and a rejected cycle names its first speed outside [0,
+        MAX_SPEED_MPS], as a session stepping them does. A forward difference
+        of speeds in range is finite, so `a` needs no test."""
         v = np.array(self.v, dtype=float)
         if v.ndim != 1:
             raise InvalidSample(f"speeds of shape {v.shape} are not one-dimensional")
         if v.size == 0:
             raise EmptyCycle("drive cycle has no samples")
         if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) <= MAX_SPEED_MPS):
-            for bad in (v < 0.0, ~np.isfinite(v), v > MAX_SPEED_MPS):
-                if bad.any():
-                    second = int(bad.argmax())
-                    raise _speed_error(v[second], second)
+            second = int(((v >= 0.0) & (v <= MAX_SPEED_MPS)).argmin())
+            raise _speed_error(v[second], f"second {second}")
         a = np.zeros(v.size)
         np.subtract(v[1:], v[:-1], out=a[1:])
         object.__setattr__(self, "v", _readonly(v))

@@ -20,7 +20,7 @@ from .errors import (
     CycleError, EmptyTrace, GapTooLarge, InvalidSample, NegativeSpeed, NonMonotonicTime,
     ParseError, TraceFileError,
 )
-from .model import _TO_MPS, MAX_SPEED_MPS, SUPPORTED_UNITS, _number
+from .model import _TO_MPS, MAX_SPEED_MPS, SUPPORTED_UNITS, _number, _speed_error
 
 # Longest tolerated run of empty 1 s windows; longer gaps would fabricate
 # kinematics if interpolated.
@@ -78,10 +78,7 @@ def _first_bad_sample(t: np.ndarray, v: np.ndarray, unit: str) -> CycleError:
         return InvalidSample(f"timestamp {ti!r} at sample {i} is not finite or far from the first")
     if i and ti < t[i - 1]:
         return InvalidSample(f"timestamp decreases at sample {i}")
-    if vi < 0.0:
-        return NegativeSpeed(vi, at=f"sample {i}")
-    return InvalidSample(f"speed {vi!r} {unit} at sample {i} is not finite or is over the "
-                         f"{MAX_SPEED_MPS!r} m/s limit")
+    return _speed_error(vi, f"sample {i}", unit)
 
 
 def _is_skipped(line: str) -> bool:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
+import sys
 import weakref
 from dataclasses import dataclass
 
@@ -53,7 +55,9 @@ class SignalScenario:
     Its geometry (`period_s`, `longest_cycle_s`, `cruise_seconds_to_bar`,
     the ramp and departure step counts, the effective distances and
     `arrives_on_red`) is derived once, when the scenario is built. Only the
-    six arguments are fields, so `repr`, `==` and hash see them alone."""
+    six arguments are fields, so `repr`, `==` and hash see them alone. The
+    five numbers, finite reals but not bools, are stored as floats: the
+    geometry is float arithmetic whatever real type was passed."""
 
     approach_m: float
     cruise_mps: float
@@ -63,9 +67,13 @@ class SignalScenario:
     source_type: SourceType = SourceType.LDV
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.approach_m, self.cruise_mps, self.green_s,
-                                       self.red_s, self.offset_s))):
-            raise InfeasibleScenario("distances, speeds and durations must be finite")
+        for name in ("approach_m", "cruise_mps", "green_s", "red_s", "offset_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InfeasibleScenario(f"{name} must be a real number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:    # NaN, inf or past every float
+                raise InfeasibleScenario("distances, speeds and durations must be finite")
+            self.__dict__[name] = float(value)
         if self.approach_m <= 0 or self.green_s <= 0 or self.red_s <= 0:
             raise InfeasibleScenario("durations and distances must be positive")
         if self.cruise_mps <= GLIDE_FLOOR_MPS:

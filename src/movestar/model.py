@@ -290,16 +290,17 @@ class RateTable:
         return out
 
 
-def _speed_error(speed: float, second: int) -> CycleError:
-    """The error for a `speed` outside [0, MAX_SPEED_MPS] at `second`, printed
-    as a float: negative, else non-finite, else over the limit."""
+def _speed_error(speed: float, at: str, unit: str = "") -> CycleError:
+    """The error for the first `speed` outside [0, MAX_SPEED_MPS] of a cycle, a
+    session or a raw trace, named where `at` says ("second 3"): negative, else
+    non-finite, else over the limit, with a trace's `unit` after the value."""
     speed = float(speed)
     if speed < 0.0:
-        return NegativeSpeed(speed, at=f"second {second}")
+        return NegativeSpeed(speed, at=at)
     if not math.isfinite(speed):
-        return InvalidSample(f"non-finite speed {speed!r} at second {second}")
-    return InvalidSample(
-        f"speed {speed!r} at second {second} is over the {MAX_SPEED_MPS!r} m/s limit")
+        return InvalidSample(f"non-finite speed {speed!r} at {at}")
+    value = f"{speed!r} {unit}" if unit else repr(speed)
+    return InvalidSample(f"speed {value} at {at} is over the {MAX_SPEED_MPS!r} m/s limit")
 
 
 def specific_power(params: VehicleParams, v, a):

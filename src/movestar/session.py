@@ -107,7 +107,7 @@ class EmissionSession:
         kernel's. No mode is recorded, and state changes only after the last
         check has passed."""
         if not 0.0 <= speed_mps <= MAX_SPEED_MPS:
-            raise _speed_error(speed_mps, self._steps)
+            raise _speed_error(speed_mps, f"second {self._steps}")
         v = float(speed_mps)
         prev = self.prev_speed
         a = 0.0 if prev is None else v - prev

@@ -5,6 +5,8 @@ import math
 import pickle
 import struct
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from movestar import demo
-from movestar.core import MAX_SPEED_MPS, OpMode, SourceType, aggregate_cycle
+from movestar.core import MAX_SPEED_MPS, EmissionVector, OpMode, SourceType, aggregate_cycle
 from movestar.demo import (
     DEPARTURE_TARGET_M,
     GLIDE_DECEL_MAX,
@@ -93,6 +95,19 @@ class TestScenario:
             SignalScenario(approach_m=240.0, cruise_mps=12.0, green_s=25.0, red_s=30.0,
                            offset_s=28.0, source_type=source_type)
         assert str(info.value) == f"source type must be a SourceType, got {source_type!r}"
+
+    @pytest.mark.parametrize("name, value", [
+        ("approach_m", "240"), ("green_s", None), ("cruise_mps", 12 + 0j),
+        ("red_s", Decimal("30")), ("offset_s", True),
+    ])
+    def test_rejects_a_number_that_is_not_a_real(self, name, value):
+        with pytest.raises(InfeasibleScenario) as info:
+            red_arrival_scenario(**{name: value})
+        assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+    def test_rejects_a_real_too_large_for_a_float(self):
+        with pytest.raises(InfeasibleScenario, match="^distances, speeds and durations must be"):
+            red_arrival_scenario(approach_m=10**400)
 
     @settings(max_examples=60, deadline=None)
     @given(approach=st.floats(1e-3, 1e5), cruise=st.floats(2.001, 300.0),
@@ -295,6 +310,20 @@ class TestGeometry:
                             "red_s={!r}, offset_s={!r}, source_type={!r})".format(*args))
         assert sc == SignalScenario(*args) and hash(sc) == hash(args)
 
+    def test_real_arguments_are_stored_as_floats(self, tables):
+        """Fraction, int and numpy.float64 arguments give the float scenario."""
+        args = dict(approach_m=Fraction(2401, 10), cruise_mps=12, green_s=np.float64(25.0),
+                    red_s=Fraction(30), offset_s=28)
+        sc = SignalScenario(**args)
+        want = SignalScenario(**{name: float(value) for name, value in args.items()})
+        assert [type(value) for value in _arguments(sc)] == [float] * 5
+        assert _arguments(sc) == _arguments(want) == (240.1, 12.0, 25.0, 30.0, 28.0)
+        assert {name: getattr(sc, name) for name in GEOMETRY} == _geometry(*_arguments(want))
+        assert ([type(getattr(sc, name)) for name in GEOMETRY]
+                == [type(getattr(want, name)) for name in GEOMETRY])
+        assert (compare_scenarios(sc, tables).csv_lines()
+                == compare_scenarios(want, tables).csv_lines())
+
 
 def _plan(planner, sc):
     """What a planner returns, as bytes where floats must match bit for bit,
@@ -416,6 +445,21 @@ class TestComparison:
         assert report.glide_used is glide_used
         assert report.baseline.modes.tolist() == baseline.modes.tolist()
         assert report.baseline.totals == baseline.totals
+
+    def test_zero_baseline_total(self, tables):
+        """A species the baseline does not emit has delta 0 if the glide does
+        not emit it either, else inf; `csv_lines` prints both."""
+        report = compare_scenarios(red_arrival_scenario(), tables)
+        zero = EmissionVector(0.0, 0.0, 0.0, 0.0, 0.0)
+        report = dataclasses.replace(
+            report, baseline=dataclasses.replace(report.baseline, totals=zero),
+            smoothed=dataclasses.replace(report.smoothed, totals=zero._replace(co=1.5)))
+        assert report.delta_pct() == {"energy": 0.0, "CO": math.inf, "HC": 0.0, "NOx": 0.0,
+                                      "CO2": 0.0}
+        assert report.csv_lines()[1:6] == [
+            "energy,0.000000000,0.000000000,0.000000", "CO,0.000000000,1.500000000,inf",
+            "HC,0.000000000,0.000000000,0.000000", "NOx,0.000000000,0.000000000,0.000000",
+            "CO2,0.000000000,0.000000000,0.000000"]
 
     def test_csv_lines_shape(self, tables):
         lines = compare_scenarios(red_arrival_scenario(), tables).csv_lines()

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from movestar import flatapi
@@ -28,8 +28,9 @@ from movestar.core import (
     per_second_emissions,
     specific_power,
 )
-from movestar.errors import (EmptySession, IncompleteTable, InvalidSample, NegativeSpeed,
-                             UnknownSourceType)
+from movestar.cycleio import RawTrace
+from movestar.errors import (CycleError, EmptySession, IncompleteTable, InvalidSample,
+                             NegativeSpeed, UnknownSourceType)
 from movestar.model import (
     _HARD_DECEL_MPS2,
     _MODE_GRID,
@@ -49,10 +50,21 @@ def around(x):
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
+BOUNDARY_SPEEDS = [0.0, 5.0, 99.0, 100.0, -0.0, math.nan, math.inf, -math.inf, -1.0, 150.0,
+                   math.nextafter(100.0, math.inf)]
 EDGE_SPEEDS = [v for mph in (1.0, 25.0, 50.0) for v in around(mph * MPH)] + [0.0, -0.0]
 EDGE_ACCELS = [a for mphps in (-2.0, -1.0) for a in around(mphps * MPH)] + [0.0, -0.0]
 VSP_EDGES = (0.0, 3.0, 6.0, 9.0, 12.0, 18.0, 24.0, 30.0)
 SOFT_STEP = 1.5 * MPH       # a deceleration of 1.5 mph/s: soft, not braking
+
+
+def first_error(build):
+    """The class and message of the `CycleError` that `build()` raises, or None."""
+    try:
+        build()
+    except CycleError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def prev_at_vsp_edge(params, v, edge, below):
@@ -141,6 +153,26 @@ class TestSessionBasics:
         assert type(info.value) is error
         assert str(info.value) == message
         assert (s.step_count, s.prev_speed, s.distance_m, s.running_totals) == snapshot
+
+    @settings(max_examples=400, deadline=None)
+    @given(speeds=st.lists(st.sampled_from(BOUNDARY_SPEEDS), min_size=1, max_size=6))
+    @example(speeds=[math.nextafter(100.0, math.inf), math.inf, 100.0, 5.0])
+    @example(speeds=[math.nan, 1.0, -2.0])
+    def test_cycle_session_and_trace_name_the_same_bad_speed(self, tables, speeds):
+        """A cycle, a session stepped until it raises and an m/s raw trace
+        name the first bad sample alike; the trace says `sample` for `second`
+        and puts its unit after the value."""
+        def step_all():
+            s = session_create(SourceType.LDV, tables)
+            for v in speeds:
+                session_step(s, v)
+
+        cycle = first_error(lambda: DriveCycle(speeds))
+        assert first_error(step_all) == cycle
+        raw = first_error(lambda: RawTrace(np.arange(len(speeds), dtype=float), speeds, "m/s"))
+        if raw is not None:
+            raw = raw[0], raw[1].replace("sample", "second").replace(" m/s at ", " at ")
+        assert raw == cycle
 
     def test_missing_entry_leaves_session_unchanged(self, tables):
         broken = dict(tables.rates.entries)

@@ -257,6 +257,8 @@ CORRUPTIONS = [
     pytest.param(lambda p, r: (p.replace("M=metric_ton", "M=metric_ton M=metric_ton"), r),
                  TableParseError, "{params}:3: unit declared twice for 'M'",
                  id="mass_unit_twice"),
+    pytest.param(lambda p, r: (p, r.replace("energy=g/h", "energy")), TableParseError,
+                 "{rates}:4: malformed unit declaration 'energy'", id="malformed_unit"),
     # A file is read line by line and its first faulty line raises, so a later
     # bad unit token does not hide an earlier bad header or row.
     pytest.param(lambda p, r: (p, r.replace(",NOx,CO2\n", ",NOx\n") + "# unit: CO=bogus\n"),
@@ -303,11 +305,13 @@ class TestCorruptedTables:
     def test_cli_reports_a_corrupted_table_on_one_line(self, tmp_path, params_path, rates_path,
                                                       capsys):
         from movestar.cli import EXIT_TABLES, main
-        _copy_assets(tmp_path, params_path, rates_path, _without("# unit:"))
-        assert main(["validate-tables", "--tables", str(tmp_path)]) == EXIT_TABLES
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: tables: table validation failed: {NO_RATE_UNITS}\n"
+        for case in ("no_unit_line", "malformed_unit"):
+            edit, _, message = next(c.values for c in CORRUPTIONS if c.id == case)
+            p, r = _copy_assets(tmp_path, params_path, rates_path, edit)
+            assert main(["validate-tables", "--tables", str(tmp_path)]) == EXIT_TABLES
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: tables: {message.format(params=p, rates=r)}\n"
 
     @pytest.mark.parametrize("case", sorted(WRONG_COLUMN_UNITS))
     @pytest.mark.parametrize("command", ["validate-tables", "factors"])
@@ -493,6 +497,12 @@ class TestCorruptedTables:
         report = validate_table_set(bad)
         assert len(report) == 1
         assert "(LDV, 13) CO" in report[0]
+
+    def test_validation_reports_a_row_keyed_by_another_type(self, tables):
+        from movestar.tables import TableSet
+        params = {**tables.params, SourceType.LDV: tables.params[SourceType.LDT]}
+        bad = TableSet(params=params, rates=tables.rates, provenance=tables.provenance)
+        assert validate_table_set(bad) == ["params: row keyed LDV carries LDT"]
 
     def test_validation_reports_a_unit_on_an_unmapped_column(self, tables):
         from movestar.core import RateTable

@@ -68,6 +68,19 @@ console() {
   test "$(wc -l < err.txt)" -eq 1
   grep -q '^error: tables: .*rates\.csv:5: ' err.txt
   if grep -q Traceback err.txt; then exit 1; fi
+  # A unit declaration without `=`: the rate table's `# unit:` line, its
+  # line 4, reading `# unit: energy CO=g/h ...` is one error naming that line.
+  mkdir malformed
+  cp "$defaults"/*.csv malformed/
+  sed 's/^# unit: energy=g\/h /# unit: energy /' "$defaults/rates.csv" > malformed/rates.csv
+  grep -q '^# unit: energy CO=g/h ' malformed/rates.csv
+  status=0
+  "${ms[@]}" validate-tables --tables malformed 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 2
+  test "$(wc -l < err.txt)" -eq 1
+  grep -q '^error: tables: .*rates\.csv:4: ' err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
   # A rate table whose header lacks CO2, followed by its rows, is one
   # error naming the missing column: the read stops at the header.
   mkdir nocol
