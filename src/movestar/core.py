@@ -51,7 +51,7 @@ class DriveCycle:
         both), and a rejected cycle names its first speed outside [0,
         MAX_SPEED_MPS], as a session stepping them does. A forward difference
         of speeds in range is finite, so `a` needs no test."""
-        v = np.array(self.v, dtype=float)
+        v = _float_array(self.v, "speed", "second", copy=True)
         if v.ndim != 1:
             raise InvalidSample(f"speeds of shape {v.shape} are not one-dimensional")
         if v.size == 0:
@@ -97,6 +97,17 @@ class CycleResult:
     @property
     def distance_km(self) -> float:
         return self.distance_m / 1000.0
+
+
+def _float_array(values, name: str, at: str, copy: bool = False) -> np.ndarray:
+    """`values` as a float64 array, a new one if `copy`. numpy would convert a
+    str, bytes or None value: like a session's step, this raises TypeError."""
+    a = np.array(values) if copy else np.asarray(values)
+    if a.dtype.kind in "OSU" and a.ndim == 1:
+        for i, x in enumerate(values):
+            if x is None or isinstance(x, (str, bytes)):
+                raise TypeError(f"{name} {x!r} at {at} {i} is not a number")
+    return a if a.dtype == np.float64 else np.asarray(values, dtype=float)
 
 
 def _readonly(x: np.ndarray) -> np.ndarray:

@@ -7,19 +7,17 @@ be declared in m/s, mph or km/h and are converted to m/s before modeling.
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import DriveCycle, _readonly
-from .errors import (
-    CycleError, EmptyTrace, GapTooLarge, InvalidSample, NegativeSpeed, NonMonotonicTime,
-    ParseError, TraceFileError,
-)
+from .core import DriveCycle, _float_array, _readonly
+from .errors import CycleError, EmptyTrace, GapTooLarge, InvalidSample, ParseError, TraceFileError
 from .model import _TO_MPS, MAX_SPEED_MPS, SUPPORTED_UNITS, _number, _speed_error
 
 # Longest tolerated run of empty 1 s windows; longer gaps would fabricate
@@ -29,30 +27,34 @@ MAX_GAP_S = 5
 
 @dataclass(frozen=True, eq=False)
 class RawTrace:
-    """A speed trace in its declared unit, checked once: read-only float64
-    arrays `t` (timestamps, s) and `v` (speeds) of one length."""
+    """A speed trace in its declared unit, checked once: read-only float64 arrays
+    `t` (timestamps, s) and `v` (speeds) of one length. Given each sample's line
+    number in `lines`, as a file's reader gives them, an error names `line N`."""
 
     t: np.ndarray
     v: np.ndarray
     unit: str
+    lines: InitVar[Sequence[int] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, lines):
         """Check the given arrays, then copy each once: a known unit, one or more
         samples, finite non-decreasing timestamps of a finite span, and speeds
         from 0 to MAX_SPEED_MPS in m/s. Reductions accept a good trace (a NaN fails
         them; the conversion is monotone, so it converts only the largest speed)."""
         if self.unit not in SUPPORTED_UNITS:
             raise ParseError(f"unsupported unit {self.unit!r}; expected one of {SUPPORTED_UNITS}")
-        t, v = np.asarray(self.t, dtype=float), np.asarray(self.v, dtype=float)
+        t, v = _float_array(self.t, "timestamp", "sample"), _float_array(self.v, "speed", "sample")
         if t.ndim != 1 or t.shape != v.shape:
             raise InvalidSample(f"timestamps {t.shape}, speeds {v.shape}: not 1-D of one length")
+        if lines is not None and len(lines) != t.size:
+            raise InvalidSample(f"{len(lines)} line numbers for {t.size} samples")
         if t.size == 0:
             raise EmptyTrace("trace has no samples")
         if not (np.minimum.reduce(v) >= 0.0
                 and _TO_MPS[self.unit](np.maximum.reduce(v)) <= MAX_SPEED_MPS
                 and math.isfinite(float(t[-1]) - float(t[0]))
                 and np.less_equal(t[:-1], t[1:]).all()):
-            raise _first_bad_sample(t, v, self.unit)
+            raise _first_bad_sample(t, v, self.unit, lines)
         object.__setattr__(self, "t", _readonly(np.array(t)))
         object.__setattr__(self, "v", _readonly(np.array(v)))
 
@@ -67,18 +69,20 @@ class RawTrace:
         return _TO_MPS[self.unit](self.v).tolist()
 
 
-def _first_bad_sample(t: np.ndarray, v: np.ndarray, unit: str) -> CycleError:
-    """The error of the first bad sample of a trace `RawTrace` rejected."""
+def _first_bad_sample(t: np.ndarray, v: np.ndarray, unit: str,
+                      lines: Sequence[int] | None) -> CycleError:
+    """The error of the first bad sample of a trace `RawTrace` rejected, named by
+    its line in `lines` if given: its timestamp, then the order, then its speed."""
     with np.errstate(over="ignore", invalid="ignore"):
         bad = ~np.isfinite(t - t[0]) | ~(v >= 0.0) | ~(_TO_MPS[unit](v) <= MAX_SPEED_MPS)
     bad[1:] |= t[1:] < t[:-1]
     i = int(bad.argmax())
-    ti, vi = float(t[i]), float(v[i])
+    ti, at = float(t[i]), f"sample {i}" if lines is None else f"line {lines[i]}"
     if not math.isfinite(ti - float(t[0])):
-        return InvalidSample(f"timestamp {ti!r} at sample {i} is not finite or far from the first")
+        return InvalidSample(f"timestamp {ti!r} at {at} is not finite or far from the first")
     if i and ti < t[i - 1]:
-        return InvalidSample(f"timestamp decreases at sample {i}")
-    return _speed_error(vi, f"sample {i}", unit)
+        return InvalidSample(f"timestamp decreases at {at}")
+    return _speed_error(v[i], at, unit)
 
 
 def _is_skipped(line: str) -> bool:
@@ -93,14 +97,14 @@ def _is_header(line: str) -> bool:
 
 
 def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
-    """Read a trace file, rejecting malformed rows with their line numbers.
+    """Read a trace file, rejecting its first bad row with its line number.
 
-    Negative speeds, speeds over MAX_SPEED_MPS once converted to m/s, and non-finite or
-    backwards timestamps are hard errors. Single-column files get implicit timestamps
-    0, 1, 2, ... An unreadable file raises TraceFileError. numpy reads the file by
-    path if `_skiprows` allows it and the table it reads is a good trace; any other
-    file, and any file numpy or `RawTrace` rejects, is read one line at a time in
-    Python by `_read_lines`, with the same values and errors.
+    `RawTrace` judges the values. Single-column files get implicit timestamps 0, 1,
+    2, ... A leading UTF-8 byte-order mark is skipped. An unreadable file raises
+    TraceFileError. numpy reads the file by path if `_skiprows` allows it and the
+    table it reads is a good trace; any other file, and any file numpy or
+    `RawTrace` rejects, is read one line at a time in Python by `_read_lines`,
+    with the same values and errors.
     """
     if unit not in SUPPORTED_UNITS:
         raise ParseError(f"unsupported unit flag {unit!r}; expected one of {SUPPORTED_UNITS}")
@@ -169,56 +173,49 @@ def _skiprows(path: Path, data: bytes) -> int | None:
 
 
 def _read_lines(path: Path, data: bytes, unit: str) -> RawTrace:
-    """The trace in `unit` of a file's bytes `data`, read one line at a time,
-    or the error of its first bad line."""
+    """The trace in `unit` of a file's bytes `data`, read one line at a time, or
+    the error of its first bad line. Lines are only split into numbers here:
+    `RawTrace` judges the values, so a line that does not split is an error
+    once the rows above it have passed."""
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
-        lines = data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
     times: list[float] = []
     speeds: list[float] = []
-    ncols: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
+    lines: list[int] = []
+    ncols = error = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         # Header lines count only before the first data line.
         if _is_skipped(raw) or (ncols is None and _is_header(raw)):
             continue
         cells = [c.strip() for c in raw.strip().split(",")]
-        if ncols is None:
-            ncols = len(cells)
-        elif len(cells) != ncols:
-            raise ParseError(f"expected {ncols} column(s), got {len(cells)}", line=lineno)
-        if len(cells) > 2:
-            raise ParseError(f"expected 1 or 2 columns, got {len(cells)}", line=lineno)
-        t = float(len(times))
-        if len(cells) == 2:
-            try:
-                t = _number(cells[0])
-            except ValueError:
-                t = math.nan
-            if not math.isfinite(t):
-                raise ParseError(f"bad timestamp {cells[0]!r}", line=lineno)
+        ncols = ncols or len(cells)
+        if len(cells) != ncols:
+            error = ParseError(f"expected {ncols} column(s), got {len(cells)}", line=lineno)
+            break
+        if ncols > 2:
+            error = ParseError(f"expected 1 or 2 columns, got {ncols}", line=lineno)
+            break
+        try:
+            t = _number(cells[0]) if ncols == 2 else float(len(times))
+        except ValueError:
+            error = ParseError(f"bad timestamp {cells[0]!r}", line=lineno)
+            break
         try:
             v = _number(cells[-1])
         except ValueError:
-            raise ParseError(f"bad speed {cells[-1]!r}", line=lineno) from None
-        if v < 0.0:
-            raise NegativeSpeed(v, line=lineno)
-        if _TO_MPS[unit](v) > MAX_SPEED_MPS:
-            raise ParseError(f"speed {v!r} {unit} is over the {MAX_SPEED_MPS!r} m/s limit",
-                             line=lineno)
-        if not math.isfinite(v):        # NaN: the tests above pass it
-            raise ParseError(f"bad speed {cells[-1]!r}", line=lineno)
-        if len(cells) == 2 and times:
-            if t < times[-1]:
-                raise NonMonotonicTime(lineno)
-            if not math.isfinite(t - times[0]):
-                raise ParseError(f"timestamp {cells[0]!r} is too far from the first",
-                                 line=lineno)
+            error = ParseError(f"bad speed {cells[-1]!r}", line=lineno)
+            break
         times.append(t)
         speeds.append(v)
-    if not times:
-        raise EmptyTrace(f"{path}: no data rows")
-    return RawTrace(t=times, v=speeds, unit=unit)
+        lines.append(lineno)
+    if times:   # the rows above a line that does not split are judged first
+        trace = RawTrace(times, speeds, unit, lines)
+    if error is not None or not times:
+        raise error or EmptyTrace(f"{path}: no data rows")
+    return trace
 
 
 def resample_speeds_to_1hz(times: Sequence[float], speeds_mps: Sequence[float]) -> list[float]:

@@ -35,21 +35,11 @@ class InvalidSample(CycleError):
 
 
 class NegativeSpeed(CycleError):
-    """A speed below zero, at a file's `line` or where `at` says ("sample 3")."""
+    """A speed below zero, where `at` says ("second 3", "line 4")."""
 
-    def __init__(self, value: float, line: int | None = None, *, at: str | None = None):
+    def __init__(self, value: float, at: str):
         self.value = value
-        self.line = line
-        at = f"line {line}" if line is not None else at
-        super().__init__(f"negative speed {value!r}" + (f" at {at}" if at else ""))
-
-
-class NonMonotonicTime(CycleError):
-    """Trace timestamps decreased."""
-
-    def __init__(self, line: int):
-        self.line = line
-        super().__init__(f"timestamp decreases at line {line}")
+        super().__init__(f"negative speed {value!r} at {at}")
 
 
 class ParseError(CycleError):

@@ -13,6 +13,7 @@ rate lookups can never miss at run time.
 
 from __future__ import annotations
 
+import codecs
 import math
 import os
 from pathlib import Path
@@ -80,7 +81,7 @@ def _read_table(path: Path, header: list[str], row, comments: list[str],
     returns the row's (key, record); a key seen before is a duplicate row.
     """
     try:
-        data = path.read_bytes()
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise TableFileError(exc.errno, exc.strerror, exc.filename) from None
     try:

@@ -1,11 +1,14 @@
-"""Reference trace parser: the per-line loop `cycleio.parse_trace` ran
-before it read every row with one `np.loadtxt` call.
+"""Reference trace parser: a per-line loop that checks each row as it reads
+it, independent of `cycleio.parse_trace`'s split between reading cells and
+judging values.
 
 Kept as the oracle for `tests/test_cycleio.py`. Each cell goes through
 Python's `float()`, which also accepts digit-group underscores and
-non-ASCII digits; the package's reader rejects those cells. A speed over
-100 m/s, once converted from its unit, is an error of its line, and so is a
-NaN speed.
+non-ASCII digits; the package's reader rejects those cells. A leading UTF-8
+byte-order mark is skipped. A row is judged in one order: its cells parse,
+then its timestamp is finite and a finite span from the first row's, then it
+does not decrease, then its speed is not negative, not NaN or infinite, and
+at most 100 m/s once converted from its unit.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from movestar.errors import EmptyTrace, NegativeSpeed, NonMonotonicTime, ParseError
+from movestar.errors import EmptyTrace, InvalidSample, NegativeSpeed, ParseError
 
 MAX_SPEED_MPS = 100.0
+BOM = b"\xef\xbb\xbf"
 
 
 def to_mps(v: float, unit: str) -> float:
@@ -36,6 +40,8 @@ def reference_parse_trace(path: str | Path,
     implicit_t = 0
     ncols: int | None = None
     data = path.read_bytes()
+    if data.startswith(BOM):
+        data = data[len(BOM):]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -58,9 +64,7 @@ def reference_parse_trace(path: str | Path,
             try:
                 t = float(cells[0])
             except ValueError:
-                t = math.nan
-            if not math.isfinite(t):
-                raise ParseError(f"bad timestamp {cells[0]!r}", line=lineno)
+                raise ParseError(f"bad timestamp {cells[0]!r}", line=lineno) from None
             v_cell = cells[1]
         else:
             raise ParseError(f"expected 1 or 2 columns, got {len(cells)}", line=lineno)
@@ -68,15 +72,19 @@ def reference_parse_trace(path: str | Path,
             v = float(v_cell)
         except ValueError:
             raise ParseError(f"bad speed {v_cell!r}", line=lineno) from None
-        if v < 0.0:
-            raise NegativeSpeed(v, line=lineno)
-        if to_mps(v, unit) > MAX_SPEED_MPS:
-            raise ParseError(f"speed {v!r} {unit} is over the {MAX_SPEED_MPS!r} m/s limit",
-                             line=lineno)
-        if math.isnan(v):
-            raise ParseError(f"bad speed {v_cell!r}", line=lineno)
+        at = f"line {lineno}"
+        first = times[0] if times else t
+        if not math.isfinite(t - first):
+            raise InvalidSample(f"timestamp {t!r} at {at} is not finite or far from the first")
         if times and t < times[-1]:
-            raise NonMonotonicTime(lineno)
+            raise InvalidSample(f"timestamp decreases at {at}")
+        if v < 0.0:
+            raise NegativeSpeed(v, at=at)
+        if math.isnan(v) or math.isinf(v):
+            raise InvalidSample(f"non-finite speed {v!r} at {at}")
+        if to_mps(v, unit) > MAX_SPEED_MPS:
+            raise InvalidSample(f"speed {v!r} {unit} at {at} is over the {MAX_SPEED_MPS!r} m/s"
+                                " limit")
         times.append(t)
         speeds.append(v)
     if not times:

@@ -292,8 +292,8 @@ class TestInputBoundary:
         assert run_cli("factors", "--cycle", path, "--veh", "1") == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"error: cycle: speed {float(speed)!r} m/s "
-                       "is over the 100.0 m/s limit at line 2\n")
+        assert err == (f"error: cycle: speed {float(speed)!r} m/s at line 2 "
+                       "is over the 100.0 m/s limit\n")
 
     # Two finite speeds whose window sum overflows, and one raw sample over
     # the bound in a window whose mean (80 m/s) is under it.
@@ -303,7 +303,7 @@ class TestInputBoundary:
         path = tmp_path / "fast.csv"
         path.write_text(body)
         speed = float(body.splitlines()[line - 1].split(",")[1])
-        message = f"speed {speed!r} m/s is over the 100.0 m/s limit at line {line}\n"
+        message = f"speed {speed!r} m/s at line {line} is over the 100.0 m/s limit\n"
         assert run_cli("factors", "--cycle", path, "--veh", "1") == 1
         assert capsys.readouterr() == ("", "error: cycle: " + message)
         assert run_cli("convert", "--in", path, "--out", tmp_path / "out.csv") == 1
@@ -314,7 +314,7 @@ class TestInputBoundary:
     def test_raw_nan_speed_names_its_line(self, tmp_path, capsys, body, line):
         path = tmp_path / "nan.csv"
         path.write_text(body)
-        message = f"bad speed 'nan' at line {line}\n"
+        message = f"non-finite speed nan at line {line}\n"
         assert run_cli("factors", "--cycle", path, "--veh", "1") == 1
         assert capsys.readouterr() == ("", "error: cycle: " + message)
         assert run_cli("convert", "--in", path, "--out", tmp_path / "out.csv") == 1

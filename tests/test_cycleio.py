@@ -1,6 +1,8 @@
 """Trace parsing and 1 Hz resampling tests."""
 
+import codecs
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,6 @@ from movestar.errors import (
     GapTooLarge,
     InvalidSample,
     NegativeSpeed,
-    NonMonotonicTime,
     ParseError,
     TraceFileError,
 )
@@ -55,19 +56,19 @@ class TestParseTrace:
         assert raw.times == (0.0, 1.0, 2.0)
 
     def test_negative_speed_line_addressed(self, tmp_path):
-        with pytest.raises(NegativeSpeed) as exc:
+        with pytest.raises(NegativeSpeed, match="^negative speed -2.0 at line 2$"):
             parse_trace(write(tmp_path, "0,0.0\n1,-2.0\n"), "m/s")
-        assert exc.value.line == 2
 
     def test_non_monotonic_time(self, tmp_path):
-        with pytest.raises(NonMonotonicTime):
+        with pytest.raises(InvalidSample, match="^timestamp decreases at line 3$"):
             parse_trace(write(tmp_path, "0,1.0\n2,1.0\n1,1.0\n"), "m/s")
 
     def test_timestamps_past_float_range_apart_are_an_error_at_their_line(self, tmp_path):
         # Their windows would overflow; the resampler used to raise OverflowError.
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(InvalidSample) as info:
             parse_trace(write(tmp_path, "t,v\n-1e308,1\n1e308,2\n"), "m/s")
-        assert str(info.value) == "timestamp '1e308' is too far from the first at line 3"
+        assert str(info.value) == \
+            "timestamp 1e+308 at line 3 is not finite or far from the first"
 
     def test_bad_cell(self, tmp_path):
         with pytest.raises(ParseError):
@@ -77,6 +78,19 @@ class TestParseTrace:
         path = tmp_path / "trace.csv"
         path.write_bytes(b"0,1.0\n1,2.0\xff\n")
         with pytest.raises(ParseError, match="not UTF-8 text at line 2"):
+            parse_trace(path, "m/s")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts a file with one.
+        path = tmp_path / "trace.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"t,v\n0,1.0\n1,2.5\n")
+        raw = parse_trace(path, "m/s")
+        assert (raw.t.tolist(), raw.v.tolist()) == ([0.0, 1.0], [1.0, 2.5])
+
+    def test_non_utf8_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"0,1.0\n1,2.0\xff\n")
+        with pytest.raises(ParseError, match="^not UTF-8 text at line 2$"):
             parse_trace(path, "m/s")
 
     def test_missing_file_is_a_cycle_error_and_an_os_error(self, tmp_path):
@@ -112,11 +126,10 @@ class TestParseTrace:
         ("km/h", "t,v\n0,360\n1,360.00000000000006\n2,abc\n", 3, "360.00000000000006"),
     ])
     def test_speed_over_the_limit_names_its_line(self, tmp_path, unit, text, line, speed):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(InvalidSample) as info:
             parse_trace(write(tmp_path, text), unit)
-        assert info.value.line == line
         assert str(info.value) == \
-            f"speed {speed} {unit} is over the 100.0 m/s limit at line {line}"
+            f"speed {speed} {unit} at line {line} is over the 100.0 m/s limit"
 
     # A NaN speed is named by its line too, not by its second after resampling.
     @pytest.mark.parametrize("unit,text,line,cell", [
@@ -125,10 +138,9 @@ class TestParseTrace:
         ("km/h", "t,v\n0,1\n1,-nan\n2,abc\n", 3, "-nan"),
     ])
     def test_nan_speed_names_its_line(self, tmp_path, unit, text, line, cell):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(InvalidSample) as info:
             parse_trace(write(tmp_path, text), unit)
-        assert info.value.line == line
-        assert str(info.value) == f"bad speed {cell!r} at line {line}"
+        assert str(info.value) == f"non-finite speed {float(cell)!r} at line {line}"
 
     @pytest.mark.parametrize("unit,text", [("m/s", "0,100\n"), ("mph", "223.69362920544023\n"),
                                            ("km/h", "0,360\n")])
@@ -183,6 +195,8 @@ def trace_texts(draw):
     text = "".join(map(str.__add__, lines, breaks))
     if lines and draw(st.booleans()):   # no break after the last line
         text = text.removesuffix(breaks[-1])
+    if draw(st.integers(0, 7)) == 0:   # a UTF-8 byte-order mark
+        text = "\ufeff" + text
     return text
 
 
@@ -201,7 +215,7 @@ def columns(path, unit):
 
 def narrowed_lines(text):
     """Line numbers of data rows holding a cell only float() reads."""
-    return {n for n, line in enumerate(text.splitlines(), start=1)
+    return {n for n, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1)
             if not line.strip().startswith("#")
             and line.split(",", 1)[0].strip().lower() not in ("t", "time")
             and any(not c.strip().isascii() or "_" in c for c in line.split(","))}
@@ -255,6 +269,62 @@ class TestParseTraceMatchesReference:
         if got != want:  # allowed only on the first row with a narrowed cell
             assert got[0] is ParseError and got[1].startswith(("bad speed", "bad timestamp"))
             assert got[2] == min(narrowed_lines(text), default=None)
+
+
+# Cells of rows that all parse: timestamps and speeds at and past each check.
+TIME_CELLS = ["0", "1", "2", "3", "0.5", "-1", "1e18", "1e308", "-1e308", "nan", "inf", "-inf"]
+SPEED_CELLS = ["0", "5", "99.5", "-0", "-1", "-inf", "nan", "inf", "1e999", "1e308"] + LIMIT_CELLS
+
+
+@st.composite
+def parsed_rows(draw):
+    """(text, lines, times, speeds) of a trace whose data rows all parse,
+    mostly rising in time, with a header, comments and empty lines among
+    them: the data rows' line numbers and values as `float()` reads them."""
+    ncols = draw(st.sampled_from([1, 2]))
+    text, lines, times, speeds = [], [], [], []
+    if draw(st.booleans()):
+        text.append("t,v" if ncols == 2 else "time")
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 4)) == 0:
+            text.append(draw(st.sampled_from(["# note", "", "#"])))
+        t = len(times) if ncols == 1 else times[-1] + 1 if times else 0.0
+        t_cell = repr(float(t)) if draw(st.integers(0, 3)) else draw(st.sampled_from(TIME_CELLS))
+        v_cell = draw(st.sampled_from(["1", "12.5"] * 6 + SPEED_CELLS))
+        text.append(v_cell if ncols == 1 else f"{t_cell},{v_cell}")
+        lines.append(len(text))
+        times.append(float(t) if ncols == 1 else float(t_cell))
+        speeds.append(float(v_cell))
+    return "\n".join(text) + "\n", lines, times, speeds
+
+
+class TestOneRule:
+    """A file's rows are judged by `RawTrace`'s rule and named by their line:
+    when every row parses, the file's error is `RawTrace`'s on the parsed
+    arrays, with `line N` for `sample i`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace=parsed_rows(), unit=st.sampled_from(SUPPORTED_UNITS))
+    @example(trace=("0,1\n0.5,nan\n1,2\n", [1, 2, 3], [0.0, 0.5, 1.0], [1.0, math.nan, 2.0]),
+             unit="m/s")
+    @example(trace=("t,v\n0,5\ninf,-1\n", [2, 3], [0.0, math.inf], [5.0, -1.0]), unit="mph")
+    @pytest.mark.parametrize("route", ["path", "utf8"])
+    def test_file_error_is_the_raw_trace_error(self, tmp_path_factory, trace, unit, route):
+        text, lines, times, speeds = trace
+        path = tmp_path_factory.getbasetemp() / "one_rule.csv"
+        # A trailing non-ASCII comment keeps the file from numpy's path reader.
+        path.write_text(text + ("# \xb5\n" if route == "utf8" else ""), encoding="utf-8")
+        assert (cycleio._skiprows(path, path.read_bytes()) is None) == (route == "utf8")
+        try:
+            want = RawTrace(times, speeds, unit)
+        except CycleError as exc:
+            message = re.sub(r"sample (\d+)", lambda m: f"line {lines[int(m[1])]}", str(exc))
+            with pytest.raises(CycleError) as info:
+                parse_trace(path, unit)
+            assert (type(info.value), str(info.value)) == (type(exc), message)
+        else:
+            got = parse_trace(path, unit)
+            assert (got.t.tobytes(), got.v.tobytes()) == (want.t.tobytes(), want.v.tobytes())
 
 
 class TestReadRoute:
@@ -518,6 +588,12 @@ class TestRawTraceChecks:
         assert RawTrace([0.0], [223.69362920544023], "mph").v.tolist() == [223.69362920544023]
         with pytest.raises(InvalidSample, match="speed 360.00000000000006 km/h at sample 1"):
             RawTrace([0.0, 1.0], [360.0, 360.00000000000006], "km/h")
+
+    def test_line_numbers_name_the_bad_sample(self):
+        with pytest.raises(NegativeSpeed, match="^negative speed -1.0 at line 7$"):
+            RawTrace([0.0, 1.0], [1.0, -1.0], "m/s", lines=[3, 7])
+        with pytest.raises(InvalidSample, match="^1 line numbers for 2 samples$"):
+            RawTrace([0.0, 1.0], [1.0, -1.0], "m/s", lines=[3])
 
     def test_unknown_unit(self):
         with pytest.raises(ParseError, match="unsupported unit 'furlong/s'"):

@@ -2,11 +2,12 @@
 stored next to them, byte for byte.
 
 The expected files are fixed data, not regenerated here; `golden/README.md`
-says what each trace covers and how its outputs were made. Two twins of each
+says what each trace covers and how its outputs were made. Three twins of each
 trace, which numpy cannot read by path, must give the same bytes through the
 line reader.
 """
 
+import codecs
 from pathlib import Path
 
 import pytest
@@ -26,9 +27,10 @@ CASES = {
 }
 OUTPUTS = ("_ER.csv", "_EF.csv", ".factors.txt", ".convert.csv")
 # Twins of a trace's lines that keep it from numpy's path reader: a non-ASCII
-# comment first, or a whitespace-only line mid-file.
+# comment first, a whitespace-only line mid-file, or a UTF-8 byte-order mark.
 TWINS = {
     "utf8": lambda lines: [b"# \xc2\xb5\n"] + lines,
+    "bom": lambda lines: [codecs.BOM_UTF8] + lines,
     "blank": lambda lines: lines[:len(lines) // 2] + [b" \t\n"] + lines[len(lines) // 2:],
 }
 

@@ -1,6 +1,7 @@
 """Streaming session tests: batch equivalence, errors, flat surface."""
 
 import math
+import re
 import shutil
 import struct
 import tracemalloc
@@ -173,6 +174,33 @@ class TestSessionBasics:
         if raw is not None:
             raw = raw[0], raw[1].replace("sample", "second").replace(" m/s at ", " at ")
         assert raw == cycle
+
+    @pytest.mark.parametrize("speeds, at", [
+        (["5"], 0), ([b"5"], 0), ([None], 0), ([1.0, "5"], 1), ([2.0, 3.0, None, "x"], 2),
+        (np.array(["5"]), 0),
+    ])
+    def test_a_speed_that_is_not_a_number_is_a_type_error(self, tables, speeds, at):
+        """numpy would read "5" as 5.0 and None as NaN; a session's step
+        compares the value and raises TypeError, and so do a cycle and a raw
+        trace, naming the value's index."""
+        s = session_create(SourceType.LDV, tables)
+        with pytest.raises(TypeError):
+            for v in speeds:
+                session_step(s, v)
+        assert s.step_count == at
+        bad = speeds[at]
+        with pytest.raises(TypeError, match=f"^speed {re.escape(repr(bad))} at second {at} is"
+                                            " not a number$"):
+            DriveCycle(speeds)
+        with pytest.raises(TypeError, match=f"^speed {re.escape(repr(bad))} at sample {at} is"
+                                            " not a number$"):
+            RawTrace(np.arange(len(speeds), dtype=float), speeds, "m/s")
+
+    def test_a_timestamp_that_is_not_a_number_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^timestamp '0' at sample 0 is not a number$"):
+            RawTrace(t=["0"], v=["5"], unit="m/s")
+        with pytest.raises(TypeError, match="^timestamp None at sample 1 is not a number$"):
+            RawTrace(t=[0.0, None], v=[1.0, 2.0], unit="m/s")
 
     def test_missing_entry_leaves_session_unchanged(self, tables):
         broken = dict(tables.rates.entries)

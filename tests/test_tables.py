@@ -1,5 +1,6 @@
 """Table asset loading, validation and round-trip tests."""
 
+import codecs
 import subprocess
 import sys
 import tracemalloc
@@ -75,6 +76,22 @@ class TestLoadShippedAssets:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["params.csv", "rates.csv"]
         for name in ("params.csv", "rates.csv"):
             assert (tmp_path / name).read_bytes() == (tables_dir / name).read_bytes(), name
+
+    def test_byte_order_marked_files_give_the_same_tables(self, tmp_path, tables_dir, capsys):
+        """Excel's "CSV UTF-8" starts each file with a UTF-8 byte-order mark:
+        the tables still validate, and `factors` prints the same bytes."""
+        from movestar.cli import main
+        for name in ("params.csv", "rates.csv"):
+            (tmp_path / name).write_bytes(codecs.BOM_UTF8 + (tables_dir / name).read_bytes())
+        assert main(["validate-tables", "--tables", str(tmp_path)]) == 0
+        (tmp_path / "cycle.csv").write_text("0\n5\n10\n7\n0\n")
+        outputs = []
+        for directory in (tables_dir, tmp_path):
+            capsys.readouterr()
+            assert main(["factors", "--cycle", str(tmp_path / "cycle.csv"), "--veh", "1",
+                         "--tables", str(directory)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
 
     def test_deterministic_load(self, params_path, rates_path):
         a = load_table_set(params_path, rates_path)
@@ -426,6 +443,11 @@ class TestCorruptedTables:
         at = next(i for i, ln in enumerate(lines) if ln.startswith(b"LDT,11,"))
         lines[at] = lines[at].replace(b"LDT", b"LD\xff")
         r.write_bytes(b"\n".join(lines))
+        with pytest.raises(TableParseError, match="not UTF-8") as exc:
+            load_table_set(p, r)
+        assert exc.value.line == at + 1
+        # After a byte-order mark, the same byte is on the same line.
+        r.write_bytes(codecs.BOM_UTF8 + r.read_bytes())
         with pytest.raises(TableParseError, match="not UTF-8") as exc:
             load_table_set(p, r)
         assert exc.value.line == at + 1

@@ -145,18 +145,21 @@ console() {
   cat err.txt
   test "$status" -eq 1
   test "$(wc -l < err.txt)" -eq 1
-  grep -q '^error: cycle: .* at line 1$' err.txt
+  grep -q '^error: cycle: speed 1e+308 m/s at line 1 is over the 100.0 m/s limit$' err.txt
   if grep -q Traceback err.txt; then exit 1; fi
   # A NaN raw speed is named by its line, not by a second after
-  # resampling.
+  # resampling, in the same words whether numpy reads the file by path or
+  # a trailing non-ASCII comment sends it through the line reader.
   printf '0,1\n0.5,nan\n1,2\n' > nan.csv
-  status=0
-  "${ms[@]}" factors --cycle nan.csv --veh 1 2> err.txt || status=$?
-  cat err.txt
-  test "$status" -eq 1
-  test "$(wc -l < err.txt)" -eq 1
-  grep -q '^error: cycle: .* at line 2$' err.txt
-  if grep -q Traceback err.txt; then exit 1; fi
+  { cat nan.csv; printf '# \xc2\xb5\n'; } > nan_utf8.csv
+  for f in nan nan_utf8; do
+    status=0
+    "${ms[@]}" factors --cycle "$f.csv" --veh 1 2> err.txt || status=$?
+    cat err.txt
+    test "$status" -eq 1
+    test "$(cat err.txt)" = 'error: cycle: non-finite speed nan at line 2'
+    if grep -q Traceback err.txt; then exit 1; fi
+  done
   # One flatapi round trip through the installed package; a speed of
   # None is status 1 and an unhashable handle status 3, not an
   # exception. The whole streaming lifecycle runs without numpy, and
@@ -198,9 +201,9 @@ EOF
 
 # An ASCII file is read by numpy through its path, whatever its line ends
 # and with comment or empty lines between rows; one with an indented comment,
-# a whitespace-only line or a non-ASCII byte is read one line at a time in
-# Python. The conversions must be identical, and a `#` after a value is an
-# error at its line.
+# a whitespace-only line, a non-ASCII byte or a UTF-8 byte-order mark is read
+# one line at a time in Python. The conversions must be identical, and a `#`
+# after a value is an error at its line.
 line_endings() {
   printf 't,v\n0,0\n0.5,1\n1,2\n1.5,3\n2,4\n2.5,5\n3,5\n' > lf.csv
   sed 's/$/\r/' lf.csv > crlf.csv
@@ -208,7 +211,8 @@ line_endings() {
   printf 't,v\n0,0\n0.5,1\n# note\n1,2\n\n1.5,3\n2,4\n2.5,5\n3,5\n' > lines.csv
   printf 't,v\n0,0\n0.5,1\n  # note\n1,2\n \t\n1.5,3\n2,4\n2.5,5\n3,5\n' > spaces.csv
   { printf '# \xc2\xb5\n'; cat lf.csv; } > utf8.csv
-  for f in lf crlf cr lines spaces utf8; do
+  { printf '\xef\xbb\xbf'; cat lf.csv; } > bom.csv
+  for f in lf crlf cr lines spaces utf8 bom; do
     "${ms[@]}" convert --in "$f.csv" --out "$f.1hz.csv" --unit mph
     cmp lf.1hz.csv "$f.1hz.csv"
   done
