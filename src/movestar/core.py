@@ -27,17 +27,22 @@ from .errors import EmptyCycle, InvalidSample
 # The scalar model, republished: every name in `model.__all__` is also
 # `core.<name>`. The private thresholds and grid are the ones the kernel reads.
 from .model import *  # noqa: F403
-from .model import (_HARD_DECEL_MPS2, _MODE_GRID, _SPEED_CLASS_EDGES_MPS, _VSP_BIN_EDGES,
-                    _speed_error)
+from .model import (_BRAKING, _HARD_DECEL_MPS2, _MODE_GRID, _SPEED_CLASS_EDGES_MPS,
+                    _VSP_BIN_EDGES, _speed_error)
 
 _MODE_GRID_IDS = np.array(_MODE_GRID, dtype=np.int64)
 # The edges as arrays for ndarray.searchsorted, called as a method: np.searchsorted
 # adds a Python wrapper per call, and a tuple would be converted per call.
 _SPEED_CLASS_EDGES_ARRAY = np.array(_SPEED_CLASS_EDGES_MPS)
 _VSP_BIN_EDGES_ARRAY = np.array(_VSP_BIN_EDGES)
+# `_float_array` compares a dtype with it by `is`: a float64 array that numpy
+# builds has this very dtype.
+_FLOAT64 = np.dtype(np.float64)
+_TIME_TYPES = (np.datetime64, np.timedelta64)
+_NOT_NUMBERS = (str, bytes, complex, *_TIME_TYPES)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DriveCycle:
     """A validated 1 Hz drive cycle built from its speeds: read-only speeds
     `v` (m/s, from 0 to MAX_SPEED_MPS) and their forward-difference
@@ -46,12 +51,14 @@ class DriveCycle:
     v: np.ndarray
     a: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __init__(self, v: Sequence[float]):
         """Copy the speeds once; two reductions accept them (a NaN fails
         both), and a rejected cycle names its first speed outside [0,
         MAX_SPEED_MPS], as a session stepping them does. A forward difference
-        of speeds in range is finite, so `a` needs no test."""
-        v = _float_array(self.v, "speed", "second", copy=True)
+        of speeds in range is finite, so `a` needs no test. Frozen: the
+        fields are stored into `__dict__` at once, as `RateTable.__init__`
+        stores its own."""
+        v = _float_array(v, "speed", "second", copy=True)
         if v.ndim != 1:
             raise InvalidSample(f"speeds of shape {v.shape} are not one-dimensional")
         if v.size == 0:
@@ -61,8 +68,8 @@ class DriveCycle:
             raise _speed_error(v[second], f"second {second}")
         a = np.zeros(v.size)
         np.subtract(v[1:], v[:-1], out=a[1:])
-        object.__setattr__(self, "v", _readonly(v))
-        object.__setattr__(self, "a", _readonly(a))
+        v.flags.writeable = a.flags.writeable = False
+        self.__dict__.update(v=v, a=a)
 
     @classmethod
     def from_speeds(cls, speeds: Sequence[float]) -> "DriveCycle":
@@ -77,7 +84,7 @@ class DriveCycle:
         return self.v.size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CycleResult:
     """Aggregate output of a cycle run: read-only `modes` (one id per second)
     and `grams` ((n, 5) per-second masses, SPECIES_NAMES order), totals, and
@@ -90,6 +97,11 @@ class CycleResult:
     distance_m: float
     ef: EmissionVector | None
 
+    def __init__(self, modes: np.ndarray, grams: np.ndarray, totals: EmissionVector,
+                 distance_m: float, ef: EmissionVector | None):
+        self.__dict__.update(modes=modes, grams=grams, totals=totals, distance_m=distance_m,
+                             ef=ef)
+
     @property
     def ef_defined(self) -> bool:
         return self.ef is not None
@@ -101,18 +113,23 @@ class CycleResult:
 
 def _float_array(values, name: str, at: str, copy: bool = False) -> np.ndarray:
     """`values` as a float64 array, a new one if `copy`. numpy would convert a
-    str, bytes or None value: like a session's step, this raises TypeError."""
+    str, bytes or None value, and a complex, datetime64 or timedelta64 one:
+    like a session's step, this raises TypeError, naming the value as Python
+    shows it."""
     a = np.array(values) if copy else np.asarray(values)
-    if a.dtype.kind in "OSU" and a.ndim == 1:
+    if a.dtype is _FLOAT64:
+        return a
+    if a.dtype.kind in "OSUcmM" and a.ndim == 1:
         for i, x in enumerate(values):
-            if x is None or isinstance(x, (str, bytes)):
+            # A numpy str, bytes or complex value is shown as its Python value,
+            # alike on numpy 1.x and 2.x; a time one is kept, as `item()` may
+            # give an int for it.
+            if isinstance(x, np.generic) and not isinstance(x, _TIME_TYPES):
+                x = x.item()
+            if x is None or isinstance(x, _NOT_NUMBERS):
                 raise TypeError(f"{name} {x!r} at {at} {i} is not a number")
-    return a if a.dtype == np.float64 else np.asarray(values, dtype=float)
-
-
-def _readonly(x: np.ndarray) -> np.ndarray:
-    x.flags.writeable = False
-    return x
+    # An equal dtype that is another object (one with metadata) is float64 too.
+    return a if a.dtype == _FLOAT64 else np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +152,7 @@ def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray
         braking[run:] |= tail
     speed_class = _SPEED_CLASS_EDGES_ARRAY.searchsorted(v_mps, "right")
     modes = _MODE_GRID_IDS[speed_class, _VSP_BIN_EDGES_ARRAY.searchsorted(vsp, "right")]
-    modes[braking] = int(OpMode.BRAKING)
+    modes[braking] = _BRAKING
     return modes
 
 
@@ -145,10 +162,10 @@ def assemble_result(modes: np.ndarray, grams: np.ndarray, distance_m: float) -> 
 
     Totals, like `distance_m`, are in-order sums (`np.add.accumulate`, which
     `np.cumsum` calls); `np.sum` may add pairwise and round differently."""
-    grams = _readonly(grams.take(modes, axis=0))
-    totals = EmissionVector(*np.add.accumulate(grams, axis=0)[-1].tolist())
-    return CycleResult(modes=_readonly(modes), grams=grams, totals=totals,
-                       distance_m=distance_m, ef=per_km(totals, distance_m))
+    grams = grams.take(modes, axis=0)
+    grams.flags.writeable = modes.flags.writeable = False
+    totals = EmissionVector._make(np.add.accumulate(grams, axis=0)[-1].tolist())
+    return CycleResult(modes, grams, totals, distance_m, per_km(totals, distance_m))
 
 
 _last_aggregate = ()  # the last call's (weak cycle, params, rates, weak result)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DriveCycle, _float_array, _readonly
+from .core import DriveCycle, _float_array
 from .errors import CycleError, EmptyTrace, GapTooLarge, InvalidSample, ParseError, TraceFileError
 from .model import _TO_MPS, MAX_SPEED_MPS, SUPPORTED_UNITS, _number, _speed_error
 
@@ -55,8 +55,9 @@ class RawTrace:
                 and math.isfinite(float(t[-1]) - float(t[0]))
                 and np.less_equal(t[:-1], t[1:]).all()):
             raise _first_bad_sample(t, v, self.unit, lines)
-        object.__setattr__(self, "t", _readonly(np.array(t)))
-        object.__setattr__(self, "v", _readonly(np.array(v)))
+        t, v = np.array(t), np.array(v)
+        t.flags.writeable = v.flags.writeable = False
+        self.__dict__.update(t=t, v=v)
 
     @property
     def times(self) -> tuple[float, ...]:

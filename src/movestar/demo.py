@@ -124,11 +124,14 @@ class SignalScenario:
         return t + (self.period_s - phase)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GlideOutcome:
     cycle: DriveCycle
     feasible: bool
     glide_speed_mps: float | None = None
+
+    def __init__(self, cycle: DriveCycle, feasible: bool, glide_speed_mps: float | None = None):
+        self.__dict__.update(cycle=cycle, feasible=feasible, glide_speed_mps=glide_speed_mps)
 
 
 def _odd_at_least(x: float) -> int:
@@ -173,7 +176,7 @@ def gen_baseline_trajectory(sc: SignalScenario) -> DriveCycle:
         speeds += [0.0] * wait
         speeds += [v_c * j / m for j in range(1, m + 1)]
         speeds += [v_c] * b
-    cycle = DriveCycle.from_speeds(speeds)
+    cycle = DriveCycle(speeds)
     _last_baseline = (weakref.ref(sc), weakref.ref(cycle))
     return cycle
 
@@ -298,7 +301,7 @@ def gen_smoothed_trajectory(sc: SignalScenario) -> GlideOutcome:
         speeds += [v_g] * hold
         speeds += [v_g + j * glide_drop / m2 for j in range(1, m2 + 1)]
         speeds += [v_c] * b2
-        return GlideOutcome(cycle=DriveCycle.from_speeds(speeds), feasible=True,
+        return GlideOutcome(cycle=DriveCycle(speeds), feasible=True,
                             glide_speed_mps=v_g)
 
     return GlideOutcome(cycle=gen_baseline_trajectory(sc), feasible=False)

@@ -91,9 +91,10 @@ def step(handle: int, speed_mps: float) -> tuple[int, int, float, float, float, 
     try:
         return session._advance(speed_mps)
     except (CycleError, TypeError, ValueError, OverflowError):
-        # A non-number speed fails the range test or `float()` before any
-        # state changes: TypeError (str, None, list, complex), ValueError (an
-        # array of several values), OverflowError (an int past float range).
+        # A non-number speed fails the complex test, the range test or
+        # `float()` before any state changes: TypeError (str, None, list,
+        # complex, datetime64), ValueError (an array of several values),
+        # OverflowError (an int past float range).
         return _error(ERR_INPUT), -1, 0.0, 0.0, 0.0, 0.0, 0.0
 
 

@@ -105,6 +105,8 @@ class OpMode(enum.IntEnum):
 
 
 VALID_OPMODE_IDS: tuple[int, ...] = tuple(int(m) for m in OpMode)
+# The braking id as a plain int, for the kernel's mask fill and a session's rows.
+_BRAKING = int(OpMode.BRAKING)
 
 # The operating mode of each cell of the speed-class x VSP-bin grid. Rows are
 # the speed classes idle, low, mid and high (mph); columns are the VSP bins

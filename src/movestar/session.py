@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from numbers import Complex, Real
 from typing import TYPE_CHECKING
 
 from .errors import EmptySession, UnknownSourceType
 from .model import (
+    _BRAKING,
     _HARD_DECEL_MPS2,
     _SOFT_DECEL_MPS2,
     _SPEED_CLASS_EDGES_MPS,
@@ -37,7 +39,6 @@ from .tables import TableSet
 if TYPE_CHECKING:
     from .core import CycleResult
 
-_BRAKING = int(OpMode.BRAKING)
 # The speed-class edges, compared one by one in `_advance`: a speed's class
 # is the number of edges at or below it, as `bisect_right` counts them.
 _IDLE_MAX, _LOW_MAX, _MID_MAX = _SPEED_CLASS_EDGES_MPS
@@ -106,6 +107,11 @@ class EmissionSession:
         `specific_power`'s operation order, so the mode is bit for bit the batch
         kernel's. No mode is recorded, and state changes only after the last
         check has passed."""
+        # numpy's complex values pass the range test and `float()` with only a
+        # warning; every other non-number fails one of them.
+        if (type(speed_mps) is not float and isinstance(speed_mps, Complex)
+                and not isinstance(speed_mps, Real)):
+            raise TypeError(f"speed {speed_mps!r} at second {self._steps} is not a number")
         if not 0.0 <= speed_mps <= MAX_SPEED_MPS:
             raise _speed_error(speed_mps, f"second {self._steps}")
         v = float(speed_mps)

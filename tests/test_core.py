@@ -1,5 +1,6 @@
 """Core pipeline unit and property tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from movestar.core import (
     MAX_SPEED_MPS,
     EmissionVector,
+    CycleResult,
     DriveCycle,
     OpMode,
     SourceType,
@@ -20,6 +22,7 @@ from movestar.core import (
     per_second_emissions,
     specific_power,
 )
+from movestar.demo import GlideOutcome
 from movestar.errors import EmptyCycle, IncompleteTable, InvalidSample, NegativeSpeed
 
 from conftest import in_order_sum, scaled_rates
@@ -98,6 +101,74 @@ class TestDriveCycleContract:
         assert direct.v.tolist() == [1.0, 2.0, 3.0]
         assert derived.v.tolist() == [1.0, 2.0, 3.0]
         assert not direct.v.flags.writeable and not derived.a.flags.writeable
+
+
+class TestRecordContracts:
+    """`DriveCycle`, `CycleResult` and `GlideOutcome` are frozen dataclasses:
+    their fields, repr, equality, hash and `dataclasses.replace` are theirs."""
+
+    @pytest.fixture
+    def records(self, tables):
+        cycle = DriveCycle([0.0, 3.0, 7.5])
+        result = aggregate_cycle(cycle, tables.params_for(SourceType.LDV), tables.rates)
+        return cycle, result, GlideOutcome(cycle, True, 7.5)
+
+    def test_attributes_can_be_neither_set_nor_deleted(self, records):
+        for record in records:
+            for name in (f.name for f in dataclasses.fields(record)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.extra = 1
+
+    def test_fields_and_repr(self, records):
+        cycle, result, outcome = records
+        assert [(f.name, f.init) for f in dataclasses.fields(DriveCycle)] == [
+            ("v", True), ("a", False)]
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "modes", "grams", "totals", "distance_m", "ef"]
+        assert [f.name for f in dataclasses.fields(outcome)] == [
+            "cycle", "feasible", "glide_speed_mps"]
+        assert all(map(dataclasses.is_dataclass, (*records, DriveCycle, GlideOutcome)))
+        assert repr(cycle) == f"DriveCycle(v={cycle.v!r}, a={cycle.a!r})"
+        assert repr(result) == (f"CycleResult(modes={result.modes!r}, grams={result.grams!r}, "
+                                f"totals={result.totals!r}, distance_m=10.5, ef={result.ef!r})")
+        assert repr(outcome) == f"GlideOutcome(cycle={cycle!r}, feasible=True, glide_speed_mps=7.5)"
+
+    def test_replace_keeps_the_other_fields(self, records):
+        _, result, _ = records
+        totals = result.totals._replace(co2=1.0)
+        changed = dataclasses.replace(result, totals=totals)
+        assert type(changed) is CycleResult and changed.totals is totals
+        for name in ("modes", "grams", "distance_m", "ef"):
+            assert getattr(changed, name) is getattr(result, name)
+
+    def test_replace_builds_a_checked_cycle(self, records):
+        cycle = records[0]
+        with pytest.raises(NegativeSpeed, match="^negative speed -1.0 at second 0$"):
+            dataclasses.replace(cycle, v=[-1.0])
+        assert dataclasses.replace(cycle, v=[2.0, 5.0]).a.tolist() == [0.0, 3.0]
+        with pytest.raises(ValueError):
+            dataclasses.replace(cycle, a=[0.0])
+
+    def test_cycles_and_results_compare_by_identity(self, records):
+        cycle, result, _ = records
+        assert cycle == cycle and cycle != DriveCycle(cycle.v)
+        assert result != dataclasses.replace(result)
+        assert hash(cycle) == object.__hash__(cycle) and hash(result) == object.__hash__(result)
+
+    def test_glide_outcome_is_a_value(self, records):
+        cycle = records[0]
+        by_keyword = GlideOutcome(cycle=cycle, feasible=False)
+        assert by_keyword.glide_speed_mps is None
+        assert by_keyword == GlideOutcome(cycle, False) == GlideOutcome(cycle, False, None)
+        assert hash(by_keyword) == hash(GlideOutcome(cycle, False))
+        assert GlideOutcome(cycle, True, 7.5) != GlideOutcome(cycle, True, 7.0)
+        assert GlideOutcome(cycle, True, 7.5) != GlideOutcome(DriveCycle(cycle.v), True, 7.5)
+        with pytest.raises(TypeError):
+            GlideOutcome(cycle)
 
 
 class TestComputeVsp:

@@ -105,6 +105,19 @@ segments = st.tuples(
 )
 
 
+# Speeds a cycle, a trace and a session reject as not numbers: each list, the
+# index of its first bad value, and that value's words in the error, or None
+# for numpy's own repr of a time value.
+NOT_NUMBERS = [
+    (["5"], 0, "'5'"), ([b"5"], 0, "b'5'"), ([None], 0, "None"), ([1.0, "5"], 1, "'5'"),
+    ([2.0, 3.0, None, "x"], 2, "None"), (np.array(["5"]), 0, "'5'"),
+    (np.array([1 + 5j]), 0, "(1+5j)"), ([1.0, np.complex64(2 + 3j)], 1, "(2+3j)"),
+    ([np.complex128(3 + 4j)], 0, "(3+4j)"), ([4.0, 2 + 0j], 1, "(2+0j)"),
+    (np.array([5], dtype="timedelta64[s]"), 0, None),
+    (np.array(["2020-01-01"], dtype="datetime64[D]"), 0, None),
+]
+
+
 class TestSessionBasics:
     def test_create_fresh(self, tables):
         s = session_create(SourceType.LDV, tables)
@@ -175,25 +188,22 @@ class TestSessionBasics:
             raw = raw[0], raw[1].replace("sample", "second").replace(" m/s at ", " at ")
         assert raw == cycle
 
-    @pytest.mark.parametrize("speeds, at", [
-        (["5"], 0), ([b"5"], 0), ([None], 0), ([1.0, "5"], 1), ([2.0, 3.0, None, "x"], 2),
-        (np.array(["5"]), 0),
-    ])
-    def test_a_speed_that_is_not_a_number_is_a_type_error(self, tables, speeds, at):
-        """numpy would read "5" as 5.0 and None as NaN; a session's step
-        compares the value and raises TypeError, and so do a cycle and a raw
-        trace, naming the value's index."""
+    @pytest.mark.parametrize("speeds, at, shown", NOT_NUMBERS,
+                             ids=[f"speeds{i}-{at}" for i, (_, at, _) in enumerate(NOT_NUMBERS)])
+    def test_a_speed_that_is_not_a_number_is_a_type_error(self, tables, speeds, at, shown):
+        """numpy would read "5" as 5.0, None as NaN, a complex value as its
+        real part and a time as a count of its units; a session's step raises
+        TypeError, and so do a cycle and a raw trace, naming the value (a str,
+        bytes or complex one as Python shows it) and its index."""
         s = session_create(SourceType.LDV, tables)
         with pytest.raises(TypeError):
             for v in speeds:
                 session_step(s, v)
         assert s.step_count == at
-        bad = speeds[at]
-        with pytest.raises(TypeError, match=f"^speed {re.escape(repr(bad))} at second {at} is"
-                                            " not a number$"):
+        shown = re.escape(repr(speeds[at]) if shown is None else shown)
+        with pytest.raises(TypeError, match=f"^speed {shown} at second {at} is not a number$"):
             DriveCycle(speeds)
-        with pytest.raises(TypeError, match=f"^speed {re.escape(repr(bad))} at sample {at} is"
-                                            " not a number$"):
+        with pytest.raises(TypeError, match=f"^speed {shown} at sample {at} is not a number$"):
             RawTrace(np.arange(len(speeds), dtype=float), speeds, "m/s")
 
     def test_a_timestamp_that_is_not_a_number_is_a_type_error(self):
@@ -201,6 +211,12 @@ class TestSessionBasics:
             RawTrace(t=["0"], v=["5"], unit="m/s")
         with pytest.raises(TypeError, match="^timestamp None at sample 1 is not a number$"):
             RawTrace(t=[0.0, None], v=[1.0, 2.0], unit="m/s")
+        with pytest.raises(TypeError, match=r"^timestamp 1j at sample 1 is not a number$"):
+            RawTrace(t=[0.0, 1j], v=[1.0, 2.0], unit="m/s")
+        for t in (np.array([0, 1], dtype="datetime64[s]"), np.array([0, 1], dtype="m8[s]")):
+            with pytest.raises(TypeError, match=f"^timestamp {re.escape(repr(t[0]))} at sample 0"
+                                                " is not a number$"):
+                RawTrace(t=t, v=[1.0, 2.0], unit="m/s")
 
     def test_missing_entry_leaves_session_unchanged(self, tables):
         broken = dict(tables.rates.entries)
@@ -633,8 +649,11 @@ class TestFlatApi:
         assert (flatapi.totals(handle), session.step_count, session.prev_speed) == before
         flatapi.destroy(handle)
 
-    @pytest.mark.parametrize("bad", ["5", None, [1.0], 1j, np.array([1.0, 2.0]), 10**400],
-                             ids=["str", "None", "list", "complex", "array", "big_int"])
+    @pytest.mark.parametrize("bad", ["5", None, [1.0], 1j, np.array([1.0, 2.0]), 10**400,
+                                     np.complex128(3 + 4j), np.complex64(3 + 4j),
+                                     np.timedelta64(5, "s"), np.datetime64("2020-01-01")],
+                             ids=["str", "None", "list", "complex", "array", "big_int",
+                                  "complex128", "complex64", "timedelta64", "datetime64"])
     def test_non_number_speed_is_input_status(self, bad, tables):
         _, handle = flatapi.create(1)
         flatapi.step(handle, 5.0)
