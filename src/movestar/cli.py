@@ -8,8 +8,9 @@ Subcommands:
     convert          resample a sub-second trace to 1 Hz CSV
     demo             single-intersection glide-vs-stop comparison
 
-Exit codes: 0 success, 1 input (trace/cycle/scenario) error or an output
-file that cannot be written, 2 table error. argparse usage errors also exit 2.
+Exit codes: 0 success, 1 input (trace/cycle/scenario) error or output
+that cannot be written (a file, or a closed stdout), 2 table error.
+argparse usage errors also exit 2.
 
 Output files are byte-deterministic: fixed column order, fixed 9-decimal
 formatting, provenance and unit headers taken verbatim from the table
@@ -19,6 +20,7 @@ assets.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -203,9 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            # Help, usage and command output meet a closed stdout here, not
+            # at interpreter exit, where the error would escape the exit codes.
+            sys.stdout.flush()
     except TableError as exc:
         print(f"error: tables: {exc}", file=sys.stderr)
         return EXIT_TABLES
@@ -213,6 +220,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {args.label}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:           # reads raise the package errors above
+        if isinstance(exc, BrokenPipeError):
+            # What stdout still holds goes to the null device at exit, as
+            # Python's `signal` documentation advises.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: output: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

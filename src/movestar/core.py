@@ -103,10 +103,6 @@ class CycleResult:
                              ef=ef)
 
     @property
-    def ef_defined(self) -> bool:
-        return self.ef is not None
-
-    @property
     def distance_km(self) -> float:
         return self.distance_m / 1000.0
 

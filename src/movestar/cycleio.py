@@ -102,10 +102,10 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
 
     `RawTrace` judges the values. Single-column files get implicit timestamps 0, 1,
     2, ... A leading UTF-8 byte-order mark is skipped. An unreadable file raises
-    TraceFileError. numpy reads the file by path if `_skiprows` allows it and the
-    table it reads is a good trace; any other file, and any file numpy or
-    `RawTrace` rejects, is read one line at a time in Python by `_read_lines`,
-    with the same values and errors.
+    TraceFileError. numpy reads the file by path if `_skiprows` allows it; if
+    `RawTrace` rejects that table, the bytes already read number its rows. Any
+    other file, and any file numpy rejects, is read one line at a time in
+    Python by `_read_lines`, with the same values and errors.
     """
     if unit not in SUPPORTED_UNITS:
         raise ParseError(f"unsupported unit flag {unit!r}; expected one of {SUPPORTED_UNITS}")
@@ -119,16 +119,26 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
         # numpy reads the path in C chunks with universal newlines. It skips
         # the first `start` lines, then every empty line and every line that
         # starts with `#`. It opens the file a second time: if it is gone by
-        # then, the bytes already read are the source; if it was replaced, the
-        # new values still pass every check of `RawTrace`.
+        # then, the bytes already read are the source. If it was replaced, a
+        # table `RawTrace` rejects is named from the bytes held only when it
+        # has as many rows as they do; else they are read as lines.
         try:
             table = np.loadtxt(str(path), delimiter=",", comments="#", dtype=float,
                                skiprows=start, ndmin=2, encoding="utf-8")
-            if table.shape[1] <= 2:
-                t = table[:, 0] if table.shape[1] == 2 else np.arange(len(table), dtype=float)
-                return RawTrace(t=t, v=table[:, -1], unit=unit)
-        except (ValueError, OSError, CycleError):
-            pass
+        except (ValueError, OSError):
+            table = None
+        if table is not None and table.shape[1] <= 2:
+            t = table[:, 0] if table.shape[1] == 2 else np.arange(len(table), dtype=float)
+            v = table[:, -1]
+            try:
+                return RawTrace(t=t, v=v, unit=unit)
+            except CycleError:
+                # `bytes.splitlines` splits as numpy and `_skiprows` do; each
+                # line numpy read is neither empty nor starts with `#`.
+                lines = [n for n, line in enumerate(data.splitlines()[start:], start + 1)
+                         if line and line[0] != b"#"[0]]
+                if len(lines) == len(t):
+                    raise _first_bad_sample(t, v, unit, lines) from None
     return _read_lines(path, data, unit)
 
 
@@ -256,7 +266,7 @@ def _window_means(raw: RawTrace) -> np.ndarray:
 
 def resample_to_1hz(raw: RawTrace) -> DriveCycle:
     """Convert a raw trace to a validated 1 Hz drive cycle in m/s."""
-    return DriveCycle.from_speeds(_window_means(raw))
+    return DriveCycle(_window_means(raw))
 
 
 def load_cycle(path: str | Path, unit: str = "m/s") -> DriveCycle:

@@ -45,6 +45,10 @@ class SourceType(enum.Enum):
     LDV = "LDV"   # light-duty vehicle (passenger car)
     LDT = "LDT"   # light-duty truck (passenger truck / SUV)
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash keys every dict alike, without `Enum.__hash__`'s Python call.
+    __hash__ = object.__hash__
+
     @property
     def code(self) -> int:
         """Numeric selector used by the CLI: 1 = LDV, 2 = LDT."""

@@ -352,6 +352,35 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: output:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--cycle", "{cycle}", "--veh", "1", "--out", "{tmp}/trip"],
+        ["factors", "--cycle", "{cycle}", "--veh", "2"],
+        ["validate-tables"],
+        ["convert", "--in", "{cycle}", "--out", "{tmp}/onehz.csv"],
+        ["demo", "--distance", "240", "--cruise", "12", "--green", "25", "--red", "30"],
+        ["--help"],
+        ["run", "--help"],
+    ])
+    def test_closed_stdout_is_one_output_error(self, tmp_path, cycle_file, argv):
+        """A stdout whose reader is gone fails when `main` flushes it, not at
+        interpreter exit: exit 1 and one `error: output:` line. Python buffers
+        a piped stdout unless PYTHONUNBUFFERED is set, so the child runs
+        without it."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONUNBUFFERED", ENV_TABLES_DIR)}
+        env["PYTHONPATH"] = str(Path(movestar.__file__).resolve().parent.parent)
+        argv = [a.format(cycle=cycle_file, tmp=tmp_path) for a in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "movestar.cli", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: output:") and done.stderr.count("\n") == 1
+
     DEMO = {"--distance": "200", "--cruise": "15", "--green": "30", "--red": "30",
             "--offset": "0"}
 

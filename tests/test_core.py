@@ -303,7 +303,6 @@ class TestAggregateCycle:
         idle = per_second_emissions(tables.rates.entries[(SourceType.LDV, 1)])
         assert result.totals == in_order_sum([idle] * 10)
         assert result.ef is None
-        assert not result.ef_defined
         assert result.modes.tolist() == [OpMode.IDLE] * 10
 
     def test_missing_entry_names_first_missing_mode(self, tables):

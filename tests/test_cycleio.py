@@ -4,6 +4,7 @@ import codecs
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -391,6 +392,40 @@ class TestReadRoute:
         assert (raw.t.tolist(), raw.v.tolist()) == ([0.0, 1.0], [1.0, 2.5])
         assert not path.exists()
 
+    # A file numpy reads but `RawTrace` rejects is read once: the bytes held
+    # number its rows.
+    def test_rejected_plain_file_is_not_read_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        calls = self.spy(path, "# c\nt,v\n0,1\n\n1,2.5\n# c\n0.5,3\n", monkeypatch)
+        lines = self.spy_lines(monkeypatch)
+        with pytest.raises(InvalidSample, match="^timestamp decreases at line 7$"):
+            parse_trace(path, "m/s")
+        assert (calls, lines) == ([("path", 2)], [])
+
+    # If the file was replaced after `read_bytes` and numpy reads another
+    # number of rows, the bytes held give the error, one line at a time.
+    def test_replaced_file_with_other_rows_is_read_as_lines(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,v\n0,1\n1,-2\n2,3\n", encoding="utf-8")
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(cycleio.np, "loadtxt", lambda *a, **k: loadtxt(*a, **k)[:-1])
+        lines = self.spy_lines(monkeypatch)
+        with pytest.raises(NegativeSpeed, match="^negative speed -2.0 at line 3$"):
+            parse_trace(path, "m/s")
+        assert lines == [path]
+
+    @staticmethod
+    def spy_lines(monkeypatch):
+        """The list of paths `parse_trace` hands `_read_lines`."""
+        calls, read_lines = [], cycleio._read_lines
+
+        def spy(path, data, unit):
+            calls.append(path)
+            return read_lines(path, data, unit)
+
+        monkeypatch.setattr(cycleio, "_read_lines", spy)
+        return calls
+
     @classmethod
     def route(cls, path, text, monkeypatch):
         """What `parse_trace` hands `np.loadtxt` for a file that parses."""
@@ -413,6 +448,59 @@ class TestReadRoute:
 
         monkeypatch.setattr(cycleio.np, "loadtxt", spy)
         return calls
+
+
+# Speeds that are bad in every unit, and timestamps that are not finite.
+BAD_SPEED_CELLS = ["-1", "-0.5", "nan", "inf", "-inf", "1e999", "361", "1e308"]
+BAD_TIME_CELLS = ["nan", "inf", "-inf"]
+
+
+@st.composite
+def rejected_plain_texts(draw):
+    """A file numpy reads by path whose rows are all good but one: that row
+    has a bad speed, a timestamp that is not finite or one that decreases.
+    A header, comment and empty lines fall among the rows, with one line
+    ending throughout."""
+    ncols = draw(st.sampled_from([1, 2]))
+    rows = draw(st.integers(2, 30))
+    bad = draw(st.integers(1, rows - 1) if ncols == 2 else st.integers(0, rows - 1))
+    kind = draw(st.sampled_from(["speed", "time", "decrease"] if ncols == 2 else ["speed"]))
+    lines = draw(st.sampled_from([[], ["# unit: v=m/s"], ["t,v" if ncols == 2 else "time"]]))
+    for i in range(rows):
+        lines += draw(st.lists(st.sampled_from(["# note", "", "#"]), max_size=2))
+        t, v = str(i), draw(st.sampled_from(["0", "12.5", "99"]))
+        if i == bad and kind == "speed":
+            v = draw(st.sampled_from(BAD_SPEED_CELLS))
+        elif i == bad:
+            t = draw(st.sampled_from(BAD_TIME_CELLS)) if kind == "time" else f"{i - 1.5}"
+        lines.append(v if ncols == 1 else f"{t},{v}")
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines)
+    return text + ending if draw(st.booleans()) else text
+
+
+class TestRejectedPlainFile:
+    """A file numpy reads by path and `RawTrace` rejects is named from the
+    bytes already read, in the line reader's words: same class, message and
+    line, with no second read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=rejected_plain_texts(), unit=st.sampled_from(SUPPORTED_UNITS))
+    @example(text="t,v\r\n0,1\r\n\r\n# c\r\n1,2\r\n0.5,3", unit="m/s")
+    @example(text="time\r# c\r\r1\rnan\r", unit="mph")
+    def test_error_is_the_line_readers(self, tmp_path_factory, text, unit):
+        path = tmp_path_factory.getbasetemp() / "rejected.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        data = path.read_bytes()
+        assert cycleio._skiprows(path, data) is not None
+        with pytest.raises(CycleError) as want:
+            cycleio._read_lines(path, data, unit)
+        with mock.patch.object(cycleio, "_read_lines", wraps=cycleio._read_lines) as spy:
+            with pytest.raises(CycleError) as got:
+                parse_trace(path, unit)
+        assert not spy.called
+        assert ((type(got.value), str(got.value), getattr(got.value, "line", None))
+                == (type(want.value), str(want.value), getattr(want.value, "line", None)))
 
 
 class TestResample:

@@ -147,6 +147,19 @@ class TestRecords:
         assert tables.params_for(SourceType.LDT) is params[SourceType.LDT]
         assert (rates, provenance) == (tables.rates, tables.provenance)
 
+    def test_source_types_hash_by_identity(self, tables):
+        """Members are singletons compared by identity: the C-level identity
+        hash keys every table dict, and a pickled member is the member."""
+        import pickle
+        assert SourceType.__hash__ is object.__hash__
+        params, rates = dict(tables.params), tables.rates
+        for st in SourceType:
+            assert pickle.loads(pickle.dumps(st)) is st
+            assert tables.params_for(st) is params[st] and tables.params_for(st).source_type is st
+            assert rates.grams[st][1].tolist() == list(rates.per_second[st].results[1][2:])
+            assert tables.params_for(pickle.loads(pickle.dumps(st))) is tables.params_for(st)
+        assert [p.source_type for p in params.values()] == list(params)
+
     def test_tuple_records_still_take_the_dataclasses_functions(self, tables):
         import dataclasses
         vec = EmissionVector(1.0, 2.0, 3.0, 4.0, 5.0)

@@ -118,6 +118,20 @@ console() {
   test "$status" -eq 1
   grep -q '^error: output:' err.txt
   if grep -q Traceback err.txt; then exit 1; fi
+  # A closed stdout is one output error, exit 1, also when Python buffers
+  # it: the child gets a pipe whose read end is closed, without
+  # PYTHONUNBUFFERED.
+  env -u PYTHONUNBUFFERED python - "${ms[@]}" factors --cycle trip.csv --veh 2 <<'EOF'
+import os, subprocess, sys
+read_end, write_end = os.pipe()
+os.close(read_end)
+done = subprocess.run(sys.argv[1:], stdout=write_end, stderr=subprocess.PIPE, text=True)
+os.close(write_end)
+print(done.stderr, end="", file=sys.stderr)
+if done.returncode != 1 or done.stderr.count("\n") != 1 \
+        or not done.stderr.startswith("error: output:"):
+    raise SystemExit(f"closed stdout: exit {done.returncode}")
+EOF
   # A speed over the 100 m/s bound is an input error, not an overflow.
   printf 't,v\n0,0\n1,1e300\n' > fast.csv
   status=0
