@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import EmptyCycle, InvalidSample
 # The scalar model, republished: every name in `model.__all__` is also
 # `core.<name>`. The private thresholds and grid are the ones the kernel reads.
 from .model import *  # noqa: F403
-from .model import (_BRAKING, _HARD_DECEL_MPS2, _MODE_GRID, _SPEED_CLASS_EDGES_MPS,
-                    _VSP_BIN_EDGES, _speed_error)
+from .model import (_BRAKING, _HARD_DECEL_MPS2, _MODE_GRID, _SOFT_DECEL_MPS2,
+                    _SPEED_CLASS_EDGES_MPS, _VSP_BIN_EDGES, _speed_error)
 
 _MODE_GRID_IDS = np.array(_MODE_GRID, dtype=np.int64)
 # The edges as arrays for ndarray.searchsorted, called as a method: np.searchsorted
@@ -40,6 +41,19 @@ _VSP_BIN_EDGES_ARRAY = np.array(_VSP_BIN_EDGES)
 _FLOAT64 = np.dtype(np.float64)
 _TIME_TYPES = (np.datetime64, np.timedelta64)
 _NOT_NUMBERS = (str, bytes, complex, *_TIME_TYPES)
+
+
+def _constant(x: float) -> np.ndarray:
+    """`x` as a read-only 0-d float64 array. numpy converts a Python float
+    operand on every array operation and a 0-d array not, with the same
+    values: the kernel's coefficients and thresholds are these."""
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
+_SOFT_DECEL_ARRAY = _constant(_SOFT_DECEL_MPS2)
+_HARD_DECEL_ARRAY = _constant(_HARD_DECEL_MPS2)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -137,14 +151,16 @@ def classify_opmode_array(v_mps: np.ndarray, vsp: np.ndarray, a_mps2: np.ndarray
     braking if `a_mps2` is at or under BRAKE_DECEL_MPHPS, or if it and the
     BRAKE_SOFT_RUN_S - 1 seconds before it are all soft decelerations
     (`is_soft_decel`); otherwise the speed-class / VSP-bin cell of the mode
-    grid. Each mph threshold is applied as its exact m/s threshold."""
-    soft = is_soft_decel(a_mps2)
-    braking = np.less_equal(a_mps2, _HARD_DECEL_MPS2)
+    grid. Each mph threshold is applied as its exact m/s threshold, held as
+    a 0-d array; the run is built in one array of its own."""
+    soft = np.less(a_mps2, _SOFT_DECEL_ARRAY)
+    braking = np.less_equal(a_mps2, _HARD_DECEL_ARRAY)
     n, run = soft.size, BRAKE_SOFT_RUN_S - 1
     if n > run:
-        tail = soft[run:]         # second t >= run: soft[t - k] for k = 0 .. run
-        for k in range(1, run + 1):
-            tail = tail & soft[run - k:n - k]
+        # second t >= run: soft[t - k] for k = 0 .. run
+        tail = soft[run:] & soft[run - 1:n - 1]
+        for k in range(2, run + 1):
+            tail &= soft[run - k:n - k]
         braking[run:] |= tail
     speed_class = _SPEED_CLASS_EDGES_ARRAY.searchsorted(v_mps, "right")
     modes = _MODE_GRID_IDS[speed_class, _VSP_BIN_EDGES_ARRAY.searchsorted(vsp, "right")]
@@ -162,6 +178,16 @@ def assemble_result(modes: np.ndarray, grams: np.ndarray, distance_m: float) -> 
     grams.flags.writeable = modes.flags.writeable = False
     totals = EmissionVector._make(np.add.accumulate(grams, axis=0)[-1].tolist())
     return CycleResult(modes, grams, totals, distance_m, per_km(totals, distance_m))
+
+
+@lru_cache(maxsize=16)
+def _kernel_params(params: VehicleParams) -> VehicleParams:
+    """`params` with its five coefficients as `_constant`s, which
+    `specific_power` takes on a cycle's arrays with the same values as the
+    floats. Keyed by value: equal records, as two loads of a table give,
+    share one entry. A coefficient of -0.0 may so share 0.0's, which can flip
+    only the sign of a zero VSP, and no mode."""
+    return params._replace(**{name: _constant(getattr(params, name)) for name in "ABCMf"})
 
 
 _last_aggregate = ()  # the last call's (weak cycle, params, rates, weak result)
@@ -182,7 +208,7 @@ def aggregate_cycle(cycle: DriveCycle, params: VehicleParams,
         if result is not None:
             return result
     v, a = cycle.v, cycle.a
-    modes = classify_opmode_array(v, specific_power(params, v, a), a)
+    modes = classify_opmode_array(v, specific_power(_kernel_params(params), v, a), a)
     result = assemble_result(modes, rates.grams[params.source_type],
                              float(np.add.accumulate(v)[-1]))
     _last_aggregate = (weakref.ref(cycle), params, rates, weakref.ref(result))

@@ -101,7 +101,8 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
     """Read a trace file, rejecting its first bad row with its line number.
 
     `RawTrace` judges the values. Single-column files get implicit timestamps 0, 1,
-    2, ... A leading UTF-8 byte-order mark is skipped. An unreadable file raises
+    2, ... A leading UTF-8 byte-order mark is skipped, once, before the route is
+    chosen: numpy's `utf-8-sig` read skips it too. An unreadable file raises
     TraceFileError. numpy reads the file by path if `_skiprows` allows it; if
     `RawTrace` rejects that table, the bytes already read number its rows. Any
     other file, and any file numpy rejects, is read one line at a time in
@@ -114,6 +115,7 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
         data = path.read_bytes()
     except OSError as exc:
         raise TraceFileError(exc.errno, exc.strerror, exc.filename) from None
+    data = data.removeprefix(codecs.BOM_UTF8)
     start = _skiprows(path, data)
     if start is not None:
         # numpy reads the path in C chunks with universal newlines. It skips
@@ -124,7 +126,7 @@ def parse_trace(path: str | Path, unit: str = "m/s") -> RawTrace:
         # has as many rows as they do; else they are read as lines.
         try:
             table = np.loadtxt(str(path), delimiter=",", comments="#", dtype=float,
-                               skiprows=start, ndmin=2, encoding="utf-8")
+                               skiprows=start, ndmin=2, encoding="utf-8-sig")
         except (ValueError, OSError):
             table = None
         if table is not None and table.shape[1] <= 2:
@@ -184,11 +186,11 @@ def _skiprows(path: Path, data: bytes) -> int | None:
 
 
 def _read_lines(path: Path, data: bytes, unit: str) -> RawTrace:
-    """The trace in `unit` of a file's bytes `data`, read one line at a time, or
-    the error of its first bad line. Lines are only split into numbers here:
-    `RawTrace` judges the values, so a line that does not split is an error
-    once the rows above it have passed."""
-    data = data.removeprefix(codecs.BOM_UTF8)
+    """The trace in `unit` of a file's bytes `data`, without the byte-order
+    mark `parse_trace` skipped, read one line at a time, or the error of its
+    first bad line. Lines are only split into numbers here: `RawTrace` judges
+    the values, so a line that does not split is an error once the rows above
+    it have passed. A second mark is text."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -314,11 +314,26 @@ def specific_power(params: VehicleParams, v, a):
     or arrays alike; callers check the inputs.
 
     VSP = (A*v + B*v^2 + C*v^3 + M*a*v) / f
+
+    The operations are `(A*v + B*v*v + C*v*v*v + M*a*v) / f`'s, in its order,
+    so a float and an array element round alike. The augmented steps work in
+    place only on the arrays this function makes (`A * v`, `B * v`, ...); on
+    floats they rebind names. `v`, `a` and the coefficients, which may be 0-d
+    arrays (the kernel's), are never written.
     """
-    return (params.A * v
-            + params.B * v * v
-            + params.C * v * v * v
-            + params.M * a * v) / params.f
+    vsp = params.A * v
+    term = params.B * v
+    term *= v
+    vsp += term
+    term = params.C * v
+    term *= v
+    term *= v
+    vsp += term
+    term = params.M * a
+    term *= v
+    vsp += term
+    vsp /= params.f
+    return vsp
 
 
 def is_soft_decel(a_mps2):

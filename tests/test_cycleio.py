@@ -402,6 +402,50 @@ class TestReadRoute:
             parse_trace(path, "m/s")
         assert (calls, lines) == ([("path", 2)], [])
 
+    # A leading byte-order mark is skipped before the route is chosen: numpy
+    # reads a marked plain file by path, to the plain file's arrays, and a
+    # row it rejects is named from the bytes held, in the line reader's words.
+    @pytest.mark.parametrize("text,skip", [
+        ("# unit: v=m/s\nt,v\n0,1\n\n1,2.5\n", 2),
+        ("0,1\r\n1,2.5\r\n", 0),
+        ("1\n2.5\n", 0),
+    ])
+    def test_byte_order_mark_keeps_a_plain_file_on_the_path(self, tmp_path, monkeypatch,
+                                                            text, skip):
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text, encoding="utf-8", newline="")
+        want = parse_trace(plain, "mph")
+        path = tmp_path / "bom.csv"
+        calls = self.spy(path, "\ufeff" + text, monkeypatch)
+        lines = self.spy_lines(monkeypatch)
+        got = parse_trace(path, "mph")
+        assert (got.t.tobytes(), got.v.tobytes()) == (want.t.tobytes(), want.v.tobytes())
+        assert (calls, lines) == ([("path", skip)], [])
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("\ufeff0,1\n# c\n1,-2.5\n", NegativeSpeed, "negative speed -2.5 at line 3"),
+        ("\ufefft,v\r\n0,1\r\n1,2\r\n0.5,3\r\n", InvalidSample, "timestamp decreases at line 4"),
+        ("\ufeff5\nnan\n", InvalidSample, "non-finite speed nan at line 2"),
+    ])
+    def test_rejected_file_with_a_byte_order_mark_is_not_read_again(
+            self, tmp_path, monkeypatch, text, error, message):
+        path = tmp_path / "trace.csv"
+        calls = self.spy(path, text, monkeypatch)
+        lines = self.spy_lines(monkeypatch)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            parse_trace(path, "m/s")
+        assert (len(calls), lines) == (1, [])
+
+    # Only the first mark is skipped: a second one is text, and the line
+    # reader rejects the cell that holds it.
+    def test_second_byte_order_mark_is_a_bad_cell(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        calls = self.spy(path, "\ufeff\ufeff0,1\n1,2\n", monkeypatch)
+        lines = self.spy_lines(monkeypatch)
+        with pytest.raises(ParseError, match=r"^bad timestamp '\\ufeff0' at line 1$"):
+            parse_trace(path, "m/s")
+        assert (calls, lines) == ([], [path])
+
     # If the file was replaced after `read_bytes` and numpy reads another
     # number of rows, the bytes held give the error, one line at a time.
     def test_replaced_file_with_other_rows_is_read_as_lines(self, tmp_path, monkeypatch):

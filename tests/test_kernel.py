@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from movestar import flatapi
+from movestar import core, flatapi
 from movestar.cli import write_er_csv
 from movestar.core import (
     MAX_SPEED_MPS,
@@ -115,6 +116,69 @@ class TestClassifierMatchesReference:
             prev2 = [x / MPH for x in a[i - 2:i].tolist()] if i >= 2 else []
             want.append(opmode_from_mph(v[i] / MPH, a[i] / MPH, prev2, vsp[i]))
         assert classify_opmode_array(v, vsp, a).tolist() == want
+
+
+class TestKernelCoefficients:
+    """`aggregate_cycle` hands `specific_power` a cached copy of the record
+    whose coefficients are read-only 0-d arrays: the same formula, the same
+    bits as the float record, array or scalar."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(speeds=arrays(np.float64, st.integers(1, 4000),
+                         elements=st.floats(0.0, MAX_SPEED_MPS) | st.just(-0.0)),
+           veh=st.sampled_from(list(SourceType)))
+    @example(speeds=np.array([-0.0]), veh=SourceType.LDV)
+    @example(speeds=np.array([0.0, -0.0, 5.0, -0.0]), veh=SourceType.LDT)
+    # The two LDV seconds whose VSP sits on a bin edge (tests/test_session.py).
+    @example(speeds=np.array([15.66801702180043, 15.651101682448285]), veh=SourceType.LDV)
+    @example(speeds=np.array([19.52145102237396, 19.71594388402388]), veh=SourceType.LDV)
+    def test_same_bits_as_the_float_record(self, speeds, veh, tables):
+        params = tables.params_for(veh)
+        cycle = DriveCycle(speeds)
+        v, a = cycle.v, cycle.a
+        got = specific_power(core._kernel_params(params), v, a)
+        assert got.dtype == np.float64 and got.shape == v.shape
+        assert got.tobytes() == specific_power(params, v, a).tobytes()
+        scalar = [specific_power(params, x, y) for x, y in zip(v.tolist(), a.tolist())]
+        assert all(type(x) is float for x in scalar)
+        assert got.tobytes() == np.array(scalar).tobytes()
+
+    def test_tables_with_another_A_get_their_own_modes(self, tables, tables_dir, tmp_path):
+        other = shutil.copytree(tables_dir, tmp_path / "tables")
+        params_csv = other / "params.csv"
+        text = params_csv.read_text()
+        assert text.count("LDV,0.156461,") == 1
+        params_csv.write_text(text.replace("LDV,0.156461,", "LDV,1.56461,"))
+        steep = load_tables_from_dir(other)
+        speeds = random_walk(11)
+        modes = []
+        for table_set, params_path in ((tables, tables_dir / "params.csv"),
+                                       (steep, params_csv)):
+            result = aggregate_cycle(DriveCycle(speeds), table_set.params_for(SourceType.LDV),
+                                     table_set.rates)
+            want = run_reference(speeds, "LDV", params_path, tables_dir / "rates.csv")
+            assert result.modes.tolist() == want["modes"]
+            modes.append(want["modes"])
+        assert modes[0] != modes[1]
+
+    def test_equal_records_share_one_entry(self, tables_dir, tmp_path):
+        first = load_tables_from_dir(tables_dir).params_for(SourceType.LDT)
+        second = load_tables_from_dir(shutil.copytree(tables_dir, tmp_path / "t")) \
+            .params_for(SourceType.LDT)
+        assert first == second and first is not second
+        kernel = core._kernel_params(first)
+        misses = core._kernel_params.cache_info().misses
+        assert core._kernel_params(second) is kernel
+        assert core._kernel_params.cache_info().misses == misses
+
+    def test_cached_coefficients_are_read_only(self, tables):
+        kernel = core._kernel_params(tables.params_for(SourceType.LDV))
+        for name in "ABCMf":
+            value = getattr(kernel, name)
+            assert (value.shape, value.dtype) == ((), np.float64)
+            with pytest.raises(ValueError):
+                value[...] = 1.0
+        assert kernel == tables.params_for(SourceType.LDV)
 
 
 class TestErWriter:

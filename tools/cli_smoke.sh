@@ -24,6 +24,12 @@ console() {
   printf 't,v\n0,0\n1,2.5\n2,5\n3,7.5\n4,7.5\n5,4\n6,0\n' > trip.csv
   printf 't,v\n0,0\n0.5,1\n1,2\n1.5,3\n2,4\n2.5,5\n3,5\n' > subsecond.csv
   "${ms[@]}" run --cycle trip.csv --unit m/s --veh 1 --out trip
+  # A leading UTF-8 byte-order mark changes nothing: the marked copy's ER
+  # and EF files are the plain file's, byte for byte.
+  { printf '\xef\xbb\xbf'; cat trip.csv; } > trip_bom.csv
+  "${ms[@]}" run --cycle trip_bom.csv --unit m/s --veh 1 --out trip_bom
+  cmp trip_ER.csv trip_bom_ER.csv
+  cmp trip_EF.csv trip_bom_EF.csv
   mkdir od
   "${ms[@]}" run --cycle trip.csv --veh 1 --out od/
   test -f od/_ER.csv && test -f od/_EF.csv
@@ -213,11 +219,11 @@ if status != 0 or "numpy" in sys.modules:
 EOF
 }
 
-# An ASCII file is read by numpy through its path, whatever its line ends
-# and with comment or empty lines between rows; one with an indented comment,
-# a whitespace-only line, a non-ASCII byte or a UTF-8 byte-order mark is read
-# one line at a time in Python. The conversions must be identical, and a `#`
-# after a value is an error at its line.
+# An ASCII file is read by numpy through its path, whatever its line ends,
+# with comment or empty lines between rows and after a leading UTF-8
+# byte-order mark; one with an indented comment, a whitespace-only line or a
+# non-ASCII byte is read one line at a time in Python. The conversions must be
+# identical, and a `#` after a value is an error at its line.
 line_endings() {
   printf 't,v\n0,0\n0.5,1\n1,2\n1.5,3\n2,4\n2.5,5\n3,5\n' > lf.csv
   sed 's/$/\r/' lf.csv > crlf.csv
