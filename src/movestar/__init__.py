@@ -23,7 +23,7 @@ from .tables import (
     validate_table_set,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 # Names resolved on first access (PEP 562), by the module that defines them.
 _LAZY = {

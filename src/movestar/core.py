@@ -48,10 +48,12 @@ def _constant(x: float) -> np.ndarray:
     operand on every array operation and a 0-d array not, with the same
     values: the kernel's coefficients and thresholds are these."""
     x = np.array(x, dtype=float)
-    x.flags.writeable = False
+    x.setflags(write=False)
     return x
 
 
+_ZERO = _constant(0.0)
+_MAX_SPEED_ARRAY = _constant(MAX_SPEED_MPS)
 _SOFT_DECEL_ARRAY = _constant(_SOFT_DECEL_MPS2)
 _HARD_DECEL_ARRAY = _constant(_HARD_DECEL_MPS2)
 
@@ -66,23 +68,26 @@ class DriveCycle:
     a: np.ndarray = field(init=False)
 
     def __init__(self, v: Sequence[float]):
-        """Copy the speeds once; two reductions accept them (a NaN fails
-        both), and a rejected cycle names its first speed outside [0,
-        MAX_SPEED_MPS], as a session stepping them does. A forward difference
-        of speeds in range is finite, so `a` needs no test. Frozen: the
-        fields are stored into `__dict__` at once, as `RateTable.__init__`
-        stores its own."""
+        """Copy the speeds once; one mask of the speeds in [0, MAX_SPEED_MPS]
+        accepts them (a NaN is in no range), and a rejected cycle names its
+        first speed outside it, as a session stepping them does. A forward
+        difference of speeds in range is finite, so `a` needs no test.
+        Frozen: the fields are stored into `__dict__` at once, as
+        `RateTable.__init__` stores its own."""
         v = _float_array(v, "speed", "second", copy=True)
         if v.ndim != 1:
             raise InvalidSample(f"speeds of shape {v.shape} are not one-dimensional")
         if v.size == 0:
             raise EmptyCycle("drive cycle has no samples")
-        if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) <= MAX_SPEED_MPS):
-            second = int(((v >= 0.0) & (v <= MAX_SPEED_MPS)).argmin())
+        ok = np.greater_equal(v, _ZERO)
+        ok &= np.less_equal(v, _MAX_SPEED_ARRAY)
+        if np.count_nonzero(ok) != v.size:
+            second = int(ok.argmin())
             raise _speed_error(v[second], f"second {second}")
         a = np.zeros(v.size)
         np.subtract(v[1:], v[:-1], out=a[1:])
-        v.flags.writeable = a.flags.writeable = False
+        v.setflags(write=False)
+        a.setflags(write=False)
         self.__dict__.update(v=v, a=a)
 
     @classmethod
@@ -175,7 +180,8 @@ def assemble_result(modes: np.ndarray, grams: np.ndarray, distance_m: float) -> 
     Totals, like `distance_m`, are in-order sums (`np.add.accumulate`, which
     `np.cumsum` calls); `np.sum` may add pairwise and round differently."""
     grams = grams.take(modes, axis=0)
-    grams.flags.writeable = modes.flags.writeable = False
+    grams.setflags(write=False)
+    modes.setflags(write=False)
     totals = EmissionVector._make(np.add.accumulate(grams, axis=0)[-1].tolist())
     return CycleResult(modes, grams, totals, distance_m, per_km(totals, distance_m))
 

@@ -56,7 +56,8 @@ class RawTrace:
                 and np.less_equal(t[:-1], t[1:]).all()):
             raise _first_bad_sample(t, v, self.unit, lines)
         t, v = np.array(t), np.array(v)
-        t.flags.writeable = v.flags.writeable = False
+        t.setflags(write=False)
+        v.setflags(write=False)
         self.__dict__.update(t=t, v=v)
 
     @property

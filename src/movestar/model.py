@@ -291,7 +291,7 @@ class RateTable:
         out = {}
         for st, rows in self.per_second.items():
             grams = np.array([(math.nan,) * 5 if r is None else r[2:] for r in rows.results])
-            grams.flags.writeable = False
+            grams.setflags(write=False)
             out[st] = grams
         return out
 

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .model import (
+    MAX_SPEED_MPS,
     EmissionVector,
     RateTable,
     SourceType,
@@ -28,6 +29,7 @@ from .model import (
     VehicleParams,
     _DataclassFields,
     _number,
+    specific_power,
 )
 from .errors import SchemaError, TableFileError, TableParseError, UnitError, UnknownSourceType
 
@@ -169,6 +171,7 @@ def validate_table_set(tables: TableSet) -> list[str]:
         where = f"params[{p.source_type.value}]"
         if p.source_type is not st:
             report.append(f"params: row keyed {st.value} carries {p.source_type.value}")
+        faults = len(report)
         for name, value in zip(PARAMS_HEADER[1:], p[1:]):
             if not math.isfinite(value):
                 report.append(f"{where}: {name} = {value} is not finite")
@@ -176,6 +179,14 @@ def validate_table_set(tables: TableSet) -> list[str]:
                 report.append(f"{where}: {name} must be > 0")
             elif not value >= 0.0:
                 report.append(f"{where}: {name} must be >= 0")
+        if len(report) == faults:
+            # With the signs above, VSP at v = a = V is the largest |VSP| a
+            # step computes: speeds lie in [0, V], so |a| <= V, and each
+            # rounded operation is monotone.
+            peak = specific_power(p, MAX_SPEED_MPS, MAX_SPEED_MPS)
+            if not math.isfinite(peak):
+                report.append(f"{where}: VSP overflows at {MAX_SPEED_MPS!r} m/s: "
+                              f"(A*V + B*V*V + C*V*V*V + M*V*V) / f = {peak}")
 
     for (st, mode), vec in tables.rates.entries.items():
         if mode not in VALID_OPMODE_IDS:

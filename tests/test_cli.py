@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import movestar
+from movestar import flatapi
 from movestar.cli import main
 from movestar.tables import ENV_TABLES_DIR
 
@@ -158,6 +159,28 @@ class TestOtherCommands:
         (tmp_path / "rates.csv").write_text(rates_text)
         assert run_cli("validate-tables", "--tables", tmp_path) == 2
         assert "CO" in capsys.readouterr().err
+
+    # Coefficients of the right signs whose VSP at the speed limit is past
+    # float range: a load rejects them, where a run would print inf VSP.
+    @pytest.mark.parametrize("row", ["LDV,0.156461,0.00200193,0.000492646,1.4788,1e-320",
+                                     "LDV,1e308,0.00200193,0.000492646,1.4788,1.4788"])
+    def test_tables_whose_vsp_overflows(self, tmp_path, params_path, rates_path, row,
+                                        capsys):
+        text = params_path.read_text()
+        ldv = next(ln for ln in text.splitlines() if ln.startswith("LDV,"))
+        (tmp_path / "params.csv").write_text(text.replace(ldv, row))
+        (tmp_path / "rates.csv").write_text(rates_path.read_text())
+        trip = tmp_path / "trip.csv"
+        trip.write_text("t,v\n0,0\n1,2.5\n2,5\n3,7.5\n")
+        want = ("error: tables: table validation failed: params[LDV]: VSP overflows at "
+                "100.0 m/s: (A*V + B*V*V + C*V*V*V + M*V*V) / f = inf\n")
+        capsys.readouterr()
+        assert run_cli("validate-tables", "--tables", tmp_path) == 2
+        assert capsys.readouterr() == ("", want)
+        assert run_cli("run", "--cycle", trip, "--veh", "1", "--tables", tmp_path) == 2
+        assert capsys.readouterr() == ("", want)
+        assert not trip.with_name("trip_ER.csv").exists()
+        assert flatapi.create(1, str(tmp_path)) == (flatapi.ERR_TABLES, 0)
 
     def test_env_var_table_dir(self, cycle_file, tables_dir, monkeypatch):
         monkeypatch.setenv(ENV_TABLES_DIR, str(tables_dir))

@@ -23,7 +23,9 @@ from movestar.core import (
     specific_power,
 )
 from movestar.demo import GlideOutcome
-from movestar.errors import EmptyCycle, IncompleteTable, InvalidSample, NegativeSpeed
+from movestar.errors import (CycleError, EmptyCycle, IncompleteTable, InvalidSample,
+                             NegativeSpeed)
+from movestar.model import _speed_error
 
 from conftest import in_order_sum, scaled_rates
 from reference_pipeline import MPH, opmode_from_mph, run_reference, vsp_si
@@ -84,6 +86,25 @@ class TestDriveCycleContract:
         assert type(info.value) is error
         assert str(info.value) == message
 
+    @settings(max_examples=300, deadline=None)
+    @given(speeds=st.lists(st.one_of(
+        st.floats(0.0, MAX_SPEED_MPS),
+        st.sampled_from([-0.0, 0.0, MAX_SPEED_MPS, math.nextafter(MAX_SPEED_MPS, math.inf),
+                         -5e-324, math.nan, math.inf, -math.inf, 1e300]),
+        st.floats()), min_size=1, max_size=12), as_array=st.booleans())
+    def test_accepts_exactly_the_speeds_in_range(self, speeds, as_array):
+        """One mask over the array accepts what a scan of each speed in
+        Python accepts, and a rejected cycle names the scan's first bad second."""
+        bad = next((i for i, x in enumerate(speeds) if not 0.0 <= x <= MAX_SPEED_MPS), None)
+        given_speeds = np.array(speeds) if as_array else speeds
+        if bad is None:
+            assert DriveCycle(given_speeds).v.tobytes() == np.array(speeds).tobytes()
+            return
+        want = _speed_error(speeds[bad], f"second {bad}")
+        with pytest.raises(CycleError) as info:
+            DriveCycle(given_speeds)
+        assert (type(info.value), str(info.value)) == (type(want), str(want))
+
     def test_accepts_the_speed_limit(self):
         assert DriveCycle([0.0, MAX_SPEED_MPS]).v.tolist() == [0.0, 100.0]
 
@@ -122,6 +143,19 @@ class TestRecordContracts:
                     delattr(record, name)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 record.extra = 1
+
+    def test_result_arrays_cannot_be_written(self, records, tables):
+        from movestar.session import EmissionSession
+        session = EmissionSession(tables.params_for(SourceType.LDV), tables.rates)
+        for speed in records[0].v:
+            session.step(speed)
+        for result in (records[1], session.finalize()):
+            for array in (result.modes, result.grams):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+                with pytest.raises(ValueError, match="read-only"):
+                    array += 1
 
     def test_fields_and_repr(self, records):
         cycle, result, outcome = records

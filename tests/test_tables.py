@@ -1,6 +1,8 @@
 """Table asset loading, validation and round-trip tests."""
 
 import codecs
+import math
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -518,6 +520,38 @@ class TestCorruptedTables:
         assert "params[LDT]: M = inf is not finite" in report
         assert "rates: (LDV, 13) CO = inf is not finite" in report
         assert all("not finite" in line for line in report)
+
+    @pytest.mark.parametrize("name, far", [("A", 1e308), ("f", 1e-320)])
+    def test_validation_bounds_vsp_at_the_speed_limit(self, tables, name, far):
+        # The rule is tight: with the last value of the coefficient whose VSP
+        # at V = a = MAX_SPEED_MPS is finite, no step overflows and the table
+        # is clean; one ulp further, that VSP is inf and the table is not.
+        import numpy as np
+        from movestar.core import MAX_SPEED_MPS, specific_power
+        from movestar.tables import TableSet
+        base = tables.params[SourceType.LDV]
+        bits = lambda x: struct.unpack("<q", struct.pack("<d", x))[0]
+        value = lambda b: struct.unpack("<d", struct.pack("<q", b))[0]
+        with_value = lambda b: base._replace(**{name: value(b)})
+        ok, over = bits(1.0), bits(far)
+        while abs(over - ok) > 1:   # positive floats order as their bits
+            mid = (ok + over) // 2
+            if math.isfinite(specific_power(with_value(mid), MAX_SPEED_MPS, MAX_SPEED_MPS)):
+                ok = mid
+            else:
+                over = mid
+        want = ("params[LDV]: VSP overflows at 100.0 m/s: "
+                "(A*V + B*V*V + C*V*V*V + M*V*V) / f = inf")
+        for b, report in ((ok, []), (over, [want])):
+            table = TableSet(params={**tables.params, SourceType.LDV: with_value(b)},
+                             rates=tables.rates, provenance="")
+            assert validate_table_set(table) == report
+        v = np.array([0.0, MAX_SPEED_MPS, 0.0, MAX_SPEED_MPS, MAX_SPEED_MPS])
+        a = np.array([0.0, MAX_SPEED_MPS, -MAX_SPEED_MPS, 0.0, -0.0])
+        with np.errstate(all="raise"):
+            assert np.isfinite(specific_power(with_value(ok), v, a)).all()
+            with pytest.raises(FloatingPointError):
+                specific_power(with_value(over), v, a)
 
     def test_validation_report_names_injected_negative(self, tables):
         from movestar.core import EmissionVector, RateTable

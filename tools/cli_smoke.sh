@@ -100,6 +100,22 @@ console() {
   grep -q '^error: tables:' err.txt
   grep -qF "missing column(s) ['CO2']" err.txt
   if grep -q Traceback err.txt; then exit 1; fi
+  # Coefficients whose VSP at the speed limit overflows (LDV f = 1e-320)
+  # are one table error, for `validate-tables` and for `run` alike.
+  mkdir vspinf
+  cp "$defaults"/*.csv vspinf/
+  sed 's/^\(LDV,.*\),[^,]*$/\1,1e-320/' "$defaults/params.csv" > vspinf/params.csv
+  grep -q '^LDV,.*,1e-320$' vspinf/params.csv
+  for cmd in "validate-tables" "run --cycle trip.csv --veh 1 --out vspinf/trip"; do
+    status=0
+    "${ms[@]}" $cmd --tables vspinf 2> err.txt || status=$?
+    cat err.txt
+    test "$status" -eq 2
+    test "$(wc -l < err.txt)" -eq 1
+    grep -q '^error: tables: .*VSP overflows' err.txt
+    if grep -q Traceback err.txt; then exit 1; fi
+  done
+  test ! -e vspinf/trip_ER.csv
   "${ms[@]}" convert --in subsecond.csv --out onehz.csv --unit mph
   # All three planner outcomes: README's red arrival glides, a red of 200 s
   # that no glide can bridge falls back to the stop profile, and a green
